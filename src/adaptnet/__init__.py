@@ -17,7 +17,7 @@ from .network import (CombinationMatrix, NetworkTopology, PerronPair,
                       save_topology)
 from .signalmodel import (DataSnapshot, GroundTruth, NodeProfile,
                           SnapshotSource, benchmark_profile, covariance_sqrt,
-                          generate_snapshot)
+                          generate_snapshot, is_homogeneous)
 from .strategies import (NetworkState, StrategyKind, atc_update,
                          consensus_update, cta_update, initial_state,
                          noncooperative_update, step, update)

@@ -19,6 +19,7 @@ from .config import load_experiment
 from .errors import AdaptNetError, ConfigError, StabilityError, UnsupportedInputError
 from .harness import run_experiment, steady_state_vs_theory
 from .msdtheory import ordering_checks
+from .signalmodel import is_homogeneous
 from .spectra import analyze_network
 from .twonode import (TwoNodeConfig, condition_grid, consensus_instability_condition,
                       consensus_min_eigenvalue, diffusion_stabilization_range,
@@ -73,7 +74,7 @@ def cmd_analyze(args) -> int:
     else:
         print("  consensus       : (needs a symmetric combination matrix)")
     if report.equality_bound is not None:
-        print(f"  diffusion=noncoop radius up to mu = {report.equality_bound:.6g}")
+        print(f"  consensus=diffusion radius up to mu = {report.equality_bound:.6g}")
     if args.csv:
         rows = [(name, f"{rho:.12g}", stable, f"{margin:.12g}")
                 for name, rho, stable, margin in report.rows()]
@@ -128,8 +129,9 @@ def cmd_compare(args) -> int:
     if len(finite) > 1:
         best = min(finite, key=finite.get)
         print(f"\nlowest theoretical network MSD: {best.value}")
-    if args.ordering and _is_orderable(cfg):
-        rep = ordering_checks(cfg.resolve_combination(), cfg.profiles[0].covariance,
+    matrix = cfg.resolve_combination() if args.ordering else None
+    if matrix is not None and is_homogeneous(cfg.profiles):
+        rep = ordering_checks(matrix, cfg.profiles[0].covariance,
                               cfg.profiles[0].step_size,
                               [p.noise_variance for p in cfg.profiles])
         print(f"atc <= cta <= non_cooperative (network): {rep.diffusion_first}")
@@ -140,13 +142,6 @@ def cmd_compare(args) -> int:
         _write_csv(args.csv, ("strategy", "node", "theory_db", "simulated_db", "gap_db"),
                    rows, seed=cfg.seed)
     return 0
-
-
-def _is_orderable(cfg) -> bool:
-    first = cfg.profiles[0]
-    return all(p.step_size == first.step_size
-               and np.array_equal(p.covariance, first.covariance)
-               for p in cfg.profiles) and cfg.resolve_combination() is not None
 
 
 def cmd_two_node(args) -> int:

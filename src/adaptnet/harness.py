@@ -7,8 +7,8 @@ are reduced in trial order, which keeps ensemble outputs bit-identical
 regardless of the worker count.
 
 A strategy whose network squared error exceeds a large multiple of ||w0||^2
-is flagged diverged for that trial; its curve carries +inf from the onset
-iteration onward and is reported, never silently dropped.
+(of 1 when w0 = 0) is flagged diverged for that trial; its curve carries +inf
+from the onset iteration onward and is reported, never silently dropped.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, NotDiagonalizableError
 from .msdtheory import eigenstructure, msd_eigenform, msd_series
 from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
-from .signalmodel import GroundTruth, SnapshotSource
+from .signalmodel import GroundTruth, SnapshotSource, is_homogeneous
 from .spectra import build_error_recursion
 from .strategies import COOPERATIVE, StrategyKind, update
 
@@ -167,7 +167,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
     steady_len = max(1, int(round(cfg.steady_window * cfg.iterations)))
     steady_start = cfg.iterations - steady_len
-    threshold = cfg.divergence_factor * float(w0 @ w0)
+    # a zero truth gives no scale, so the threshold falls back to unit power
+    threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
 
     def work(trial):
         return _run_trial(trial, source, cfg.strategies, mu, weights, w0,
@@ -211,19 +212,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return out
 
 
-def _is_homogeneous(profiles) -> bool:
-    first = profiles[0]
-    return all(p.step_size == first.step_size
-               and np.array_equal(p.covariance, first.covariance)
-               for p in profiles[1:])
-
-
 def theory_reports(cfg: ExperimentConfig) -> dict:
     """Theoretical steady-state MSD per selected strategy: eigen route for
     homogeneous diagonalizable instances, series route otherwise."""
     matrix = cfg.resolve_combination()
     reports = {}
-    homogeneous = _is_homogeneous(cfg.profiles)
+    homogeneous = is_homogeneous(cfg.profiles)
     noise = np.array([p.noise_variance for p in cfg.profiles])
     structure = None
     if homogeneous and matrix is not None:

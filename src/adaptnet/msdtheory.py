@@ -5,7 +5,8 @@ cross-validate each other:
 
 * series route, valid for any stable heterogeneous network:
       MSD_k = sum_j  Tr[ (e_k e_k^T (x) I_M)  B^j Y B^Tj ]
-  with the network MSD the average over nodes;
+  with the network MSD the average over nodes, the series summed by
+  doubling (squared Smith iteration) and no eigendecomposition;
 
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
@@ -43,6 +44,8 @@ from .strategies import StrategyKind
 
 ORTHONORMAL_TOL = 1e-8
 DENOM_GUARD = 1e-12
+SERIES_RTOL = 1e-12
+SERIES_MAX_STEPS = 64
 
 
 def _db(x):
@@ -59,7 +62,7 @@ class MsdReport:
     per_node: np.ndarray
     network: float
     spectral_radius: float | None = None
-    terms: int | None = None
+    terms: int | None = None          # series terms covered, a power of two
     network_orthonormal: float | None = None
     orthonormality_defect: float | None = None
 
@@ -76,41 +79,31 @@ class MsdReport:
         return not np.isfinite(self.network)
 
 
-def msd_series(recursion: ErrorRecursion, rtol: float = 1e-12,
-               max_terms: int = 500_000) -> MsdReport:
-    """Sum the per-node series until three consecutive terms fall below
-    ``rtol`` of the accumulated total with the geometric tail estimate
-    (ratio rho(B)^2) also negligible."""
-    b = recursion.transition
-    y = recursion.noise_gram
+def _doubling_sum(f, y):
+    """Sum X = sum_j F^j Y F^jT by squared Smith doubling, X <- X + F X F^T
+    then F <- F^2, so after s steps X covers 2^s terms; stops once the trace
+    of an increment is at most SERIES_RTOL of the running total.  Returns
+    (X, terms covered)."""
+    x = y
+    for step in range(1, SERIES_MAX_STEPS + 1):
+        inc = f @ x @ f.T
+        x = x + inc
+        if np.trace(inc) <= SERIES_RTOL * np.trace(x):
+            return x, 2 ** step
+        f = f @ f
+    raise NumericalError(f"series did not settle in {SERIES_MAX_STEPS} doubling steps")
+
+
+def msd_series(recursion: ErrorRecursion) -> MsdReport:
+    """Per-node MSD from the series sum_j B^j Y B^jT, summed by doubling."""
     n, m = recursion.n_nodes, recursion.dim
-    rho = spectral_radius(b)
+    rho = spectral_radius(recursion.transition)
     if rho >= 1.0:
         return MsdReport(strategy=recursion.strategy, method="series",
                          per_node=np.full(n, np.inf), network=np.inf,
                          spectral_radius=rho, terms=0)
-    q = rho * rho
-    tail_factor = q / (1.0 - q)
-    per_node = np.zeros(n)
-    p = y.copy()
-    terms = 0
-    quiet = 0
-    while True:
-        block = p.diagonal().reshape(n, m).sum(axis=1)
-        per_node += block
-        term = float(block.sum())
-        total = float(per_node.sum())
-        terms += 1
-        if term <= rtol * total and term * tail_factor <= rtol * total:
-            quiet += 1
-            if quiet >= 3:
-                break
-        else:
-            quiet = 0
-        if terms >= max_terms:
-            raise NumericalError(f"series did not settle in {max_terms} terms "
-                                 f"(rho = {rho:.6f})")
-        p = b @ p @ b.T
+    x, terms = _doubling_sum(recursion.transition, recursion.noise_gram)
+    per_node = x.diagonal().reshape(n, m).sum(axis=1)
     return MsdReport(strategy=recursion.strategy, method="series",
                      per_node=per_node, network=float(per_node.mean()),
                      spectral_radius=rho, terms=terms)
@@ -242,7 +235,7 @@ def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
 
 def msd_component(structure: EigenStructure, mu: float, noise_variances,
                   node: int, mode: int, strategy: StrategyKind,
-                  form: str = "eigen", rtol: float = 1e-12) -> float:
+                  form: str = "eigen") -> float:
     """Single MSD_k(m) value, by the eigen route or by direct series summation."""
     if form == "eigen":
         comp = _component_matrix(structure, mu, noise_variances, strategy)
@@ -256,34 +249,18 @@ def msd_component(structure: EigenStructure, mu: float, noise_variances,
     var = np.asarray(noise_variances, dtype=float)
     lam = structure.cov_eigenvalues[mode]
     shrink = 1.0 - mu * lam
-    q = shrink ** 2
-    if q >= 1.0:
+    if shrink ** 2 >= 1.0:
         raise StabilityError(f"mode {mode} unstable at mu = {mu}")
     scale = mu ** 2 * lam
     if strategy is StrategyKind.NON_COOPERATIVE:
-        total = 0.0
-        power = 1.0
-        while True:
-            term = scale * power * var[node]
-            total += term
-            # exact geometric tail
-            if term * q / (1.0 - q) <= rtol * total:
-                return total
-            power *= q
+        x, _ = _doubling_sum(np.array([[shrink]]), np.array([[var[node]]]))
+        return float(scale * x[0, 0])
     a = structure.matrix
     sv = np.diag(var)
     # ATC starts the propagation at A Sigma A^T power j+1; CTA at power j
     prop = a.T @ sv @ a if strategy is StrategyKind.ATC else sv
-    total = 0.0
-    power = 1.0
-    tail_cap = scale * var.max()
-    while True:
-        term = scale * power * prop[node, node]
-        total += term
-        if tail_cap * power * q / (1.0 - q) <= rtol * max(total, tail_cap):
-            return total
-        prop = a.T @ prop @ a
-        power *= q
+    x, _ = _doubling_sum(shrink * a.T, prop)
+    return float(scale * x[node, node])
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,

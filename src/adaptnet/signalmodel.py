@@ -56,16 +56,27 @@ class NodeProfile:
             raise ConfigError(f"covariance must be square, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)) or not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("covariance must be finite and symmetric")
-        if not self.step_size > 0:
-            raise ConfigError(f"step size must be positive, got {self.step_size}")
-        if self.noise_variance < 0:
-            raise ConfigError(f"noise variance must be nonnegative, got {self.noise_variance}")
+        if not 0 < self.step_size < np.inf:
+            raise ConfigError(f"step size must be positive and finite, got {self.step_size}")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ConfigError("noise variance must be nonnegative and finite, "
+                              f"got {self.noise_variance}")
         cov.flags.writeable = False
         object.__setattr__(self, "covariance", cov)
 
     @property
     def dim(self) -> int:
         return self.covariance.shape[0]
+
+
+def is_homogeneous(profiles) -> bool:
+    """True when every node shares the step size and the regressor covariance,
+    the condition under which the eigen-route theory and the common-mu
+    bounds apply."""
+    first = profiles[0]
+    return all(p.step_size == first.step_size
+               and np.array_equal(p.covariance, first.covariance)
+               for p in profiles[1:])
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnsupportedInputError
+from .signalmodel import is_homogeneous
 from .strategies import StrategyKind
 
 EQUALITY_TOL = 1e-9
@@ -171,9 +172,8 @@ def analyze_network(matrix, profiles) -> StabilityReport:
         cons_bounds = consensus_symmetric_bound(matrix, profiles)
     except UnsupportedInputError:
         cons_bounds = None
-    covs = [p.covariance for p in profiles]
-    homogeneous = all(np.array_equal(c, covs[0]) for c in covs[1:])
-    equality = diffusion_equality_bound(a, covs[0]) if homogeneous else None
+    equality = (diffusion_equality_bound(a, profiles[0].covariance)
+                if is_homogeneous(profiles) else None)
     return StabilityReport(verdicts=verdicts,
                            noncoop_bounds=noncoop_step_bounds(profiles),
                            consensus_bounds=cons_bounds,

@@ -201,10 +201,19 @@ def test_cli_analyze(stable_cfg, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "strategy" in out and "non_cooperative" in out
     assert "step-size bounds" in out
+    assert "radius up to mu" not in out     # per-node step sizes: no common-mu bound
     header, rows = _read_csv(csv)
     assert header == ["strategy", "spectral_radius", "stable", "margin"]
     assert len(rows) == 4
     assert all(row[2] == "stable" for row in rows)
+
+
+def test_cli_analyze_equality_bound_label(tmp_path, capsys):
+    # uniform weights on 3 nodes: lambda_2 = 0, R_u = 1, bound (1 - 0) / (1 + 1)
+    path = tmp_path / "homog.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -20\nru_diag = 1\n")
+    assert main(["analyze", str(path)]) == 0
+    assert "consensus=diffusion radius up to mu = 0.5\n" in capsys.readouterr().out
 
 
 def test_cli_simulate_deterministic_across_workers(stable_cfg, tmp_path):
@@ -241,6 +250,13 @@ def test_cli_simulate_divergence_note(unstable_cfg, tmp_path, capsys):
     assert rows[-1][2] == "inf"
 
 
+def test_cli_simulate_zero_truth_not_diverged(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(MINIMAL + "w0 = 0, 0\niterations = 60\ntrials = 3\n")
+    assert main(["simulate", str(path), "--out", str(tmp_path / "zero.csv")]) == 0
+    assert "diverged" not in capsys.readouterr().err
+
+
 def test_cli_compare(stable_cfg, tmp_path, capsys):
     csv = tmp_path / "cmp.csv"
     assert main(["compare", stable_cfg, "--csv", str(csv)]) == 0
@@ -273,6 +289,19 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     bad.write_text(MINIMAL + "mystery = 1\n")
     assert main(["simulate", str(bad)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["mu = inf", "noise_db = nan"])
+def test_cli_rejects_non_finite_profile(tmp_path, capsys, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(MINIMAL + line + "\n")
+    assert main(["analyze", str(path)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_noiseless_nodes_from_minus_inf_db():
+    cfg = build_experiment(parse_pairs(MINIMAL + "noise_db = -inf\n"))
+    assert all(p.noise_variance == 0.0 for p in cfg.profiles)
 
 
 def test_cli_two_node_region(tmp_path, capsys):

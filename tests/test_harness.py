@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
-                      NodeProfile, StrategyKind, build_combination_matrix,
+                      GroundTruth, NodeProfile, StrategyKind, build_combination_matrix,
                       build_error_recursion, complete_topology, msd_series,
                       random_connected_topology, run_experiment,
                       steady_state_vs_theory, theory_reports)
@@ -169,6 +171,14 @@ def test_noiseless_steady_state_vanishes():
     for kind in cfg.strategies:
         assert curves[kind].diverged_trials == 0
         assert curves[kind].network_steady < 1e-20
+
+
+def test_zero_truth_not_flagged_diverged(rng):
+    cfg = _metropolis_config(rng, n=3, iterations=60, trials=3)
+    curves = run_experiment(replace(cfg, truth=GroundTruth(np.zeros(2))))
+    for kind in cfg.strategies:
+        assert curves[kind].diverged_trials == 0
+        assert np.all(np.isfinite(curves[kind].msd))
 
 
 def test_settle_index_matches_curve_shape():

@@ -28,8 +28,10 @@ def test_node_profile_validation():
                     step_size=0.1, noise_variance=0.1)
     with pytest.raises(ConfigError):
         NodeProfile(covariance=np.eye(2), step_size=0.0, noise_variance=0.1)
-    with pytest.raises(ConfigError):
-        NodeProfile(covariance=np.eye(2), step_size=0.1, noise_variance=-0.1)
+    for mu, noise in ((0.1, -0.1), (np.inf, 0.1), (np.nan, 0.1), (0.1, np.nan),
+                      (0.1, np.inf)):
+        with pytest.raises(ConfigError):
+            NodeProfile(covariance=np.eye(2), step_size=mu, noise_variance=noise)
 
 
 def test_covariance_sqrt_squares_back():

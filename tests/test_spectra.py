@@ -229,6 +229,8 @@ def test_homogeneous_diffusion_equals_noncoop_below_bound():
                  for kind in ALL}
         assert radii[StrategyKind.ATC] == pytest.approx(
             radii[StrategyKind.NON_COOPERATIVE], abs=1e-9)
+        assert radii[StrategyKind.CONSENSUS] == pytest.approx(
+            radii[StrategyKind.ATC], abs=1e-9)
         assert radii[StrategyKind.NON_COOPERATIVE] <= radii[StrategyKind.CONSENSUS] + 1e-9
 
 
@@ -245,3 +247,6 @@ def test_analyze_network_report():
     for _, rho, label, margin in rows:
         assert label == ("stable" if rho < 1.0 else "UNSTABLE")
         assert margin == pytest.approx(1.0 - rho)
+    # the bound is a threshold on one common mu: none for per-node step sizes
+    mixed = analyze_network(np.full((3, 3), 1.0 / 3.0), _scalar_profiles([0.1, 0.5, 0.9]))
+    assert mixed.equality_bound is None
