@@ -17,10 +17,9 @@ from .network import (CombinationMatrix, NetworkTopology, PerronPair,
                       save_topology)
 from .signalmodel import (DataSnapshot, GroundTruth, NodeProfile,
                           SnapshotSource, benchmark_profile, covariance_sqrt,
-                          generate_snapshot, is_homogeneous)
-from .strategies import (NetworkState, StrategyKind, atc_update,
-                         consensus_update, cta_update, initial_state,
-                         noncooperative_update, step, update)
+                          is_homogeneous)
+from .strategies import (StrategyKind, atc_update, consensus_update,
+                         cta_update, noncooperative_update, update)
 from .spectra import (ErrorRecursion, StabilityReport, StabilityVerdict,
                       analyze_network, block_norm, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,

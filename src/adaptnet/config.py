@@ -17,7 +17,8 @@ edge-list file), ``edge_prob`` (random topology only), ``rule`` (``uniform``
 mutually exclusive with ``rule``).
 
 Run keys: ``strategies`` (default all four), ``iterations``, ``trials``,
-``seed``, ``steady_window``, ``workers``.
+``seed`` (a nonnegative integer), ``steady_window``.  The retired key
+``workers`` is still accepted, as an integer of at least 1, and ignored.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def _float(pairs, key, default):
         raise ConfigError(f"{key} must be a number, got {pairs[key]!r}") from exc
 
 
+def _sizes(pairs, nodes, dim):
+    n, m = _int(pairs, "nodes", nodes), _int(pairs, "dim", dim)
+    if n < 1 or m < 1:
+        raise ConfigError("nodes and dim must be positive")
+    return n, m
+
+
 def _per_node(values, n, key):
     if len(values) == 1:
         return [values[0]] * n
@@ -132,9 +140,17 @@ def _topology(pairs, n, seed, base_dir) -> NetworkTopology:
         edge_prob = _float(pairs, "edge_prob", 0.3)
         return random_connected_topology(n, edge_prob, np.random.default_rng(seed))
     path = choice if os.path.isabs(choice) else os.path.join(base_dir, choice)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
         raise ConfigError(f"topology {choice!r} is not full/line/random or a readable file")
-    return load_topology(path)
+    return _load(load_topology, path)
+
+
+def _load(loader, path):
+    """Run a file loader, reporting unreadable or malformed files as ConfigError."""
+    try:
+        return loader(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load {path!r}: {exc}") from exc
 
 
 def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -142,6 +158,8 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     seed = _int(pairs, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     strategies = _strategies(pairs)
     iterations = _int(pairs, "iterations", 1000)
     trials = _int(pairs, "trials", 100)
@@ -157,9 +175,9 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
         mu = _floats(pairs["mu"]) if "mu" in pairs else [0.02]
         if len(mu) != 1:
             raise ConfigError("profile = benchmark needs a scalar mu")
+        n, m = _sizes(pairs, 20, 10)
         topology, profiles, truth = benchmark_profile(
-            n_nodes=_int(pairs, "nodes", 20), dim=_int(pairs, "dim", 10),
-            seed=seed, step_size=mu[0],
+            n_nodes=n, dim=m, seed=seed, step_size=mu[0],
             edge_prob=_float(pairs, "edge_prob", 0.3))
     elif "profile" in pairs:
         raise ConfigError(f"unknown profile {pairs['profile']!r}")
@@ -167,15 +185,14 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
         for key in ("nodes", "dim", "mu", "noise_db"):
             if key not in pairs:
                 raise ConfigError(f"config needs {key!r} (or profile = benchmark)")
-        n = _int(pairs, "nodes", None)
-        m = _int(pairs, "dim", None)
-        if n < 1 or m < 1:
-            raise ConfigError("nodes and dim must be positive")
+        n, m = _sizes(pairs, None, None)
         mu = _per_node(_floats(pairs["mu"]), n, "mu")
         noise_db = _per_node(_floats(pairs["noise_db"]), n, "noise_db")
         covs = _covariances(pairs, n, m)
+        with np.errstate(over="ignore"):  # NodeProfile rejects the infinite power
+            noise = np.power(10.0, np.array(noise_db) / 10.0)
         profiles = [NodeProfile(covariance=covs[k], step_size=mu[k],
-                                noise_variance=10.0 ** (noise_db[k] / 10.0))
+                                noise_variance=float(noise[k]))
                     for k in range(n)]
         if "w0" in pairs:
             w0 = np.array(_floats(pairs["w0"]))
@@ -194,7 +211,7 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
         path = pairs["a_csv"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        combination = load_combination_csv(path)
+        combination = _load(load_combination_csv, path)
         topology = combination.topology
     else:
         rule = pairs.get("rule", "uniform")

@@ -2,9 +2,9 @@
 
 Within one trial every selected strategy consumes the identical snapshot
 sequence (paired comparison), so cross-strategy gaps are not polluted by
-independent sampling noise.  Trials use disjoint counter-based streams and
-are reduced in trial order, which keeps ensemble outputs bit-identical
-regardless of the worker count.
+independent sampling noise.  Trials advance together in chunks of ``CHUNK``
+as (T, N, M) tensors on disjoint counter-based streams and are reduced in
+trial order, which keeps ensemble outputs bit-identical for any chunk size.
 
 A strategy whose network squared error exceeds a large multiple of ||w0||^2
 (of 1 when w0 = 0) is flagged diverged for that trial; its curve carries +inf
@@ -13,19 +13,21 @@ from the onset iteration onward and is reported, never silently dropped.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NotDiagonalizableError
 from .msdtheory import eigenstructure, msd_eigenform, msd_series
 from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
-from .signalmodel import GroundTruth, SnapshotSource, is_homogeneous
+from .signalmodel import BLOCK, GroundTruth, SnapshotSource, is_homogeneous
 from .spectra import build_error_recursion
 from .strategies import COOPERATIVE, StrategyKind, update
 
 ALL_STRATEGIES = tuple(StrategyKind)
+
+# trials advanced as one batch; bounds memory at CHUNK * BLOCK snapshots
+CHUNK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,15 +42,18 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     steady_window: float = 0.1
-    workers: int = 1
     divergence_factor: float = 1e12
+    # retired: trials run in one thread, so a worker count is checked and ignored
+    workers: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, workers):
         if self.iterations < 1 or self.trials < 1:
             raise ConfigError("iterations and trials must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0.0 < self.steady_window <= 1.0:
             raise ConfigError(f"steady window fraction must lie in (0, 1], got {self.steady_window}")
-        if self.workers < 1:
+        if workers < 1:
             raise ConfigError("workers must be at least 1")
         if not self.strategies:
             raise ConfigError("select at least one strategy")
@@ -120,43 +125,51 @@ def _slope_db_per_100(curve_db: np.ndarray) -> float | None:
     return float(slope * 100.0)
 
 
-def _run_trial(trial, source, strategies, mu, weights, w0, iterations,
+def _run_chunk(trials, source, strategies, mu, weights, w0, iterations,
                steady_start, threshold):
-    n = len(source.profiles)
-    curves = {k: np.empty(iterations) for k in strategies}
-    acc = {k: np.zeros(n) for k in strategies}
-    est = {k: np.zeros((n, w0.size)) for k in strategies}
-    alive = {k: True for k in strategies}
-    onset = {}
+    """Advance the listed trials together, one (T, N, M) estimate tensor per
+    strategy.  Returns, per strategy, the (T, iterations) curves, the (T, N)
+    steady-state node means and the (T,) onsets (-1: never diverged)."""
+    t, n = len(trials), len(source.profiles)
+    est = {k: np.zeros((t, n, w0.size)) for k in strategies}
+    curves = {k: np.full((t, iterations), np.inf) for k in strategies}
+    acc = {k: np.zeros((t, n)) for k in strategies}
+    alive = {k: np.ones(t, dtype=bool) for k in strategies}
+    onset = {k: np.full(t, -1) for k in strategies}
+    # a diverged trial keeps being updated from its frozen estimate, and may
+    # overflow; its results are masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(-(-iterations // BLOCK)):
+            u, _, d = source.block(trials, b)
+            for j in range(min(BLOCK, iterations - b * BLOCK)):
+                i = b * BLOCK + j
+                for kind in strategies:
+                    live = alive[kind]
+                    if not live.any():
+                        continue
+                    new = update(kind, est[kind], u[:, j], d[:, j], mu, weights)
+                    err = new - w0
+                    sq = np.einsum("...km,...km->...k", err, err)
+                    net = sq.mean(axis=-1)
+                    ok = live & np.isfinite(net) & (net <= threshold)
+                    if ok.all():
+                        est[kind] = new
+                        curves[kind][:, i] = net
+                    else:
+                        onset[kind][live & ~ok] = i
+                        alive[kind] = ok
+                        est[kind] = np.where(ok[:, None, None], new, est[kind])
+                        curves[kind][ok, i] = net[ok]
+                    if i >= steady_start:
+                        acc[kind] += sq
     window = iterations - steady_start
-    for i in range(iterations):
-        snap = source.snapshot(trial, i)
-        for kind in strategies:
-            if not alive[kind]:
-                curves[kind][i] = np.inf
-                continue
-            new = update(kind, est[kind], snap.u, snap.d, mu, weights)
-            err = new - w0[None, :]
-            sq = np.einsum("km,km->k", err, err)
-            net = float(sq.mean())
-            if not np.isfinite(net) or net > threshold:
-                alive[kind] = False
-                onset[kind] = i
-                curves[kind][i] = np.inf
-                continue
-            est[kind] = new
-            curves[kind][i] = net
-            if i >= steady_start:
-                acc[kind] += sq
-    steady = {}
-    for kind in strategies:
-        steady[kind] = acc[kind] / window if alive[kind] else np.full(n, np.inf)
-    return curves, steady, onset
+    return {k: (curves[k], np.where(alive[k][:, None], acc[k] / window, np.inf),
+                onset[k]) for k in strategies}
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all selected strategies over the trial ensemble; deterministic
-    in (seed, config) regardless of worker count."""
+    in (seed, config) for any trial chunk size."""
     matrix = cfg.resolve_combination()
     weights = matrix.weights if matrix is not None else None
     n = len(cfg.profiles)
@@ -170,35 +183,29 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # a zero truth gives no scale, so the threshold falls back to unit power
     threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
 
-    def work(trial):
-        return _run_trial(trial, source, cfg.strategies, mu, weights, w0,
-                          cfg.iterations, steady_start, threshold)
-
-    if cfg.workers == 1:
-        results = [work(t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, range(cfg.trials)))
+    curve_sum = {k: np.zeros(cfg.iterations) for k in cfg.strategies}
+    node_sum = {k: np.zeros(n) for k in cfg.strategies}
+    per_trial_net = {k: np.empty(cfg.trials) for k in cfg.strategies}
+    onsets = {k: [] for k in cfg.strategies}
+    for first in range(0, cfg.trials, CHUNK):
+        trials = range(first, min(first + CHUNK, cfg.trials))
+        chunk = _run_chunk(trials, source, cfg.strategies, mu, weights, w0,
+                           cfg.iterations, steady_start, threshold)
+        for kind, (curves, steady, onset) in chunk.items():
+            for j, trial in enumerate(trials):
+                curve_sum[kind] = curve_sum[kind] + curves[j]
+                node_sum[kind] = node_sum[kind] + steady[j]
+                per_trial_net[kind][trial] = steady[j].mean()
+            onsets[kind].extend(int(i) for i in onset[onset >= 0])
 
     out = {}
     for kind in cfg.strategies:
-        curve_sum = np.zeros(cfg.iterations)
-        node_sum = np.zeros(n)
-        per_trial_net = np.empty(cfg.trials)
-        diverged = 0
-        onset_min = None
-        for t, (curves, steady, onset) in enumerate(results):
-            curve_sum = curve_sum + curves[kind]
-            node_sum = node_sum + steady[kind]
-            per_trial_net[t] = steady[kind].mean()
-            if kind in onset:
-                diverged += 1
-                onset_min = onset[kind] if onset_min is None else min(onset_min, onset[kind])
-        msd = curve_sum / cfg.trials
-        per_node = node_sum / cfg.trials
+        diverged = len(onsets[kind])
+        msd = curve_sum[kind] / cfg.trials
+        per_node = node_sum[kind] / cfg.trials
         network = float(per_node.mean())
-        if np.all(np.isfinite(per_trial_net)) and cfg.trials > 1:
-            se = float(np.std(per_trial_net, ddof=1) / np.sqrt(cfg.trials))
+        if np.all(np.isfinite(per_trial_net[kind])) and cfg.trials > 1:
+            se = float(np.std(per_trial_net[kind], ddof=1) / np.sqrt(cfg.trials))
         else:
             se = float("inf") if diverged else 0.0
         with np.errstate(divide="ignore"):
@@ -206,7 +213,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         out[kind] = LearningCurve(
             strategy=kind, msd=msd, per_node_steady=per_node,
             network_steady=network, standard_error=se,
-            diverged_trials=diverged, divergence_onset=onset_min,
+            diverged_trials=diverged,
+            divergence_onset=min(onsets[kind]) if diverged else None,
             steady_start=steady_start,
             steady_slope_db_per_100=_slope_db_per_100(window_db))
     return out

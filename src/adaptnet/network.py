@@ -88,8 +88,8 @@ def random_connected_topology(n_nodes: int, edge_prob: float, rng: np.random.Gen
         topo = NetworkTopology(n_nodes, adj)
         if topo.is_connected():
             return topo
-    raise NumericalError(
-        f"no connected topology in {max_attempts} draws (n={n_nodes}, p={edge_prob})")
+    raise ConfigError(f"no connected topology in {max_attempts} draws "
+                      f"(n={n_nodes}, p={edge_prob}); raise edge_prob")
 
 
 def load_topology(path) -> NetworkTopology:

@@ -5,9 +5,10 @@ regressors of covariance R_{u,k} and zero-mean Gaussian noise of variance
 sigma_{v,k}^2, white over time and independent across nodes.  Real-valued
 data throughout.
 
-Streams are counter-based: the draw for (trial, time, node) is a pure
-function of the master seed and those three indices, so trials can run in
-any order (or concurrently) and reproduce bit-identical data.
+Streams are counter-based: the data of one trial over a block of ``BLOCK``
+consecutive time indices is a pure function of the master seed, the trial
+and the block index, so trials can run in any order or grouping and
+reproduce bit-identical data.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .network import NetworkTopology, random_connected_topology
+
+# time indices drawn per counter stream
+BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +56,12 @@ class NodeProfile:
 
     def __post_init__(self):
         cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ConfigError(f"covariance must be square, got shape {cov.shape}")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+            raise ConfigError(f"covariance must be square and nonempty, got shape {cov.shape}")
         if not np.all(np.isfinite(cov)) or not np.allclose(cov, cov.T, atol=1e-12):
             raise ConfigError("covariance must be finite and symmetric")
+        if not np.linalg.eigvalsh(cov).min() > 0:
+            raise ConfigError("covariance must be positive definite")
         if not 0 < self.step_size < np.inf:
             raise ConfigError(f"step size must be positive and finite, got {self.step_size}")
         if not 0 <= self.noise_variance < np.inf:
@@ -102,38 +108,12 @@ def covariance_sqrt(cov: np.ndarray, node: int | None = None) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _draw_node(rng, sqrt_cov, noise_std):
-    z = rng.standard_normal(sqrt_cov.shape[0])
-    u = sqrt_cov @ z
-    v = noise_std * rng.standard_normal()
-    return u, v
-
-
-def generate_snapshot(profiles, truth: GroundTruth, rng) -> DataSnapshot:
-    """Draw one snapshot.  ``rng`` is a Generator (nodes drawn in index order)
-    or a sequence of per-node Generators."""
-    n = len(profiles)
-    if n == 0:
-        raise ConfigError("need at least one node profile")
-    m = truth.dim
-    streams = rng if isinstance(rng, (list, tuple)) else [rng] * n
-    u = np.empty((n, m))
-    v = np.empty(n)
-    for k, prof in enumerate(profiles):
-        if prof.dim != m:
-            raise ConfigError(f"node {k}: covariance dim {prof.dim} != ground truth dim {m}")
-        sq = covariance_sqrt(prof.covariance, node=k)
-        u[k], v[k] = _draw_node(streams[k], sq, np.sqrt(prof.noise_variance))
-    return DataSnapshot(u=u, v=v, d=u @ truth.vector + v)
-
-
 class SnapshotSource:
     """Reproducible snapshot stream over (trial, time) indices.
 
-    Each (trial, time, node) triple addresses its own Philox counter block:
-    counter word 0 carries node << 32, word 1 the time index, word 2 the
-    trial index.  A node consumes far fewer than 2**32 blocks per snapshot,
-    so streams never overlap.
+    Each (trial, block) pair addresses its own Philox stream: counter word 2
+    carries the block index and word 3 the trial.  A block's draws advance
+    only word 0, by far less than 2**64, so streams never overlap.
     """
 
     def __init__(self, profiles, truth: GroundTruth, master_seed: int):
@@ -143,28 +123,31 @@ class SnapshotSource:
         self.truth = truth
         self.master_seed = int(master_seed)
         self._key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
-        self._sqrts = [covariance_sqrt(p.covariance, node=k)
-                       for k, p in enumerate(self.profiles)]
-        self._noise_std = np.array([np.sqrt(p.noise_variance) for p in self.profiles])
         for k, p in enumerate(self.profiles):
             if p.dim != truth.dim:
                 raise ConfigError(f"node {k}: covariance dim {p.dim} != ground truth dim {truth.dim}")
+        self._sqrts = np.array([covariance_sqrt(p.covariance, node=k)
+                                for k, p in enumerate(self.profiles)])
+        self._noise_std = np.array([np.sqrt(p.noise_variance) for p in self.profiles])
 
-    def node_stream(self, trial: int, time: int, node: int) -> np.random.Generator:
-        counter = np.array([np.uint64(node) << np.uint64(32),
-                            np.uint64(time), np.uint64(trial), np.uint64(0)],
-                           dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=self._key, counter=counter))
+    def block(self, trials, b: int):
+        """Data of time indices [b * BLOCK, (b + 1) * BLOCK) for each listed
+        trial: u of shape (T, BLOCK, N, M), v and d of shape (T, BLOCK, N)."""
+        n, m = len(self.profiles), self.truth.dim
+        u = np.empty((len(trials), BLOCK, n, m))
+        v = np.empty((len(trials), BLOCK, n))
+        for j, trial in enumerate(trials):
+            counter = np.array([0, 0, b, trial], dtype=np.uint64)
+            rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
+            z = rng.standard_normal((BLOCK, n, m + 1))
+            u[j] = np.einsum("kij,tkj->tki", self._sqrts, z[..., :m])
+            v[j] = self._noise_std * z[..., m]
+        return u, v, np.einsum("...km,m->...k", u, self.truth.vector) + v
 
     def snapshot(self, trial: int, time: int) -> DataSnapshot:
-        n = len(self.profiles)
-        m = self.truth.dim
-        u = np.empty((n, m))
-        v = np.empty(n)
-        for k in range(n):
-            u[k], v[k] = _draw_node(self.node_stream(trial, time, k),
-                                    self._sqrts[k], self._noise_std[k])
-        return DataSnapshot(u=u, v=v, d=u @ self.truth.vector + v)
+        u, v, d = self.block([trial], time // BLOCK)
+        i = time % BLOCK
+        return DataSnapshot(u=u[0, i], v=v[0, i], d=d[0, i])
 
 
 def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,

@@ -1,7 +1,8 @@
 """Per-iteration updates for the four estimation strategies.
 
 All four act on the stacked estimate matrix W (row k holds node k's current
-estimate) and a single data snapshot:
+estimate) and a single data snapshot; any leading axes of W, u and d are a
+batch of independent networks (trials) sharing step sizes and weights:
 
     non-cooperative   w_k <- w_k + mu_k u_k^T (d_k - u_k w_k)
     consensus         w_k <- sum_l a_{l,k} w_l + mu_k u_k^T (d_k - u_k w_k)
@@ -16,7 +17,6 @@ previous iteration's estimates only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -43,22 +43,9 @@ class StrategyKind(Enum):
 COOPERATIVE = (StrategyKind.CONSENSUS, StrategyKind.ATC, StrategyKind.CTA)
 
 
-@dataclass(frozen=True, eq=False)
-class NetworkState:
-    """Stacked estimates (N, M) plus the iteration counter."""
-
-    estimates: np.ndarray
-    iteration: int = 0
-
-
-def initial_state(n_nodes: int, dim: int) -> NetworkState:
-    """Zero initialization: the squared error curve starts at ||w0||^2."""
-    return NetworkState(np.zeros((n_nodes, dim)), iteration=0)
-
-
 def _errors(weights_matrix, u, d):
     # d_k - u_k w_k for every node at once
-    return d - np.einsum("km,km->k", u, weights_matrix)
+    return d - np.einsum("...km,...km->...k", u, weights_matrix)
 
 
 def adapt(W, u, d, mu, reference=None):
@@ -66,7 +53,7 @@ def adapt(W, u, d, mu, reference=None):
     ``reference`` (defaults to W itself)."""
     ref = W if reference is None else reference
     err = _errors(ref, u, d)
-    return W + (mu * err)[:, None] * u
+    return W + (mu * err)[..., None] * u
 
 
 def combine(W, weights):
@@ -80,7 +67,7 @@ def noncooperative_update(W, u, d, mu):
 
 def consensus_update(W, u, d, mu, weights):
     # combination of the neighbors' previous iterates, error at own previous iterate
-    return combine(W, weights) + (mu * _errors(W, u, d))[:, None] * u
+    return adapt(combine(W, weights), u, d, mu, reference=W)
 
 
 def atc_update(W, u, d, mu, weights):
@@ -106,11 +93,3 @@ def update(kind: StrategyKind, W, u, d, mu, weights=None):
         raise ConfigError(f"{kind.value} needs a combination matrix")
     return _UPDATES[kind](W, u, d, mu, weights)
 
-
-def step(kind: StrategyKind, state: NetworkState, snapshot, step_sizes,
-         combination=None) -> NetworkState:
-    """One synchronous strategy step as a pure state transition."""
-    weights = getattr(combination, "weights", combination)
-    mu = np.asarray(step_sizes, dtype=float)
-    new = update(kind, state.estimates, snapshot.u, snapshot.d, mu, weights)
-    return NetworkState(new, state.iteration + 1)

@@ -348,7 +348,7 @@ def test_benchmark_network_reproduction():
         for rule in ("relative_variance", "uniform", "metropolis"):
             cfg = ExperimentConfig(profiles=profiles, truth=truth,
                                    topology=topo, rule=rule, iterations=1000,
-                                   trials=100, seed=20, workers=2)
+                                   trials=100, seed=20)
             result = steady_state_vs_theory(cfg)
             assert not result.refused, rule
             for kind in (CONS, ATC, CTA):
@@ -382,7 +382,7 @@ def test_large_step_speed_and_steady_ordering():
                                                   step_size=0.075)
         cfg = ExperimentConfig(profiles=profiles, truth=truth, topology=topo,
                                rule="relative_variance", iterations=1000,
-                               trials=100, seed=20, workers=2,
+                               trials=100, seed=20,
                                strategies=(ATC, CTA, CONS))
         curves = run_experiment(cfg)
         for curve in curves.values():

@@ -65,7 +65,7 @@ workers = 3
     npt.assert_array_equal(cfg.truth.vector, [1.0, 0.0])
     assert cfg.strategies == (StrategyKind.ATC, StrategyKind.NON_COOPERATIVE)
     assert (cfg.iterations, cfg.trials, cfg.seed) == (50, 7, 42)
-    assert (cfg.steady_window, cfg.workers) == (0.25, 3)
+    assert cfg.steady_window == 0.25     # workers is retired: read and ignored
 
 
 def test_full_covariance_matrix_shared():
@@ -85,6 +85,9 @@ def test_full_covariance_matrix_shared():
     ("iterations = many", "must be an integer"),
     ("topology = nowhere.topo", "not full/line/random or a readable file"),
     ("rule = uniform\na_csv = some.csv", "not both"),
+    ("seed = -1", "seed must be a nonnegative integer"),
+    ("ru_diag = -1, 2", "positive definite"),
+    ("a_csv = missing.csv", "cannot load"),
 ])
 def test_explicit_model_rejections(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -117,6 +120,8 @@ def test_benchmark_profile_rejects_model_keys():
         build_experiment(parse_pairs("profile = benchmark\nmu = 0.1, 0.2\n"))
     with pytest.raises(ConfigError, match="unknown profile"):
         build_experiment(parse_pairs("profile = deluxe\n"))
+    with pytest.raises(ConfigError, match="seed"):
+        build_experiment(parse_pairs("profile = benchmark\nseed = -1\n"))
 
 
 def test_topology_choices(tmp_path):
@@ -289,6 +294,21 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     bad.write_text(MINIMAL + "mystery = 1\n")
     assert main(["simulate", str(bad)]) == 2
     assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("simulate", MINIMAL + "seed = -1\n"),
+    ("simulate", "profile = benchmark\nseed = -1\n"),
+    ("analyze", MINIMAL + "ru_diag = -1, -1\n"),
+], ids=["explicit-seed", "benchmark-seed", "indefinite-covariance"])
+def test_cli_rejects_negative_seed_and_indefinite_covariance(tmp_path, capsys,
+                                                            command, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("line", ["mu = inf", "noise_db = nan"])

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import adaptnet.harness as harness
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       GroundTruth, NodeProfile, StrategyKind, build_combination_matrix,
                       build_error_recursion, complete_topology, msd_series,
@@ -52,6 +53,9 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError):
         ExperimentConfig(profiles=cfg.profiles, truth=cfg.truth,
                          combination=cfg.combination, strategies=())
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(profiles=cfg.profiles, truth=cfg.truth,
+                         combination=cfg.combination, seed=-1)
 
 
 def test_resolve_combination_paths():
@@ -95,14 +99,13 @@ def test_same_seed_bit_identical(rng):
         assert first[kind].standard_error == second[kind].standard_error
 
 
-def test_worker_count_does_not_change_bits(rng):
-    serial = _metropolis_config(rng, iterations=50, trials=6, seed=7, workers=1)
-    threaded = ExperimentConfig(profiles=serial.profiles, truth=serial.truth,
-                                topology=serial.topology, rule=serial.rule,
-                                iterations=50, trials=6, seed=7, workers=3)
-    a = run_experiment(serial)
-    b = run_experiment(threaded)
-    for kind in serial.strategies:
+def test_chunk_size_does_not_change_bits(rng, monkeypatch):
+    cfg = _metropolis_config(rng, iterations=50, trials=6, seed=7)
+    monkeypatch.setattr(harness, "CHUNK", 6)
+    a = run_experiment(cfg)
+    monkeypatch.setattr(harness, "CHUNK", 4)
+    b = run_experiment(cfg)
+    for kind in cfg.strategies:
         npt.assert_array_equal(a[kind].msd, b[kind].msd)
         assert a[kind].network_steady == b[kind].network_steady
 

@@ -1,12 +1,17 @@
 """Property tests: hypothesis draws the inputs, derandomized so runs repeat."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adaptnet import (NodeProfile, StrategyKind, build_error_recursion,
-                      msd_series, spectral_radius)
+import adaptnet.harness as harness
+from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
+                      GroundTruth, NodeProfile, StrategyKind, build_error_recursion,
+                      build_experiment, complete_topology, msd_series,
+                      parse_pairs, spectral_radius)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -57,3 +62,102 @@ def test_diffusion_radius_shared_and_never_above_noncooperative(network):
     # a defective eigenvalue is computed only to about sqrt(eps)
     assert abs(radii[StrategyKind.ATC] - radii[StrategyKind.CTA]) <= 1e-7
     assert radii[StrategyKind.ATC] <= radii[StrategyKind.NON_COOPERATIVE] + 1e-7
+
+
+# Consensus diverges in every trial (mixing too strong for these steps);
+# with noise power 0.5 the heavy tails of the LMS error make a low divergence
+# factor catch some trials of the other three strategies and not others.
+CHUNKED = ExperimentConfig(
+    profiles=[NodeProfile(step_size=mu, covariance=np.array([[1.0]]), noise_variance=0.5)
+              for mu in (0.4, 0.6)],
+    truth=GroundTruth(np.ones(1)),
+    combination=CombinationMatrix(np.array([[0.15, 0.85], [0.85, 0.15]]),
+                                  complete_topology(2)))
+
+
+def _run_chunked(cfg, chunk):
+    saved = harness.CHUNK
+    harness.CHUNK = chunk
+    try:
+        return harness.run_experiment(cfg)
+    finally:
+        harness.CHUNK = saved
+
+
+@PROPERTY
+@given(chunk=st.integers(1, 8), trials=st.integers(1, 7),
+       iterations=st.integers(1, 300), factor=st.floats(3.0, 30.0),
+       seed=st.integers(0, 2**32))
+@example(chunk=3, trials=7, iterations=200, factor=4.0, seed=1)
+def test_outputs_bit_identical_for_any_chunk_size(chunk, trials, iterations,
+                                                  factor, seed):
+    cfg = replace(CHUNKED, trials=trials, iterations=iterations, seed=seed,
+                  divergence_factor=factor)
+    whole = _run_chunked(cfg, trials)
+    parts = _run_chunked(cfg, chunk)
+    for kind, ref in whole.items():
+        got = parts[kind]
+        np.testing.assert_array_equal(got.msd, ref.msd)
+        np.testing.assert_array_equal(got.per_node_steady, ref.per_node_steady)
+        assert np.array_equal([got.standard_error, got.network_steady],
+                              [ref.standard_error, ref.network_steady])
+        assert (got.diverged_trials, got.divergence_onset) == \
+            (ref.diverged_trials, ref.divergence_onset)
+        # +inf from the earliest onset on, finite before it
+        onset = ref.divergence_onset
+        if onset is not None:
+            assert np.all(np.isinf(ref.msd[onset:]))
+        assert np.all(np.isfinite(ref.msd[:onset]))
+    if (trials, iterations, factor, seed) == (7, 200, 4.0, 1):
+        assert 0 < whole[StrategyKind.ATC].diverged_trials < trials
+        assert whole[StrategyKind.CONSENSUS].diverged_trials == trials
+
+
+# free text: no line breaks, which would start a new pair
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")),
+               max_size=12)
+NUMBERS = st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                             st.integers(-5, 5)), min_size=1, max_size=6) \
+    .map(lambda xs: ", ".join(repr(x) for x in xs))
+ANY = st.one_of(TEXT, NUMBERS)
+# sizes stay small so no example builds a large network; the non-digit text
+# keeps int() from reading one either
+SIZE = st.one_of(st.integers(-2, 6).map(str),
+                 st.text("abc.-e ", min_size=1, max_size=4))
+VALUES = {"nodes": SIZE, "dim": SIZE, "iterations": SIZE, "trials": SIZE,
+          "mu": ANY, "ru_diag": ANY, "ru_matrix": ANY, "noise_db": ANY,
+          "w0": ANY, "seed": st.one_of(st.integers(-3, 2**70).map(str), TEXT),
+          "steady_window": ANY, "workers": ANY, "strategies": TEXT,
+          "topology": st.one_of(st.sampled_from(["full", "line", "random", ".", "/"]),
+                                TEXT),
+          "edge_prob": ANY, "rule": TEXT, "a_csv": TEXT,
+          "profile": st.one_of(st.just("benchmark"), TEXT)}
+
+
+# a valid explicit model and a valid benchmark profile, to override from
+BASES = ({"nodes": "2", "dim": "2", "mu": "0.1", "noise_db": "-20", "ru_diag": "1, 2"},
+         {"profile": "benchmark", "nodes": "3", "dim": "2"})
+
+
+@st.composite
+def config_pairs(draw):
+    pairs = dict(draw(st.sampled_from(BASES)))
+    for key in draw(st.lists(st.sampled_from(sorted(VALUES)), max_size=3, unique=True)):
+        pairs[key] = draw(VALUES[key])
+    return pairs
+
+
+@settings(PROPERTY, max_examples=200)
+@given(config_pairs())
+@example({**BASES[0], "noise_db": "5000"})
+@example({**BASES[0], "topology": "."})
+@example({**BASES[0], "a_csv": "missing.csv"})
+@example({**BASES[0], "topology": "random", "edge_prob": "0"})
+@example({**BASES[1], "seed": "-1"})
+@example({**BASES[1], "dim": "0"})
+def test_config_parser_raises_only_config_error(pairs):
+    text = "".join(f"{key} = {value}\n" for key, value in pairs.items())
+    try:
+        build_experiment(parse_pairs(text))
+    except ConfigError:
+        pass

@@ -3,9 +3,16 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, GroundTruth, NodeProfile, SnapshotSource,
-                      benchmark_profile, covariance_sqrt, generate_snapshot)
+                      benchmark_profile, covariance_sqrt)
+from adaptnet.signalmodel import BLOCK
 
 from conftest import random_spd
+
+
+def _regressors(source, draws):
+    """u of trial 0 at times 0 .. draws - 1, shape (draws, N, M)."""
+    blocks = [source.block([0], b)[0][0] for b in range(-(-draws // BLOCK))]
+    return np.concatenate(blocks)[:draws]
 
 
 def _profiles(n=3, m=2, noise=0.1, mu=0.05):
@@ -32,6 +39,9 @@ def test_node_profile_validation():
                       (0.1, np.inf)):
         with pytest.raises(ConfigError):
             NodeProfile(covariance=np.eye(2), step_size=mu, noise_variance=noise)
+    for cov in (-np.eye(2), np.diag([1.0, 0.0]), np.ones((2, 2)), np.zeros((0, 0))):
+        with pytest.raises(ConfigError):
+            NodeProfile(covariance=cov, step_size=0.1, noise_variance=0.1)
 
 
 def test_covariance_sqrt_squares_back():
@@ -64,8 +74,10 @@ def test_streams_disjoint_across_indices():
     a = source.snapshot(0, 0)
     b = source.snapshot(0, 1)
     c = source.snapshot(1, 0)
+    e = source.snapshot(0, BLOCK)
     assert not np.array_equal(a.u, b.u)
     assert not np.array_equal(a.u, c.u)
+    assert not np.array_equal(a.u, e.u)
 
 
 def test_noiseless_data_is_exact_projection():
@@ -92,12 +104,9 @@ def test_sample_covariance_matches_model():
     cov = np.diag([2.0, 4.0])
     profiles = [NodeProfile(covariance=cov, step_size=0.1, noise_variance=0.1)]
     source = SnapshotSource(profiles, GroundTruth(np.zeros(2)), master_seed=1)
-    total = np.zeros((2, 2))
     draws = 100000
-    for i in range(draws):
-        u = source.snapshot(0, i).u[0]
-        total += np.outer(u, u)
-    sample = total / draws
+    u = _regressors(source, draws)[:, 0]
+    sample = u.T @ u / draws
     npt.assert_allclose(np.diag(sample), [2.0, 4.0], rtol=0.05)
     assert abs(sample[0, 1]) < 0.05 * 4.0
 
@@ -105,13 +114,8 @@ def test_sample_covariance_matches_model():
 def test_cross_node_correlation_small():
     profiles = _profiles(n=2, m=1)
     source = SnapshotSource(profiles, GroundTruth(np.zeros(1)), master_seed=5)
-    draws = 100000
-    xs = np.empty(draws)
-    ys = np.empty(draws)
-    for i in range(draws):
-        u = source.snapshot(0, i).u
-        xs[i], ys[i] = u[0, 0], u[1, 0]
-    corr = np.corrcoef(xs, ys)[0, 1]
+    u = _regressors(source, 100000)
+    corr = np.corrcoef(u[:, 0, 0], u[:, 1, 0])[0, 1]
     assert abs(corr) < 0.05
 
 
@@ -122,24 +126,24 @@ def test_covariance_estimate_rate():
     source = SnapshotSource(profiles, GroundTruth(np.zeros(2)), master_seed=9)
 
     def err(draws):
-        total = np.zeros((2, 2))
-        for i in range(draws):
-            u = source.snapshot(0, i).u[0]
-            total += np.outer(u, u)
-        return np.max(np.abs(total / draws - cov))
+        u = _regressors(source, draws)[:, 0]
+        return np.max(np.abs(u.T @ u / draws - cov))
 
     e_small, e_big = err(1000), err(100000)
     assert e_big < e_small
     assert e_big < 10 * e_small / np.sqrt(100)
 
 
-def test_generate_snapshot_accepts_generator():
-    profiles = _profiles()
-    truth = GroundTruth(np.array([1.0, 2.0]))
-    rng = np.random.default_rng(3)
-    snap = generate_snapshot(profiles, truth, rng)
-    assert snap.u.shape == (3, 2)
-    assert snap.d.shape == (3,)
+def test_snapshot_is_a_slice_of_its_block():
+    source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
+    u, v, d = source.block([4, 1], 2)
+    assert u.shape == (2, BLOCK, 3, 2) and v.shape == d.shape == (2, BLOCK, 3)
+    for j, trial in enumerate((4, 1)):
+        for i in (0, 5, BLOCK - 1):
+            snap = source.snapshot(trial, 2 * BLOCK + i)
+            npt.assert_array_equal(snap.u, u[j, i])
+            npt.assert_array_equal(snap.v, v[j, i])
+            npt.assert_array_equal(snap.d, d[j, i])
 
 
 def test_benchmark_profile_shape_and_ranges():

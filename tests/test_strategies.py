@@ -2,13 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, DataSnapshot, NodeProfile, StrategyKind,
-                      atc_update, build_combination_matrix, complete_topology,
-                      consensus_update, cta_update, initial_state,
-                      noncooperative_update, random_connected_topology, step,
-                      update)
-
-from conftest import unit_truth
+from adaptnet import (ConfigError, StrategyKind, atc_update,
+                      build_combination_matrix, consensus_update, cta_update,
+                      noncooperative_update, random_connected_topology, update)
 
 
 def _random_inputs(n, m, rng):
@@ -134,26 +130,30 @@ def test_locality_sentinel_poisoning():
     k = 2
     outside = ~topo.adjacency[:, k]
     assert outside.any(), "test needs at least one non-neighbor"
+    # a batch of three trials: the poison sits in one trial only
+    W, u, d = (np.stack([x, 2 * x, -x]) for x in (W, u, d))
     for kind in (StrategyKind.CONSENSUS, StrategyKind.ATC, StrategyKind.CTA):
         clean = update(kind, W, u, d, mu, A)
         Wp, up, dp = W.copy(), u.copy(), d.copy()
-        Wp[outside] = 1e30
-        up[outside] = 1e30
-        dp[outside] = 1e30
+        Wp[1, outside] = 1e30
+        up[1, outside] = 1e30
+        dp[1, outside] = 1e30
         poisoned = update(kind, Wp, up, dp, mu, A)
-        npt.assert_array_equal(poisoned[k], clean[k])
+        npt.assert_array_equal(poisoned[:, k], clean[:, k])
+        npt.assert_array_equal(poisoned[[0, 2]], clean[[0, 2]])
 
 
 def test_noncooperative_ignores_all_other_nodes():
     rng = np.random.default_rng(8)
     W, u, d, mu = _random_inputs(5, 2, rng)
+    W, u, d = (np.stack([x, -x]) for x in (W, u, d))
     clean = noncooperative_update(W, u, d, mu)
     Wp, up, dp = W.copy(), u.copy(), d.copy()
-    Wp[1:] = 1e30
-    up[1:] = 1e30
-    dp[1:] = 1e30
+    Wp[:, 1:] = 1e30
+    up[:, 1:] = 1e30
+    dp[:, 1:] = 1e30
     poisoned = noncooperative_update(Wp, up, dp, mu)
-    npt.assert_array_equal(poisoned[0], clean[0])
+    npt.assert_array_equal(poisoned[:, 0], clean[:, 0])
 
 
 def test_update_requires_weights_for_cooperative():
@@ -163,22 +163,19 @@ def test_update_requires_weights_for_cooperative():
         update(StrategyKind.ATC, W, u, d, mu)
 
 
-def test_step_wrapper_advances_iteration():
+def test_batched_update_matches_per_trial_calls_bit_for_bit():
     rng = np.random.default_rng(10)
-    n, m = 3, 2
-    topo = complete_topology(n)
-    A = build_combination_matrix(topo, "uniform")
-    state = initial_state(n, m)
-    assert state.iteration == 0
-    npt.assert_array_equal(state.estimates, 0.0)
-    snap = DataSnapshot(u=rng.standard_normal((n, m)),
-                        v=np.zeros(n),
-                        d=rng.standard_normal(n))
-    mu = np.full(n, 0.1)
-    nxt = step(StrategyKind.ATC, state, snap, mu, A)
-    assert nxt.iteration == 1
-    npt.assert_allclose(nxt.estimates, atc_update(state.estimates, snap.u,
-                                                  snap.d, mu, A.weights))
+    t, n, m = 5, 6, 3
+    W, u = rng.standard_normal((2, t, n, m))
+    d = rng.standard_normal((t, n))
+    mu = rng.uniform(0.01, 0.2, size=n)
+    A = _random_weights(n, rng)
+    for kind in StrategyKind:
+        batched = update(kind, W, u, d, mu, A)
+        assert batched.shape == (t, n, m)
+        for trial in range(t):
+            npt.assert_array_equal(batched[trial],
+                                   update(kind, W[trial], u[trial], d[trial], mu, A))
 
 
 class CountingStep:
