@@ -18,8 +18,7 @@ from .network import (CombinationMatrix, NetworkTopology, PerronPair,
 from .signalmodel import (DataSnapshot, GroundTruth, NodeProfile,
                           SnapshotSource, benchmark_profile, covariance_sqrt,
                           is_homogeneous)
-from .strategies import (StrategyKind, atc_update, consensus_update,
-                         cta_update, noncooperative_update, update)
+from .strategies import StrategyKind, update
 from .spectra import (ErrorRecursion, StabilityReport, StabilityVerdict,
                       analyze_network, block_norm, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,

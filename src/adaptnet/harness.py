@@ -2,9 +2,19 @@
 
 Within one trial every selected strategy consumes the identical snapshot
 sequence (paired comparison), so cross-strategy gaps are not polluted by
-independent sampling noise.  Trials advance together in chunks of ``CHUNK``
-as (T, N, M) tensors on disjoint counter-based streams and are reduced in
-trial order, which keeps ensemble outputs bit-identical for any chunk size.
+independent sampling noise.  The selected strategies and a chunk of
+``CHUNK`` trials on disjoint counter-based streams advance as one
+(S, T, N, M) tensor through the recursion of ``strategies``, with stacked
+combination matrices
+
+    strategy          A1   A0   A2
+    non-cooperative   I    I    I
+    consensus         I    A    I
+    ATC diffusion     I    I    A
+    CTA diffusion     A    I    I
+
+Trials are reduced in trial order, so outputs are bit-identical for any
+chunk size.
 
 A strategy whose network squared error exceeds a large multiple of ||w0||^2
 (of 1 when w0 = 0) is flagged diverged for that trial; its curve carries +inf
@@ -22,7 +32,8 @@ from .msdtheory import eigenstructure, msd_eigenform, msd_series
 from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
 from .signalmodel import BLOCK, GroundTruth, SnapshotSource, is_homogeneous
 from .spectra import build_error_recursion
-from .strategies import COOPERATIVE, StrategyKind, update
+from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
+                         recursion_step)
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
@@ -47,16 +58,21 @@ class ExperimentConfig:
     workers: InitVar[int] = 1
 
     def __post_init__(self, workers):
-        if self.iterations < 1 or self.trials < 1:
-            raise ConfigError("iterations and trials must be at least 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        for name, low in (("iterations", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < low:
+                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.steady_window <= 1.0:
             raise ConfigError(f"steady window fraction must lie in (0, 1], got {self.steady_window}")
+        if not 0.0 < self.divergence_factor < np.inf:
+            raise ConfigError("divergence factor must be positive and finite, "
+                              f"got {self.divergence_factor}")
         if workers < 1:
             raise ConfigError("workers must be at least 1")
         if not self.strategies:
             raise ConfigError("select at least one strategy")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError(f"strategies repeat: {[k.value for k in self.strategies]}")
 
     def resolve_combination(self) -> CombinationMatrix | None:
         if self.combination is not None:
@@ -125,96 +141,88 @@ def _slope_db_per_100(curve_db: np.ndarray) -> float | None:
     return float(slope * 100.0)
 
 
-def _run_chunk(trials, source, strategies, mu, weights, w0, iterations,
-               steady_start, threshold):
-    """Advance the listed trials together, one (T, N, M) estimate tensor per
-    strategy.  Returns, per strategy, the (T, iterations) curves, the (T, N)
-    steady-state node means and the (T,) onsets (-1: never diverged)."""
-    t, n = len(trials), len(source.profiles)
-    est = {k: np.zeros((t, n, w0.size)) for k in strategies}
-    curves = {k: np.full((t, iterations), np.inf) for k in strategies}
-    acc = {k: np.zeros((t, n)) for k in strategies}
-    alive = {k: np.ones(t, dtype=bool) for k in strategies}
-    onset = {k: np.full(t, -1) for k in strategies}
-    # a diverged trial keeps being updated from its frozen estimate, and may
-    # overflow; its results are masked out
+def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
+               threshold):
+    """Advance the listed trials of every strategy in ``stack`` as one
+    (S, T, N, M) estimate tensor.  Returns the (S, T, iterations) curves,
+    the (S, T, N) steady-state node means and the (S, T) divergence onsets
+    (``iterations``: never diverged)."""
+    a1t, a0t, a2t = (a[:, None] for a in stack)
+    s, t, n = len(a1t), len(trials), len(source.profiles)
+    est = np.zeros((s, t, n, w0.size))
+    sq = np.empty((s, t, BLOCK, n))
+    curves = np.empty((s, t, iterations))
+    acc = np.zeros((s, t, n))
+    # a diverged trial runs on, may overflow and is masked out below; no
+    # operation mixes two (strategy, trial) slabs, so the others stay exact
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(-(-iterations // BLOCK)):
-            u, _, d = source.block(trials, b)
-            for j in range(min(BLOCK, iterations - b * BLOCK)):
-                i = b * BLOCK + j
-                for kind in strategies:
-                    live = alive[kind]
-                    if not live.any():
-                        continue
-                    new = update(kind, est[kind], u[:, j], d[:, j], mu, weights)
-                    err = new - w0
-                    sq = np.einsum("...km,...km->...k", err, err)
-                    net = sq.mean(axis=-1)
-                    ok = live & np.isfinite(net) & (net <= threshold)
-                    if ok.all():
-                        est[kind] = new
-                        curves[kind][:, i] = net
-                    else:
-                        onset[kind][live & ~ok] = i
-                        alive[kind] = ok
-                        est[kind] = np.where(ok[:, None, None], new, est[kind])
-                        curves[kind][ok, i] = net[ok]
-                    if i >= steady_start:
-                        acc[kind] += sq
-    window = iterations - steady_start
-    return {k: (curves[k], np.where(alive[k][:, None], acc[k] / window, np.inf),
-                onset[k]) for k in strategies}
+        for first in range(0, iterations, BLOCK):
+            u, _, d = source.block(trials, first // BLOCK)
+            size = min(BLOCK, iterations - first)
+            for j in range(size):
+                est = recursion_step(est, u[:, j], d[:, j], mu, a1t, a0t, a2t)
+                err = est - w0
+                sq[:, :, j] = np.einsum("...km,...km->...k", err, err)
+            curves[:, :, first:first + size] = sq[:, :, :size].sum(axis=-1) / n
+            # row by row in iteration order: a summed block would round differently
+            for j in range(max(steady_start - first, 0), size):
+                acc += sq[:, :, j]
+        bad = ~(np.isfinite(curves) & (curves <= threshold))
+    onset = np.where(bad.any(axis=-1), bad.argmax(axis=-1), iterations)
+    curves[np.arange(iterations) >= onset[..., None]] = np.inf
+    steady = np.where((onset < iterations)[..., None], np.inf,
+                      acc / (iterations - steady_start))
+    return curves, steady, onset
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all selected strategies over the trial ensemble; deterministic
     in (seed, config) for any trial chunk size."""
     matrix = cfg.resolve_combination()
-    weights = matrix.weights if matrix is not None else None
     n = len(cfg.profiles)
     if matrix is not None and matrix.n_nodes != n:
         raise ConfigError(f"combination matrix is {matrix.n_nodes}-node, profiles give {n}")
+    stack = combination_stack(cfg.strategies,
+                              matrix.weights if matrix is not None else None, n)
     mu = np.array([p.step_size for p in cfg.profiles])
     w0 = cfg.truth.vector
     source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
-    steady_len = max(1, int(round(cfg.steady_window * cfg.iterations)))
-    steady_start = cfg.iterations - steady_len
+    steady_start = cfg.iterations - max(1, int(round(cfg.steady_window * cfg.iterations)))
     # a zero truth gives no scale, so the threshold falls back to unit power
     threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
 
-    curve_sum = {k: np.zeros(cfg.iterations) for k in cfg.strategies}
-    node_sum = {k: np.zeros(n) for k in cfg.strategies}
-    per_trial_net = {k: np.empty(cfg.trials) for k in cfg.strategies}
-    onsets = {k: [] for k in cfg.strategies}
+    s = len(cfg.strategies)
+    curve_sum = np.zeros((s, cfg.iterations))
+    node_sum = np.zeros((s, n))
+    per_trial_net = np.empty((s, cfg.trials))
+    onsets = np.empty((s, cfg.trials), dtype=int)
     for first in range(0, cfg.trials, CHUNK):
-        trials = range(first, min(first + CHUNK, cfg.trials))
-        chunk = _run_chunk(trials, source, cfg.strategies, mu, weights, w0,
-                           cfg.iterations, steady_start, threshold)
-        for kind, (curves, steady, onset) in chunk.items():
-            for j, trial in enumerate(trials):
-                curve_sum[kind] = curve_sum[kind] + curves[j]
-                node_sum[kind] = node_sum[kind] + steady[j]
-                per_trial_net[kind][trial] = steady[j].mean()
-            onsets[kind].extend(int(i) for i in onset[onset >= 0])
+        stop = min(first + CHUNK, cfg.trials)
+        curves, steady, onsets[:, first:stop] = _run_chunk(
+            range(first, stop), source, stack, w0, mu, cfg.iterations,
+            steady_start, threshold)
+        for j in range(stop - first):
+            curve_sum = curve_sum + curves[:, j]
+            node_sum = node_sum + steady[:, j]
+        per_trial_net[:, first:stop] = steady.mean(axis=-1)
 
     out = {}
-    for kind in cfg.strategies:
-        diverged = len(onsets[kind])
-        msd = curve_sum[kind] / cfg.trials
-        per_node = node_sum[kind] / cfg.trials
-        network = float(per_node.mean())
-        if np.all(np.isfinite(per_trial_net[kind])) and cfg.trials > 1:
-            se = float(np.std(per_trial_net[kind], ddof=1) / np.sqrt(cfg.trials))
+    for kind, curve, nodes, nets, onset in zip(cfg.strategies, curve_sum, node_sum,
+                                               per_trial_net, onsets):
+        diverged = int(np.count_nonzero(onset < cfg.iterations))
+        msd = curve / cfg.trials
+        per_node = nodes / cfg.trials
+        if np.all(np.isfinite(nets)) and cfg.trials > 1:
+            se = float(np.std(nets, ddof=1) / np.sqrt(cfg.trials))
         else:
             se = float("inf") if diverged else 0.0
         with np.errstate(divide="ignore"):
             window_db = 10.0 * np.log10(msd[steady_start:])
         out[kind] = LearningCurve(
             strategy=kind, msd=msd, per_node_steady=per_node,
-            network_steady=network, standard_error=se,
+            network_steady=float(per_node.mean()), standard_error=se,
             diverged_trials=diverged,
-            divergence_onset=min(onsets[kind]) if diverged else None,
+            divergence_onset=int(onset.min()) if diverged else None,
             steady_start=steady_start,
             steady_slope_db_per_100=_slope_db_per_100(window_db))
     return out

@@ -134,14 +134,13 @@ class SnapshotSource:
         """Data of time indices [b * BLOCK, (b + 1) * BLOCK) for each listed
         trial: u of shape (T, BLOCK, N, M), v and d of shape (T, BLOCK, N)."""
         n, m = len(self.profiles), self.truth.dim
-        u = np.empty((len(trials), BLOCK, n, m))
-        v = np.empty((len(trials), BLOCK, n))
+        z = np.empty((len(trials), BLOCK, n, m + 1))
         for j, trial in enumerate(trials):
             counter = np.array([0, 0, b, trial], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
-            z = rng.standard_normal((BLOCK, n, m + 1))
-            u[j] = np.einsum("kij,tkj->tki", self._sqrts, z[..., :m])
-            v[j] = self._noise_std * z[..., m]
+            z[j] = rng.standard_normal((BLOCK, n, m + 1))
+        u = np.einsum("kij,...kj->...ki", self._sqrts, z[..., :m])
+        v = self._noise_std * z[..., m]
         return u, v, np.einsum("...km,m->...k", u, self.truth.vector) + v
 
     def snapshot(self, trial: int, time: int) -> DataSnapshot:

@@ -1,18 +1,26 @@
 """Per-iteration updates for the four estimation strategies.
 
-All four act on the stacked estimate matrix W (row k holds node k's current
-estimate) and a single data snapshot; any leading axes of W, u and d are a
-batch of independent networks (trials) sharing step sizes and weights:
+All four are one recursion with three combination matrices A1, A0 and A2,
+acting on the stacked estimate matrix W (row k holds node k's estimate) and
+one data snapshot; each strategy sets at most one of them to the network's
+left-stochastic matrix A and the others to I:
 
-    non-cooperative   w_k <- w_k + mu_k u_k^T (d_k - u_k w_k)
-    consensus         w_k <- sum_l a_{l,k} w_l + mu_k u_k^T (d_k - u_k w_k)
-    ATC diffusion     psi_k = w_k + mu_k u_k^T (d_k - u_k w_k);  w_k <- sum_l a_{l,k} psi_l
-    CTA diffusion     psi_k = sum_l a_{l,k} w_l;  w_k <- psi_k + mu_k u_k^T (d_k - psi_k via u_k)
+    phi_k = sum_l a1_{l,k} w_l
+    psi_k = sum_l a0_{l,k} phi_l + mu_k u_k^T (d_k - u_k phi_k)
+    w_k  <- sum_l a2_{l,k} psi_l
 
-The consensus error signal uses the node's own previous iterate, not the
-combined one; that single difference drives all the stability gaps studied
-here.  Updates are synchronous and double-buffered: every formula reads the
-previous iteration's estimates only.
+    strategy          A1   A0   A2
+    non-cooperative   I    I    I
+    consensus         I    A    I
+    ATC diffusion     I    I    A
+    CTA diffusion     A    I    I
+
+Consensus combines in A0, beside the adaptation, so its error signal uses
+the node's own previous iterate, not the combined one; that single
+difference drives all the stability gaps studied here.  Every formula reads
+the previous iteration's estimates only.  Leading axes of W, u and d are a
+batch of independent networks (trials) sharing step sizes and weights; a
+leading strategy axis on the matrices advances several strategies at once.
 """
 
 from __future__ import annotations
@@ -42,54 +50,37 @@ class StrategyKind(Enum):
 
 COOPERATIVE = (StrategyKind.CONSENSUS, StrategyKind.ATC, StrategyKind.CTA)
 
-
-def _errors(weights_matrix, u, d):
-    # d_k - u_k w_k for every node at once
-    return d - np.einsum("...km,...km->...k", u, weights_matrix)
-
-
-def adapt(W, u, d, mu, reference=None):
-    """LMS adaptation of every row of W; the error signal is evaluated at
-    ``reference`` (defaults to W itself)."""
-    ref = W if reference is None else reference
-    err = _errors(ref, u, d)
-    return W + (mu * err)[..., None] * u
-
-
-def combine(W, weights):
-    """Neighborhood averaging: row k of the result is sum_l a_{l,k} W[l]."""
-    return weights.T @ W
-
-
-def noncooperative_update(W, u, d, mu):
-    return adapt(W, u, d, mu)
-
-
-def consensus_update(W, u, d, mu, weights):
-    # combination of the neighbors' previous iterates, error at own previous iterate
-    return adapt(combine(W, weights), u, d, mu, reference=W)
-
-
-def atc_update(W, u, d, mu, weights):
-    return combine(adapt(W, u, d, mu), weights)
-
-
-def cta_update(W, u, d, mu, weights):
-    psi = combine(W, weights)
-    return adapt(psi, u, d, mu)
-
-
-_UPDATES = {
-    StrategyKind.NON_COOPERATIVE: lambda W, u, d, mu, weights: noncooperative_update(W, u, d, mu),
-    StrategyKind.CONSENSUS: consensus_update,
-    StrategyKind.ATC: atc_update,
-    StrategyKind.CTA: cta_update,
+# the table above: which of (A1, A0, A2) is A rather than I
+_USES_A = {
+    StrategyKind.NON_COOPERATIVE: (False, False, False),
+    StrategyKind.CONSENSUS: (False, True, False),
+    StrategyKind.ATC: (False, False, True),
+    StrategyKind.CTA: (True, False, False),
 }
 
 
-def update(kind: StrategyKind, W, u, d, mu, weights=None):
-    """Array-level dispatcher; cooperative strategies need the weight matrix."""
-    if kind in COOPERATIVE and weights is None:
-        raise ConfigError(f"{kind.value} needs a combination matrix")
-    return _UPDATES[kind](W, u, d, mu, weights)
+def combination_stack(kinds, weights, n: int):
+    """Transposed (A1, A0, A2) of the listed strategies, each of shape
+    (S, N, N).  ``weights`` is A (unused, and may be None, when no listed
+    strategy cooperates)."""
+    if weights is None and any(k in COOPERATIVE for k in kinds):
+        raise ConfigError("cooperative strategies need a combination matrix")
+    eye = np.eye(n)
+    # transposed views, not copies: matmul then reads A exactly as it reads A.T
+    return tuple(np.stack([weights if _USES_A[k][slot] else eye for k in kinds])
+                 .swapaxes(-1, -2) for slot in range(3))
 
+
+def recursion_step(W, u, d, mu, a1t, a0t, a2t):
+    """One iteration of the general recursion, given the transposed
+    combination matrices; their leading axes broadcast against W's."""
+    phi = a1t @ W
+    err = d - np.einsum("...km,...km->...k", u, phi)
+    return a2t @ (a0t @ phi + (mu * err)[..., None] * u)
+
+
+def update(kind: StrategyKind, W, u, d, mu, weights=None):
+    """One iteration of strategy ``kind``; cooperative strategies need the
+    weight matrix."""
+    stack = combination_stack((kind,), weights, W.shape[-2])
+    return recursion_step(W, u, d, mu, *(a[0] for a in stack))

@@ -311,6 +311,17 @@ def test_cli_rejects_negative_seed_and_indefinite_covariance(tmp_path, capsys,
     assert captured.out == ""
 
 
+def test_cli_rejects_repeated_strategies(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(MINIMAL + "strategies = atc, atc, cta\niterations = 20\ntrials = 2\n")
+    csv = tmp_path / "twice.csv"
+    assert main(["compare", str(path), "--csv", str(csv)]) == 2
+    captured = capsys.readouterr()
+    assert "ConfigError" in captured.err and "repeat" in captured.err
+    assert captured.out == ""
+    assert not csv.exists()
+
+
 @pytest.mark.parametrize("line", ["mu = inf", "noise_db = nan"])
 def test_cli_rejects_non_finite_profile(tmp_path, capsys, line):
     path = tmp_path / "bad.cfg"

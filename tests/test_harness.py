@@ -6,10 +6,12 @@ import pytest
 
 import adaptnet.harness as harness
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
-                      GroundTruth, NodeProfile, StrategyKind, build_combination_matrix,
-                      build_error_recursion, complete_topology, msd_series,
-                      random_connected_topology, run_experiment,
-                      steady_state_vs_theory, theory_reports)
+                      GroundTruth, NodeProfile, SnapshotSource, StrategyKind,
+                      build_combination_matrix, build_error_recursion,
+                      complete_topology, msd_series, random_connected_topology,
+                      run_experiment, steady_state_vs_theory, theory_reports,
+                      update)
+from adaptnet.signalmodel import BLOCK
 
 from conftest import stable_profiles, unit_truth
 
@@ -56,6 +58,27 @@ def test_config_rejects_bad_fields():
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(profiles=cfg.profiles, truth=cfg.truth,
                          combination=cfg.combination, seed=-1)
+
+
+def test_config_rejects_repeated_strategies():
+    cfg = _two_node(0.3, 0.3, 0.4, 0.6)
+    with pytest.raises(ConfigError, match="repeat"):
+        replace(cfg, strategies=(StrategyKind.ATC, StrategyKind.ATC, StrategyKind.CTA))
+
+
+@pytest.mark.parametrize("factor", [float("nan"), 0.0, -1.0, float("inf")])
+def test_config_rejects_bad_divergence_factor(factor):
+    # every trial used to be reported diverged at iteration 0
+    with pytest.raises(ConfigError, match="divergence factor"):
+        replace(_two_node(0.3, 0.3, 0.4, 0.6), divergence_factor=factor)
+
+
+@pytest.mark.parametrize("field, value", [("iterations", 1.5), ("trials", 2.0),
+                                          ("seed", 1.5)])
+def test_config_rejects_non_integer_counts(field, value):
+    # iterations = 1.5 used to fail later as a raw TypeError from np.full
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        replace(_two_node(0.3, 0.3, 0.4, 0.6), **{field: value})
 
 
 def test_resolve_combination_paths():
@@ -108,6 +131,83 @@ def test_chunk_size_does_not_change_bits(rng, monkeypatch):
     for kind in cfg.strategies:
         npt.assert_array_equal(a[kind].msd, b[kind].msd)
         assert a[kind].network_steady == b[kind].network_steady
+
+
+def _reference_run(cfg):
+    """The engine's outputs from a plain loop: one trial and one strategy at
+    a time through ``update``, a trial frozen from its divergence onset."""
+    matrix = cfg.resolve_combination()
+    weights = matrix.weights if matrix is not None else None
+    n = len(cfg.profiles)
+    mu = np.array([p.step_size for p in cfg.profiles])
+    w0 = cfg.truth.vector
+    source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
+    steady_start = cfg.iterations - max(1, int(round(cfg.steady_window * cfg.iterations)))
+    threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
+    out = {}
+    for kind in cfg.strategies:
+        curve_sum, node_sum, nets, onsets = np.zeros(cfg.iterations), np.zeros(n), [], []
+        for trial in range(cfg.trials):
+            W = np.zeros((n, w0.size))
+            curve = np.full(cfg.iterations, np.inf)
+            acc = np.zeros(n)
+            steady = None
+            for i in range(cfg.iterations):
+                if i % BLOCK == 0:
+                    u, _, d = source.block([trial], i // BLOCK)
+                W = update(kind, W, u[0, i % BLOCK], d[0, i % BLOCK], mu, weights)
+                err = W - w0
+                sq = np.einsum("km,km->k", err, err)
+                net = sq.mean()
+                if not (np.isfinite(net) and net <= threshold):
+                    onsets.append(i)
+                    steady = np.full(n, np.inf)
+                    break
+                curve[i] = net
+                if i >= steady_start:
+                    acc += sq
+            if steady is None:
+                steady = acc / (cfg.iterations - steady_start)
+            curve_sum = curve_sum + curve
+            node_sum = node_sum + steady
+            nets.append(steady.mean())
+        se = (float(np.std(nets, ddof=1) / np.sqrt(cfg.trials))
+              if np.all(np.isfinite(nets)) and cfg.trials > 1
+              else float("inf") if onsets else 0.0)
+        out[kind] = (curve_sum / cfg.trials, node_sum / cfg.trials, se,
+                     len(onsets), min(onsets) if onsets else None)
+    return out
+
+
+def _late_divergence(**kw):
+    # consensus diverges at iteration 214 in trial 5 only, a later block
+    return _two_node(0.78, 0.78, 0.5, 0.6, iterations=300, trials=6, seed=3,
+                     divergence_factor=1e6, **kw)
+
+
+@pytest.mark.parametrize("make, chunk", [
+    (lambda rng: _late_divergence(), 4),
+    (lambda rng: _late_divergence(strategies=(StrategyKind.CTA, StrategyKind.CONSENSUS,
+                                              StrategyKind.NON_COOPERATIVE),
+                                  steady_window=0.5), 5),
+    (lambda rng: _metropolis_config(rng, iterations=BLOCK + 1, trials=3, seed=4), 2),
+], ids=["later-block", "subset-reordered", "block-plus-one"])
+def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk):
+    cfg = make(rng)
+    assert cfg.trials > chunk and cfg.iterations % BLOCK != 0
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    curves = run_experiment(cfg)
+    reference = _reference_run(cfg)
+    assert list(curves) == list(cfg.strategies)
+    for kind, (msd, per_node, se, diverged, onset) in reference.items():
+        npt.assert_array_equal(curves[kind].msd, msd)
+        npt.assert_array_equal(curves[kind].per_node_steady, per_node)
+        assert curves[kind].standard_error == se
+        assert curves[kind].diverged_trials == diverged
+        assert curves[kind].divergence_onset == onset
+    if cfg.divergence_factor == 1e6:
+        cons = curves[StrategyKind.CONSENSUS]
+        assert cons.diverged_trials == 1 and cons.divergence_onset > BLOCK
 
 
 def test_identity_combination_collapses_to_noncooperative(rng):

@@ -2,9 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, StrategyKind, atc_update,
-                      build_combination_matrix, consensus_update, cta_update,
-                      noncooperative_update, random_connected_topology, update)
+from adaptnet import (ConfigError, StrategyKind, build_combination_matrix,
+                      random_connected_topology, update)
+from adaptnet.strategies import COOPERATIVE, combination_stack, recursion_step
+
+NCOP = StrategyKind.NON_COOPERATIVE
+CONS = StrategyKind.CONSENSUS
+ATC = StrategyKind.ATC
+CTA = StrategyKind.CTA
 
 
 def _random_inputs(n, m, rng):
@@ -30,7 +35,7 @@ def test_from_name_round_trip():
 def test_zero_step_freezes_noncooperative():
     rng = np.random.default_rng(0)
     W, u, d, _ = _random_inputs(4, 3, rng)
-    npt.assert_array_equal(noncooperative_update(W, u, d, np.zeros(4)), W)
+    npt.assert_array_equal(update(NCOP, W, u, d, np.zeros(4)), W)
 
 
 def test_zero_step_cooperative_is_pure_combination():
@@ -39,9 +44,8 @@ def test_zero_step_cooperative_is_pure_combination():
     A = _random_weights(4, rng)
     mu = np.zeros(4)
     combined = A.T @ W
-    npt.assert_allclose(atc_update(W, u, d, mu, A), combined, atol=1e-15)
-    npt.assert_allclose(cta_update(W, u, d, mu, A), combined, atol=1e-15)
-    npt.assert_allclose(consensus_update(W, u, d, mu, A), combined, atol=1e-15)
+    for kind in COOPERATIVE:
+        npt.assert_allclose(update(kind, W, u, d, mu, A), combined, atol=1e-15)
 
 
 def test_noiseless_fixed_point():
@@ -63,14 +67,14 @@ def test_scalar_hand_example():
     W = np.array([[0.0]])
     u = np.array([[1.0]])
     d = np.array([1.0])
-    out = noncooperative_update(W, u, d, np.array([0.5]))
+    out = update(NCOP, W, u, d, np.array([0.5]))
     assert out[0, 0] == pytest.approx(0.5)
 
 
 def test_consensus_pure_averaging():
     W = np.array([[0.0], [1.0]])
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
-    out = consensus_update(W, np.ones((2, 1)), np.zeros(2), np.zeros(2), A)
+    out = update(CONS, W, np.ones((2, 1)), np.zeros(2), np.zeros(2), A)
     npt.assert_allclose(out, [[0.5], [0.5]])
 
 
@@ -78,10 +82,9 @@ def test_identity_matrix_degenerates_to_noncooperative():
     rng = np.random.default_rng(3)
     W, u, d, mu = _random_inputs(5, 2, rng)
     eye = np.eye(5)
-    base = noncooperative_update(W, u, d, mu)
-    npt.assert_allclose(consensus_update(W, u, d, mu, eye), base, atol=1e-15)
-    npt.assert_allclose(atc_update(W, u, d, mu, eye), base, atol=1e-15)
-    npt.assert_allclose(cta_update(W, u, d, mu, eye), base, atol=1e-15)
+    base = update(NCOP, W, u, d, mu)
+    for kind in COOPERATIVE:
+        npt.assert_allclose(update(kind, W, u, d, mu, eye), base, atol=1e-15)
 
 
 def test_cta_minus_consensus_closed_form():
@@ -90,7 +93,7 @@ def test_cta_minus_consensus_closed_form():
     W, u, d, mu = _random_inputs(4, 3, rng)
     A = _random_weights(4, rng)
     psi = A.T @ W
-    gap = cta_update(W, u, d, mu, A) - consensus_update(W, u, d, mu, A)
+    gap = update(CTA, W, u, d, mu, A) - update(CONS, W, u, d, mu, A)
     expected = (mu * np.einsum("km,km->k", u, W - psi))[:, None] * u
     npt.assert_allclose(gap, expected, atol=1e-13)
     assert np.max(np.abs(gap)) > 1e-6
@@ -104,11 +107,11 @@ def test_two_step_updates_equal_fused_forms():
     # ATC in one formula: w_k <- sum_l a_lk [w_l + mu_l u_l^T (d_l - u_l w_l)]
     adapted = W + (mu * (d - np.einsum("km,km->k", u, W)))[:, None] * u
     atc_direct = A.T @ adapted
-    npt.assert_allclose(atc_update(W, u, d, mu, A), atc_direct, atol=1e-12)
+    npt.assert_allclose(update(ATC, W, u, d, mu, A), atc_direct, atol=1e-12)
     # CTA in one formula: psi = sum_l a_lk w_l, then adapt at psi
     psi = A.T @ W
     cta_direct = psi + (mu * (d - np.einsum("km,km->k", u, psi)))[:, None] * u
-    npt.assert_allclose(cta_update(W, u, d, mu, A), cta_direct, atol=1e-12)
+    npt.assert_allclose(update(CTA, W, u, d, mu, A), cta_direct, atol=1e-12)
 
 
 def test_consensus_error_uses_own_previous_iterate():
@@ -117,7 +120,13 @@ def test_consensus_error_uses_own_previous_iterate():
     A = _random_weights(4, rng)
     psi = A.T @ W
     expected = psi + (mu * (d - np.einsum("km,km->k", u, W)))[:, None] * u
-    npt.assert_allclose(consensus_update(W, u, d, mu, A), expected, atol=1e-13)
+    npt.assert_allclose(update(CONS, W, u, d, mu, A), expected, atol=1e-13)
+
+
+def _stacked_step(kinds, W, u, d, mu, A):
+    # the engine's form: every listed strategy at once, a trial axis on W
+    stack = combination_stack(kinds, A, W.shape[-2])
+    return recursion_step(W, u, d, mu, *(a[:, None] for a in stack))
 
 
 def test_locality_sentinel_poisoning():
@@ -132,28 +141,50 @@ def test_locality_sentinel_poisoning():
     assert outside.any(), "test needs at least one non-neighbor"
     # a batch of three trials: the poison sits in one trial only
     W, u, d = (np.stack([x, 2 * x, -x]) for x in (W, u, d))
-    for kind in (StrategyKind.CONSENSUS, StrategyKind.ATC, StrategyKind.CTA):
-        clean = update(kind, W, u, d, mu, A)
-        Wp, up, dp = W.copy(), u.copy(), d.copy()
-        Wp[1, outside] = 1e30
-        up[1, outside] = 1e30
-        dp[1, outside] = 1e30
-        poisoned = update(kind, Wp, up, dp, mu, A)
-        npt.assert_array_equal(poisoned[:, k], clean[:, k])
-        npt.assert_array_equal(poisoned[[0, 2]], clean[[0, 2]])
+    clean = _stacked_step(COOPERATIVE, W, u, d, mu, A)
+    Wp, up, dp = W.copy(), u.copy(), d.copy()
+    Wp[1, outside] = 1e30
+    up[1, outside] = 1e30
+    dp[1, outside] = 1e30
+    poisoned = _stacked_step(COOPERATIVE, Wp, up, dp, mu, A)
+    npt.assert_array_equal(poisoned[:, :, k], clean[:, :, k])
+    npt.assert_array_equal(poisoned[:, [0, 2]], clean[:, [0, 2]])
 
 
 def test_noncooperative_ignores_all_other_nodes():
     rng = np.random.default_rng(8)
     W, u, d, mu = _random_inputs(5, 2, rng)
     W, u, d = (np.stack([x, -x]) for x in (W, u, d))
-    clean = noncooperative_update(W, u, d, mu)
+    clean = _stacked_step((NCOP,), W, u, d, mu, None)
     Wp, up, dp = W.copy(), u.copy(), d.copy()
     Wp[:, 1:] = 1e30
     up[:, 1:] = 1e30
     dp[:, 1:] = 1e30
-    poisoned = noncooperative_update(Wp, up, dp, mu)
-    npt.assert_array_equal(poisoned[:, 0], clean[:, 0])
+    poisoned = _stacked_step((NCOP,), Wp, up, dp, mu, None)
+    npt.assert_array_equal(poisoned[:, :, 0], clean[:, :, 0])
+
+
+def test_overflow_stays_in_its_strategy_trial_slab():
+    # a diverged trial keeps running in the engine: its inf and nan must not
+    # reach any other (strategy, trial) slab
+    rng = np.random.default_rng(13)
+    s, t, n, m = 4, 3, 5, 2
+    W = rng.standard_normal((s, t, n, m))
+    u = rng.standard_normal((t, n, m))
+    d = rng.standard_normal((t, n))
+    mu = rng.uniform(0.01, 0.2, size=n)
+    A = _random_weights(n, rng)
+    kinds = tuple(StrategyKind)
+    clean = _stacked_step(kinds, W, u, d, mu, A)
+    Wp = W.copy()
+    Wp[2, 1, 0] = np.inf
+    Wp[2, 1, 3] = np.nan
+    with np.errstate(invalid="ignore"):
+        poisoned = _stacked_step(kinds, Wp, u, d, mu, A)
+    others = np.ones((s, t), dtype=bool)
+    others[2, 1] = False
+    npt.assert_array_equal(poisoned[others], clean[others])
+    assert not np.all(np.isfinite(poisoned[2, 1]))
 
 
 def test_update_requires_weights_for_cooperative():
@@ -170,9 +201,13 @@ def test_batched_update_matches_per_trial_calls_bit_for_bit():
     d = rng.standard_normal((t, n))
     mu = rng.uniform(0.01, 0.2, size=n)
     A = _random_weights(n, rng)
-    for kind in StrategyKind:
+    kinds = (CTA, NCOP, ATC, CONS)
+    stacked = _stacked_step(kinds, np.stack([W] * len(kinds)), u, d, mu, A)
+    assert stacked.shape == (len(kinds), t, n, m)
+    for s, kind in enumerate(kinds):
         batched = update(kind, W, u, d, mu, A)
         assert batched.shape == (t, n, m)
+        npt.assert_array_equal(stacked[s], batched)
         for trial in range(t):
             npt.assert_array_equal(batched[trial],
                                    update(kind, W[trial], u[trial], d[trial], mu, A))
