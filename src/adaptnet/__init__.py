@@ -15,10 +15,9 @@ from .network import (CombinationMatrix, NetworkTopology, PerronPair,
                       matrix_to_consensus_weights, perron_pair,
                       random_connected_topology, save_combination_csv,
                       save_topology)
-from .signalmodel import (DataSnapshot, GroundTruth, NodeProfile,
-                          SnapshotSource, benchmark_profile, covariance_sqrt,
-                          is_homogeneous)
-from .strategies import StrategyKind, update
+from .signalmodel import (GroundTruth, NodeProfile, SnapshotSource,
+                          benchmark_profile, covariance_sqrt, is_homogeneous)
+from .strategies import StrategyKind
 from .spectra import (ErrorRecursion, StabilityReport, StabilityVerdict,
                       analyze_network, block_norm, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,

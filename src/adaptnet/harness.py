@@ -4,17 +4,9 @@ Within one trial every selected strategy consumes the identical snapshot
 sequence (paired comparison), so cross-strategy gaps are not polluted by
 independent sampling noise.  The selected strategies and a chunk of
 ``CHUNK`` trials on disjoint counter-based streams advance as one
-(S, T, N, M) tensor through the recursion of ``strategies``, with stacked
-combination matrices
-
-    strategy          A1   A0   A2
-    non-cooperative   I    I    I
-    consensus         I    A    I
-    ATC diffusion     I    I    A
-    CTA diffusion     A    I    I
-
-Trials are reduced in trial order, so outputs are bit-identical for any
-chunk size.
+(S, T, N, M) tensor through the recursion of ``strategies``, with the
+(A1, A0, A2) of its table stacked per strategy.  Trials are reduced in
+trial order, so outputs are bit-identical for any chunk size.
 
 A strategy whose network squared error exceeds a large multiple of ||w0||^2
 (of 1 when w0 = 0) is flagged diverged for that trial; its curve carries +inf
@@ -39,6 +31,8 @@ ALL_STRATEGIES = tuple(StrategyKind)
 
 # trials advanced as one batch; bounds memory at CHUNK * BLOCK snapshots
 CHUNK = 32
+# a curve has settled once it stays this close above its steady state
+SETTLE_WITHIN_DB = 3.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +65,9 @@ class ExperimentConfig:
             raise ConfigError("workers must be at least 1")
         if not self.strategies:
             raise ConfigError("select at least one strategy")
+        unknown = [k for k in self.strategies if not isinstance(k, StrategyKind)]
+        if unknown:
+            raise ConfigError(f"unknown strategies {unknown!r}; give StrategyKind members")
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError(f"strategies repeat: {[k.value for k in self.strategies]}")
 
@@ -119,12 +116,12 @@ class LearningCurve:
             return db
         return db - finite.max()
 
-    def iterations_to_settle(self, within_db: float = 3.0) -> int | None:
-        """First iteration from which the curve stays within ``within_db``
-        of the steady-state level."""
+    def iterations_to_settle(self) -> int | None:
+        """First iteration from which the curve stays within
+        ``SETTLE_WITHIN_DB`` of the steady-state level."""
         if not np.isfinite(self.network_steady):
             return None
-        level = self.network_steady_db + within_db
+        level = self.network_steady_db + SETTLE_WITHIN_DB
         db = self.msd_db
         above = np.flatnonzero(db > level)
         if above.size == 0:

@@ -1,7 +1,12 @@
 """Steady-state mean-square deviation (MSD) theory.
 
-Two independent evaluation routes are kept deliberately separate so they can
-cross-validate each other:
+Both routes read a strategy from the (A1, A0, A2) table in ``strategies``:
+the error recursion of ``spectra`` is
+
+    B = A2^T (A0^T - M R) A1^T      Y = A2^T M S M A2
+
+(each A_j extended by (x) I_M), and two independent evaluation routes are
+kept deliberately separate so they can cross-validate each other:
 
 * series route, valid for any stable heterogeneous network:
       MSD_k = sum_j  Tr[ (e_k e_k^T (x) I_M)  B^j Y B^Tj ]
@@ -11,19 +16,24 @@ cross-validate each other:
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
   lambda_l s_l^*, s_l^* r_l = 1, and R_u z_m = lambda_m z_m, the error modes
-  decouple as lambda_{l,m} and
+  decouple as
+
+      lambda_{l,m} = g2 (g0 - mu lambda_m) g1
+
+  where the slot gain g_j is lambda_l where A_j = A and 1 where A_j = I, and
 
       MSD_k = sum_{l1,l2,m} (e_k^T r_{l1}) nu_{l1,l2,m} (r_{l2}^* e_k)
                              / (1 - lambda_{l1,m} conj(lambda_{l2,m}))
 
-  where nu = mu^2 lambda_m(R_u) s_{l1}^* Sigma_v s_{l2}, carrying an extra
-  lambda_{l1} conj(lambda_{l2}) factor for ATC.  When the right eigenvectors
-  are orthonormal (symmetric A) the network MSD collapses to the diagonal
-  l1 = l2 sum divided by N; for nonsymmetric A that collapsed value is an
-  approximation, so reports carry both it and the exact per-node average,
-  plus the orthonormality defect max_{l1 != l2} |r_{l2}^* r_{l1}|.
+  where nu = mu^2 lambda_m(R_u) g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2};
+  the g2 factor, from Y, is lambda_{l1} conj(lambda_{l2}) for ATC and 1
+  otherwise.  When the right eigenvectors are orthonormal (symmetric A)
+  the network MSD collapses to the diagonal l1 = l2 sum divided by N; for
+  nonsymmetric A that collapsed value is an approximation, so reports carry
+  both it and the exact per-node average, plus the orthonormality defect
+  max_{l1 != l2} |r_{l2}^* r_{l1}|.
 
-Mode eigenvalues (homogeneous case):
+Mode eigenvalues (homogeneous case), from the table:
 
     diffusion (ATC = CTA)   lambda_l(A) (1 - mu lambda_m)
     consensus               lambda_l(A) - mu lambda_m
@@ -32,7 +42,7 @@ Mode eigenvalues (homogeneous case):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +50,23 @@ from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
 from .network import is_primitive, perron_pair
 from .spectra import ErrorRecursion, _weights, spectral_radius
-from .strategies import StrategyKind
+from .strategies import StrategyKind, uses_a
 
 ORTHONORMAL_TOL = 1e-8
 DENOM_GUARD = 1e-12
 SERIES_RTOL = 1e-12
 SERIES_MAX_STEPS = 64
+# eigenvector-matrix condition above which A counts as not diagonalizable
+COND_LIMIT = 1e8
+# absolute slack of the cross-strategy network MSD comparisons
+ORDERING_SLACK = 1e-10
+# tolerance on the smallest eigenvalue of a noise-shrinkage matrix
+PSD_TOL = 1e-10
+# strict per-node gap: ncop - cta must exceed this fraction of ncop
+GAP_REL_MARGIN = 1e-12
+# strict-ordering threshold search: halvings from the bound, then refinements
+MAX_HALVINGS = 60
+REFINE_STEPS = 12
 
 
 def _db(x):
@@ -133,7 +154,7 @@ class EigenStructure:
         return float(np.max(np.abs(off))) if gram.shape[0] > 1 else 0.0
 
 
-def eigenstructure(matrix, covariance, cond_limit: float = 1e8) -> EigenStructure:
+def eigenstructure(matrix, covariance) -> EigenStructure:
     """Eigen decomposition of A^T with the unit eigenvalue ordered first and
     vectors normalized to ||r_l|| = 1, s_l^* r_l = 1."""
     a = _weights(matrix)
@@ -158,9 +179,9 @@ def eigenstructure(matrix, covariance, cond_limit: float = 1e8) -> EigenStructur
         if pivot != 0:
             u[:, l] = u[:, l] * (abs(pivot) / pivot)
     cond = float(np.linalg.cond(u))
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise NotDiagonalizableError(
-            f"eigenvector matrix condition {cond:.3g} exceeds {cond_limit:.0e}; "
+            f"eigenvector matrix condition {cond:.3g} exceeds {COND_LIMIT:.0e}; "
             "matrix treated as not diagonalizable")
     left = np.linalg.inv(u).conj().T  # column l = s_l with s_l^* r_l = 1
     cov_vals, cov_vecs = np.linalg.eigh(r_u)
@@ -172,65 +193,80 @@ def eigenstructure(matrix, covariance, cond_limit: float = 1e8) -> EigenStructur
                           condition=cond)
 
 
+def _gains(structure: EigenStructure, strategy: StrategyKind) -> tuple:
+    """Slot gains (g1, g0, g2): the column lambda_l(A) where the strategy's
+    table row puts A, 1 where it puts I."""
+    lam_a = structure.eigenvalues[:, None]
+    return tuple(lam_a if uses else 1.0 for uses in uses_a(strategy))
+
+
 def mode_eigenvalues(structure: EigenStructure, mu: float,
                      strategy: StrategyKind) -> np.ndarray:
-    """(N, M) grid of error-mode eigenvalues lambda_{l,m} for the strategy."""
-    lam_a = structure.eigenvalues[:, None]
-    shrink = 1.0 - mu * structure.cov_eigenvalues[None, :]
-    if strategy in (StrategyKind.ATC, StrategyKind.CTA):
-        return lam_a * shrink
-    if strategy is StrategyKind.CONSENSUS:
-        return lam_a - mu * structure.cov_eigenvalues[None, :]
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        return np.broadcast_to(shrink.astype(complex),
-                               (structure.n_nodes, shrink.shape[1])).copy()
-    raise ConfigError(f"unknown strategy {strategy}")
+    """(N, M) grid of error-mode eigenvalues
+    lambda_{l,m} = g2 (g0 - mu lambda_m) g1 for the strategy."""
+    g1, g0, g2 = _gains(structure, strategy)
+    grid = g2 * (g0 - mu * structure.cov_eigenvalues[None, :]) * g1
+    return np.broadcast_to(grid, (structure.n_nodes, structure.cov_eigenvalues.size)
+                           ).astype(complex)
 
 
-def _noise_cross(structure: EigenStructure, noise_variances) -> np.ndarray:
-    """G[l1, l2] = s_{l1}^* Sigma_v s_{l2}."""
+def _mode_noise(structure: EigenStructure, noise_variances,
+                strategy: StrategyKind) -> np.ndarray:
+    """G[l1, l2] = g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2}: nu without
+    its mu^2 lambda_m, with the A2 slot gain g2."""
     var = np.asarray(noise_variances, dtype=float)
     s = structure.left_vectors
-    return s.conj().T @ (var[:, None] * s)
+    g2 = _gains(structure, strategy)[2]
+    return g2 * np.conj(g2).T * (s.conj().T @ (var[:, None] * s))
 
 
-def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
-                      strategy: StrategyKind, denom_guard: float = DENOM_GUARD
-                      ) -> np.ndarray:
-    """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route."""
-    var = np.asarray(noise_variances, dtype=float)
-    n = structure.n_nodes
-    lam_r = structure.cov_eigenvalues
-    shrink = 1.0 - mu * lam_r
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        denom = 1.0 - shrink ** 2
-        if np.any(np.abs(denom) < denom_guard) or np.any(np.abs(shrink) >= 1.0):
-            raise StabilityError(f"non-cooperative modes unstable at mu = {mu}")
-        return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
-    if strategy is StrategyKind.CONSENSUS:
-        raise UnsupportedInputError(
-            "per-mode components are defined for ATC, CTA, and non-cooperative "
-            "strategies only; consensus couples the modes")
-    if np.any(np.abs(shrink) >= 1.0):
-        # the l = 1 mode carries |lambda_1| = 1, so |1 - mu lam_m| < 1 is necessary
-        raise StabilityError(f"diffusion modes unstable at mu = {mu}")
-    lam_a = structure.eigenvalues
-    pair = np.outer(lam_a, lam_a.conj())
-    cross = _noise_cross(structure, var)
+def _mode_terms(structure: EigenStructure, mu: float, noise_variances,
+                strategy: StrategyKind) -> np.ndarray:
+    """The eigen route's per-mode loop: the (N, M) contributions MSD_k(m),
+    with denominators from the mode grid."""
+    modes = mode_eigenvalues(structure, mu, strategy)
+    noise = _mode_noise(structure, noise_variances, strategy)
+    scale = mu ** 2 * structure.cov_eigenvalues
     u = structure.right_vectors
-    comp = np.empty((n, lam_r.size))
-    factor = pair if strategy is StrategyKind.ATC else np.ones_like(pair)
-    for m, lam in enumerate(lam_r):
-        denom = 1.0 - pair * shrink[m] ** 2
-        small = np.abs(denom) < denom_guard
+    comp = np.empty(modes.shape)
+    for m in range(modes.shape[1]):
+        denom = 1.0 - modes[:, m, None] * modes[None, :, m].conj()
+        small = np.abs(denom) < DENOM_GUARD
         if small.any():
             l1, l2 = np.argwhere(small)[0]
             raise StabilityError(
                 f"mode pair (l1={l1}, l2={l2}, m={m}) has near-singular "
                 f"denominator |1 - lam lam*| = {np.abs(denom[l1, l2]):.3g}")
-        t = (mu ** 2 * lam) * factor * cross / denom
+        t = scale[m] * noise / denom
         comp[:, m] = np.einsum("kl,lj,kj->k", u, t, u.conj()).real
     return comp
+
+
+def _refuse_consensus(strategy: StrategyKind):
+    if strategy is StrategyKind.CONSENSUS:
+        raise UnsupportedInputError(
+            "per-mode components are defined for ATC, CTA, and non-cooperative "
+            "strategies only; consensus couples the modes")
+
+
+def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
+                      strategy: StrategyKind) -> np.ndarray:
+    """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route;
+    the non-cooperative strategy by its node-wise closed form, which needs
+    no eigenvectors."""
+    var = np.asarray(noise_variances, dtype=float)
+    lam_r = structure.cov_eigenvalues
+    shrink = 1.0 - mu * lam_r
+    if strategy is StrategyKind.NON_COOPERATIVE:
+        denom = 1.0 - shrink ** 2
+        if np.any(np.abs(denom) < DENOM_GUARD) or np.any(np.abs(shrink) >= 1.0):
+            raise StabilityError(f"non-cooperative modes unstable at mu = {mu}")
+        return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
+    _refuse_consensus(strategy)
+    if np.any(np.abs(shrink) >= 1.0):
+        # the l = 1 mode carries |lambda_1| = 1, so |1 - mu lam_m| < 1 is necessary
+        raise StabilityError(f"diffusion modes unstable at mu = {mu}")
+    return _mode_terms(structure, mu, var, strategy)
 
 
 def msd_component(structure: EigenStructure, mu: float, noise_variances,
@@ -242,10 +278,7 @@ def msd_component(structure: EigenStructure, mu: float, noise_variances,
         return float(comp[node, mode])
     if form != "series":
         raise ConfigError(f"unknown component form {form!r}")
-    if strategy is StrategyKind.CONSENSUS:
-        raise UnsupportedInputError(
-            "per-mode components are defined for ATC, CTA, and non-cooperative "
-            "strategies only; consensus couples the modes")
+    _refuse_consensus(strategy)
     var = np.asarray(noise_variances, dtype=float)
     lam = structure.cov_eigenvalues[mode]
     shrink = 1.0 - mu * lam
@@ -256,16 +289,16 @@ def msd_component(structure: EigenStructure, mu: float, noise_variances,
         x, _ = _doubling_sum(np.array([[shrink]]), np.array([[var[node]]]))
         return float(scale * x[0, 0])
     a = structure.matrix
-    sv = np.diag(var)
-    # ATC starts the propagation at A Sigma A^T power j+1; CTA at power j
-    prop = a.T @ sv @ a if strategy is StrategyKind.ATC else sv
-    x, _ = _doubling_sum(shrink * a.T, prop)
+    # the propagation starts at A2^T Sigma_v A2: Sigma_v unless A2 = A (ATC)
+    start = np.diag(var)
+    if uses_a(strategy)[2]:
+        start = a.T @ start @ a
+    x, _ = _doubling_sum(shrink * a.T, start)
     return float(scale * x[node, node])
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
-                  strategy: StrategyKind, denom_guard: float = DENOM_GUARD
-                  ) -> MsdReport:
+                  strategy: StrategyKind) -> MsdReport:
     """Closed eigen-route MSD report for one strategy."""
     var = np.asarray(noise_variances, dtype=float)
     n = structure.n_nodes
@@ -276,36 +309,15 @@ def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
         return MsdReport(strategy=strategy, method="eigenform",
                          per_node=np.full(n, np.inf), network=np.inf,
                          spectral_radius=radius, orthonormality_defect=defect)
-    lam_r = structure.cov_eigenvalues
-    scale = mu ** 2 * lam_r
     if strategy is StrategyKind.NON_COOPERATIVE:
         per_node = _component_matrix(structure, mu, var, strategy).sum(axis=1)
-        # collapsed-diagonal value in the A eigenbasis, for like-for-like
-        # comparison against the cooperative strategies
-        cross = _noise_cross(structure, var)
-        diag_noise = np.diag(cross).real
-        denom = 1.0 - (1.0 - mu * lam_r) ** 2
-        ortho = float(np.sum(np.outer(diag_noise, scale / denom)) / n)
     else:
-        cross = _noise_cross(structure, var)
-        lam_a = structure.eigenvalues
-        pair = np.outer(lam_a, lam_a.conj())
-        factor = pair if strategy is StrategyKind.ATC else np.ones_like(pair)
-        u = structure.right_vectors
-        per_node = np.zeros(n)
-        ortho = 0.0
-        for m in range(lam_r.size):
-            denom = 1.0 - modes[:, m, None] * modes[None, :, m].conj()
-            small = np.abs(denom) < denom_guard
-            if small.any():
-                l1, l2 = np.argwhere(small)[0]
-                raise StabilityError(
-                    f"mode pair (l1={l1}, l2={l2}, m={m}) has near-singular "
-                    f"denominator |1 - lam lam*| = {np.abs(denom[l1, l2]):.3g}")
-            t = scale[m] * factor * cross / denom
-            per_node += np.einsum("kl,lj,kj->k", u, t, u.conj()).real
-            diag_terms = scale[m] * np.diag(factor * cross).real / (1.0 - np.abs(modes[:, m]) ** 2)
-            ortho += float(diag_terms.sum()) / n
+        per_node = _mode_terms(structure, mu, var, strategy).sum(axis=1)
+    # every collapsed value is taken in the A eigenbasis, so the strategies
+    # compare like for like
+    diag_noise = np.diag(_mode_noise(structure, var, strategy)).real
+    ortho = float(np.sum(mu ** 2 * structure.cov_eigenvalues * diag_noise[:, None]
+                         / (1.0 - np.abs(modes) ** 2))) / n
     exact = float(per_node.mean())
     network = ortho if defect <= ORTHONORMAL_TOL else exact
     return MsdReport(strategy=strategy, method="eigenform", per_node=per_node,
@@ -334,8 +346,7 @@ class OrderingReport:
         return self.atc_le_cta and self.cta_le_ncop and self.atc_le_cons
 
 
-def ordering_checks(matrix, covariance, mu: float, noise_variances,
-                    slack: float = 1e-10) -> OrderingReport:
+def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingReport:
     """Evaluate the cross-strategy MSD ordering claims on one homogeneous
     stable instance; violations are reported, never raised."""
     structure = eigenstructure(matrix, covariance)
@@ -346,7 +357,7 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances,
     atc, cta = network[StrategyKind.ATC], network[StrategyKind.CTA]
     cons, ncop = network[StrategyKind.CONSENSUS], network[StrategyKind.NON_COOPERATIVE]
     mu_lmin = mu * float(structure.cov_eigenvalues[0])
-    worst = bool(ncop <= cons + slack) if 1.0 <= mu_lmin < 2.0 else None
+    worst = bool(ncop <= cons + ORDERING_SLACK) if 1.0 <= mu_lmin < 2.0 else None
 
     comp = {kind: _component_matrix(structure, mu, var, kind)
             for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
@@ -378,9 +389,9 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances,
 
     return OrderingReport(
         network=network, per_node=per_node,
-        atc_le_cta=bool(atc <= cta + slack),
-        cta_le_ncop=bool(cta <= ncop + slack),
-        atc_le_cons=bool(atc <= cons + slack),
+        atc_le_cta=bool(atc <= cta + ORDERING_SLACK),
+        cta_le_ncop=bool(cta <= ncop + ORDERING_SLACK),
+        atc_le_cons=bool(atc <= cons + ORDERING_SLACK),
         mu_lambda_min=mu_lmin,
         consensus_worst=worst,
         ratio_max_error=ratio_err,
@@ -410,8 +421,7 @@ class NoiseConditionReport:
         return bool(self.strict_condition)
 
 
-def individual_ordering_conditions(matrix, noise_variances,
-                                   psd_tol: float = 1e-10) -> NoiseConditionReport:
+def individual_ordering_conditions(matrix, noise_variances) -> NoiseConditionReport:
     """Check (i) Sigma_v - A^T Sigma_v A >= 0 and (ii) for primitive A the
     strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node."""
     a = _weights(matrix)
@@ -419,7 +429,7 @@ def individual_ordering_conditions(matrix, noise_variances,
     sigma = np.diag(var)
     shrink = sigma - a.T @ sigma @ a
     min_eig = float(np.linalg.eigvalsh(shrink)[0])
-    psd = min_eig >= -psd_tol
+    psd = min_eig >= -PSD_TOL
     primitive = is_primitive(a)
     mean = margins = strict = None
     if primitive:
@@ -446,8 +456,7 @@ class StepThresholdReport:
         return self.mu_star is not None
 
 
-def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances,
-                     rel_margin: float = 1e-12) -> bool:
+def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> bool:
     """True when every (node, mode) component satisfies the strict gap
     MSD_ncop,k(m) - MSD_cta,k(m) > 0 with a small relative margin."""
     try:
@@ -458,13 +467,11 @@ def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances,
         return False
     if np.max(np.abs(mode_eigenvalues(structure, mu, StrategyKind.CTA))) >= 1.0:
         return False
-    return bool(np.all(ncop - cta > rel_margin * np.abs(ncop)))
+    return bool(np.all(ncop - cta > GAP_REL_MARGIN * np.abs(ncop)))
 
 
-def strict_ordering_step_threshold(matrix, covariance, noise_variances,
-                                   rel_margin: float = 1e-12,
-                                   max_halvings: int = 60,
-                                   refine_steps: int = 12) -> StepThresholdReport:
+def strict_ordering_step_threshold(matrix, covariance, noise_variances
+                                   ) -> StepThresholdReport:
     """Locate a step-size mu* > 0 below which the strict per-node ordering
     MSD_atc < MSD_cta < MSD_ncop is certified, by geometric halving from the
     stability bound with log-scale refinement.  The reported mu* is a
@@ -477,8 +484,8 @@ def strict_ordering_step_threshold(matrix, covariance, noise_variances,
     mu = 0.5 * bound
     last_fail = None
     ok_mu = None
-    for _ in range(max_halvings):
-        ok = strict_gap_holds(structure, mu, noise_variances, rel_margin)
+    for _ in range(MAX_HALVINGS):
+        ok = strict_gap_holds(structure, mu, noise_variances)
         probes.append((mu, ok))
         if ok:
             ok_mu = mu
@@ -490,9 +497,9 @@ def strict_ordering_step_threshold(matrix, covariance, noise_variances,
                                    probes=tuple(probes))
     if last_fail is not None:
         lo, hi = ok_mu, last_fail
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             mid = float(np.sqrt(lo * hi))
-            ok = strict_gap_holds(structure, mid, noise_variances, rel_margin)
+            ok = strict_gap_holds(structure, mid, noise_variances)
             probes.append((mid, ok))
             if ok:
                 lo = mid

@@ -17,6 +17,10 @@ import numpy as np
 from .errors import ConfigError, NumericalError, UnsupportedInputError
 
 COLUMN_SUM_TOL = 1e-12
+# random draws tried before a connected topology is given up on
+TOPOLOGY_ATTEMPTS = 1000
+# power-iteration stop: largest entry change between iterates
+PERRON_TOL = 1e-12
 RULES = ("uniform", "metropolis", "relative_variance")
 
 
@@ -75,12 +79,12 @@ def line_topology(n_nodes: int) -> NetworkTopology:
     return NetworkTopology(n_nodes, adj)
 
 
-def random_connected_topology(n_nodes: int, edge_prob: float, rng: np.random.Generator,
-                              max_attempts: int = 1000) -> NetworkTopology:
+def random_connected_topology(n_nodes: int, edge_prob: float,
+                              rng: np.random.Generator) -> NetworkTopology:
     """Erdos-Renyi draw with the given edge probability, rejected until connected."""
     if not 0.0 <= edge_prob <= 1.0:
         raise ConfigError(f"edge_prob must lie in [0, 1], got {edge_prob}")
-    for _ in range(max_attempts):
+    for _ in range(TOPOLOGY_ATTEMPTS):
         upper = rng.random((n_nodes, n_nodes)) < edge_prob
         adj = np.triu(upper, k=1)
         adj = adj | adj.T
@@ -88,7 +92,7 @@ def random_connected_topology(n_nodes: int, edge_prob: float, rng: np.random.Gen
         topo = NetworkTopology(n_nodes, adj)
         if topo.is_connected():
             return topo
-    raise ConfigError(f"no connected topology in {max_attempts} draws "
+    raise ConfigError(f"no connected topology in {TOPOLOGY_ATTEMPTS} draws "
                       f"(n={n_nodes}, p={edge_prob}); raise edge_prob")
 
 
@@ -271,7 +275,7 @@ class PerronPair:
     s1: np.ndarray
 
 
-def perron_pair(matrix, tol: float = 1e-12, max_iters: int = 100000) -> PerronPair:
+def perron_pair(matrix, max_iters: int = 100000) -> PerronPair:
     """Power iteration for the Perron pair of a primitive combination matrix."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
@@ -286,7 +290,7 @@ def perron_pair(matrix, tol: float = 1e-12, max_iters: int = 100000) -> PerronPa
             nxt = nxt / np.linalg.norm(nxt)
             if nxt.sum() < 0:
                 nxt = -nxt
-            if np.max(np.abs(nxt - x)) < tol:
+            if np.max(np.abs(nxt - x)) < PERRON_TOL:
                 return nxt
             x = nxt
         raise NumericalError("power iteration did not converge")

@@ -85,19 +85,6 @@ def is_homogeneous(profiles) -> bool:
                for p in profiles[1:])
 
 
-@dataclass(frozen=True, eq=False)
-class DataSnapshot:
-    """One synchronous observation: regressor rows u, noises v, measurements d.
-
-    d = u @ w0 + v holds exactly by construction; v is retained for test
-    introspection.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-    d: np.ndarray
-
-
 def covariance_sqrt(cov: np.ndarray, node: int | None = None) -> np.ndarray:
     """Symmetric square root via eigendecomposition; rejects non-PD input."""
     vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
@@ -142,11 +129,6 @@ class SnapshotSource:
         u = np.einsum("kij,...kj->...ki", self._sqrts, z[..., :m])
         v = self._noise_std * z[..., m]
         return u, v, np.einsum("...km,m->...k", u, self.truth.vector) + v
-
-    def snapshot(self, trial: int, time: int) -> DataSnapshot:
-        u, v, d = self.block([trial], time // BLOCK)
-        i = time % BLOCK
-        return DataSnapshot(u=u[0, i], v=v[0, i], d=d[0, i])
 
 
 def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,

@@ -2,7 +2,13 @@
 
 The network error vector stacks the per-node errors w0 - w_k into one NM
 vector and evolves in the mean as err_i = B err_{i-1} - y_i with E y y^T = Y.
-With calA = A (x) I_M, M = diag{mu_k I_M}, R = diag{R_k}, S = diag{s2_k R_k}:
+With M = diag{mu_k I_M}, R = diag{R_k}, S = diag{s2_k R_k} and the
+strategy's combination matrices (A1, A0, A2) from the table in
+``strategies``, each extended as calA_j = A_j (x) I_M:
+
+    B = calA2^T (calA0^T - M R) calA1^T      Y = calA2^T M S M calA2
+
+so that, with calA = A (x) I_M,
 
     ATC         B = calA^T (I - M R)      Y = calA^T M S M calA
     CTA         B = (I - M R) calA^T      Y = M S M
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedInputError
 from .signalmodel import is_homogeneous
-from .strategies import StrategyKind
+from .strategies import StrategyKind, uses_a
 
 EQUALITY_TOL = 1e-9
 
@@ -61,23 +67,16 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecu
         sl = slice(k * m, (k + 1) * m)
         r_blk[sl, sl] = p.covariance
         s_blk[sl, sl] = p.noise_variance * p.covariance
-    cal_a = np.kron(a, np.eye(m))
-    shrink = np.eye(nm) - mstep @ r_blk
-    msm = mstep @ s_blk @ mstep
-    if strategy is StrategyKind.ATC:
-        b = cal_a.T @ shrink
-        y = cal_a.T @ msm @ cal_a
-    elif strategy is StrategyKind.CTA:
-        b = shrink @ cal_a.T
-        y = msm
-    elif strategy is StrategyKind.CONSENSUS:
-        b = cal_a.T - mstep @ r_blk
-        y = msm
-    elif strategy is StrategyKind.NON_COOPERATIVE:
-        b = shrink
-        y = msm
-    else:
-        raise ConfigError(f"unknown strategy {strategy}")
+    a1, a0, a2 = uses_a(strategy)
+    cal_at = np.kron(a, np.eye(m)).T
+    # an I slot is skipped, not multiplied, so no product rounds B or Y
+    b = (cal_at if a0 else np.eye(nm)) - mstep @ r_blk
+    if a1:
+        b = b @ cal_at
+    y = mstep @ s_blk @ mstep
+    if a2:
+        b = cal_at @ b
+        y = cal_at @ y @ cal_at.T
     return ErrorRecursion(b, y, n, m, strategy)
 
 

@@ -1,4 +1,4 @@
-"""Per-iteration updates for the four estimation strategies.
+"""The four estimation strategies: one table and one recursion.
 
 All four are one recursion with three combination matrices A1, A0 and A2,
 acting on the stacked estimate matrix W (row k holds node k's estimate) and
@@ -17,10 +17,13 @@ left-stochastic matrix A and the others to I:
 
 Consensus combines in A0, beside the adaptation, so its error signal uses
 the node's own previous iterate, not the combined one; that single
-difference drives all the stability gaps studied here.  Every formula reads
-the previous iteration's estimates only.  Leading axes of W, u and d are a
-batch of independent networks (trials) sharing step sizes and weights; a
-leading strategy axis on the matrices advances several strategies at once.
+difference drives all the stability gaps studied here.  The table is the
+one definition of a strategy: the simulator stacks its matrices, and the
+theory (``spectra``, ``msdtheory``) builds B, Y and the mode grids from it.
+Every formula reads the previous iteration's estimates only.  Leading axes
+of W, u and d are a batch of independent networks (trials) sharing step
+sizes and weights; a leading strategy axis on the matrices advances several
+strategies at once.
 """
 
 from __future__ import annotations
@@ -59,15 +62,24 @@ _USES_A = {
 }
 
 
+def uses_a(kind) -> tuple:
+    """Which of (A1, A0, A2) is A rather than I for strategy ``kind``."""
+    try:
+        return _USES_A[kind]
+    except (KeyError, TypeError):
+        raise ConfigError(f"unknown strategy {kind!r}") from None
+
+
 def combination_stack(kinds, weights, n: int):
     """Transposed (A1, A0, A2) of the listed strategies, each of shape
     (S, N, N).  ``weights`` is A (unused, and may be None, when no listed
     strategy cooperates)."""
-    if weights is None and any(k in COOPERATIVE for k in kinds):
+    uses = [uses_a(k) for k in kinds]
+    if weights is None and any(any(u) for u in uses):
         raise ConfigError("cooperative strategies need a combination matrix")
     eye = np.eye(n)
     # transposed views, not copies: matmul then reads A exactly as it reads A.T
-    return tuple(np.stack([weights if _USES_A[k][slot] else eye for k in kinds])
+    return tuple(np.stack([weights if u[slot] else eye for u in uses])
                  .swapaxes(-1, -2) for slot in range(3))
 
 
@@ -77,10 +89,3 @@ def recursion_step(W, u, d, mu, a1t, a0t, a2t):
     phi = a1t @ W
     err = d - np.einsum("...km,...km->...k", u, phi)
     return a2t @ (a0t @ phi + (mu * err)[..., None] * u)
-
-
-def update(kind: StrategyKind, W, u, d, mu, weights=None):
-    """One iteration of strategy ``kind``; cooperative strategies need the
-    weight matrix."""
-    stack = combination_stack((kind,), weights, W.shape[-2])
-    return recursion_step(W, u, d, mu, *(a[0] for a in stack))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StabilityError
+from .msdtheory import PSD_TOL
 from .network import complete_topology, CombinationMatrix, is_primitive
 from .signalmodel import NodeProfile
 
@@ -124,8 +125,7 @@ def region_thresholds(mu_sigma: float) -> tuple[float, float, float]:
             2.0 - mu_sigma)
 
 
-def msd_region_classify(a: float, b: float, mu_sigma: float,
-                        boundary_tol: float = REGION_BOUNDARY_TOL) -> str:
+def msd_region_classify(a: float, b: float, mu_sigma: float) -> str:
     """Classify (a, b) into the homogeneous MSD-ordering regions.
 
     Region I   (a+b below the first threshold):  consensus beats CTA and
@@ -133,7 +133,7 @@ def msd_region_classify(a: float, b: float, mu_sigma: float,
     Region II  (between thresholds): CTA <= consensus <= non-cooperative.
     Region III (above the second threshold): consensus is worse than the
                non-cooperative baseline.
-    Points within ``boundary_tol`` of a threshold are labeled "boundary"
+    Points within ``REGION_BOUNDARY_TOL`` of a threshold are labeled "boundary"
     (the defining inequalities are non-strict on both sides there).
     """
     t1, t2, stability = region_thresholds(mu_sigma)
@@ -141,7 +141,7 @@ def msd_region_classify(a: float, b: float, mu_sigma: float,
     if s >= stability:
         raise StabilityError(
             f"consensus is unstable for a + b = {s:.6g} >= {stability:.6g}")
-    if abs(s - t1) <= boundary_tol or abs(s - t2) <= boundary_tol:
+    if abs(s - t1) <= REGION_BOUNDARY_TOL or abs(s - t2) <= REGION_BOUNDARY_TOL:
         return "boundary"
     if s < t1:
         return "I"
@@ -171,8 +171,7 @@ class TwoNodeConditionReport:
     primitive: bool
 
 
-def individual_msd_conditions(a: float, b: float, t: float,
-                              psd_tol: float = 1e-10) -> TwoNodeConditionReport:
+def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionReport:
     if not t > 0:
         raise ConfigError(f"noise ratio must be positive, got {t}")
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
@@ -188,23 +187,23 @@ def individual_msd_conditions(a: float, b: float, t: float,
         shrink_matrix=shrink,
         determinant=det,
         min_eigenvalue=min_eig,
-        noise_shrink_psd=min_eig >= -psd_tol,
-        proportional_weights=abs(a - t * b) <= psd_tol,
-        b_within_range=b <= min(1.0, 1.0 / t) + psd_tol,
+        noise_shrink_psd=min_eig >= -PSD_TOL,
+        proportional_weights=abs(a - t * b) <= PSD_TOL,
+        b_within_range=b <= min(1.0, 1.0 / t) + PSD_TOL,
         strict_lhs=(lhs1, lhs2),
         strict_condition=lhs1 > 0 and lhs2 > 0,
         primitive=is_primitive(at.T),
     )
 
 
-def general_model(cfg: TwoNodeConfig, regressor_power: float = 1.0,
-                  noise_floor: float = 1.0):
+def general_model(cfg: TwoNodeConfig, regressor_power: float = 1.0):
     """Concrete scalar network realizing this configuration, for the general
     analysis path: (CombinationMatrix, profiles).  Step sizes scale inversely
-    with regressor_power so that mu * sigma^2 stays fixed."""
+    with regressor_power so that mu * sigma^2 stays fixed; node 2 has unit
+    noise variance and node 1 the ratio t."""
     mu = np.array([cfg.mu_sigma1, cfg.mu_sigma2]) / regressor_power
     cov = np.array([[regressor_power]])
-    noise = np.array([cfg.t * noise_floor, noise_floor])
+    noise = np.array([cfg.t, 1.0])
     profiles = [NodeProfile(step_size=mu[k], covariance=cov, noise_variance=noise[k])
                 for k in range(2)]
     matrix = CombinationMatrix(cfg.combination(), complete_topology(2))

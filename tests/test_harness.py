@@ -7,11 +7,11 @@ import pytest
 import adaptnet.harness as harness
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       GroundTruth, NodeProfile, SnapshotSource, StrategyKind,
-                      build_combination_matrix, build_error_recursion,
-                      complete_topology, msd_series, random_connected_topology,
-                      run_experiment, steady_state_vs_theory, theory_reports,
-                      update)
+                      build_error_recursion, complete_topology, msd_series,
+                      random_connected_topology, run_experiment,
+                      steady_state_vs_theory, theory_reports)
 from adaptnet.signalmodel import BLOCK
+from adaptnet.strategies import combination_stack, recursion_step
 
 from conftest import stable_profiles, unit_truth
 
@@ -64,6 +64,13 @@ def test_config_rejects_repeated_strategies():
     cfg = _two_node(0.3, 0.3, 0.4, 0.6)
     with pytest.raises(ConfigError, match="repeat"):
         replace(cfg, strategies=(StrategyKind.ATC, StrategyKind.ATC, StrategyKind.CTA))
+
+
+@pytest.mark.parametrize("strategies", [("atc",), (StrategyKind.ATC, "cta"), (None,)])
+def test_config_rejects_unknown_strategies(strategies):
+    # ("atc",) used to pass and fail in run_experiment as a raw KeyError
+    with pytest.raises(ConfigError, match="unknown strategies"):
+        replace(_two_node(0.3, 0.3, 0.4, 0.6), strategies=strategies)
 
 
 @pytest.mark.parametrize("factor", [float("nan"), 0.0, -1.0, float("inf")])
@@ -135,7 +142,8 @@ def test_chunk_size_does_not_change_bits(rng, monkeypatch):
 
 def _reference_run(cfg):
     """The engine's outputs from a plain loop: one trial and one strategy at
-    a time through ``update``, a trial frozen from its divergence onset."""
+    a time through ``recursion_step``, a trial frozen from its divergence
+    onset."""
     matrix = cfg.resolve_combination()
     weights = matrix.weights if matrix is not None else None
     n = len(cfg.profiles)
@@ -146,6 +154,7 @@ def _reference_run(cfg):
     threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
     out = {}
     for kind in cfg.strategies:
+        a1t, a0t, a2t = (a[0] for a in combination_stack((kind,), weights, n))
         curve_sum, node_sum, nets, onsets = np.zeros(cfg.iterations), np.zeros(n), [], []
         for trial in range(cfg.trials):
             W = np.zeros((n, w0.size))
@@ -155,7 +164,8 @@ def _reference_run(cfg):
             for i in range(cfg.iterations):
                 if i % BLOCK == 0:
                     u, _, d = source.block([trial], i // BLOCK)
-                W = update(kind, W, u[0, i % BLOCK], d[0, i % BLOCK], mu, weights)
+                W = recursion_step(W, u[0, i % BLOCK], d[0, i % BLOCK], mu,
+                                   a1t, a0t, a2t)
                 err = W - w0
                 sq = np.einsum("km,km->k", err, err)
                 net = sq.mean()

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (NodeProfile, NotDiagonalizableError, StabilityError,
+from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, StabilityError,
                       StrategyKind, UnsupportedInputError,
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
@@ -200,10 +200,17 @@ def test_components_sum_to_per_node_msd():
 
 def test_consensus_components_unsupported():
     st = eigenstructure(np.eye(2), np.eye(1))
-    with pytest.raises(UnsupportedInputError):
-        msd_component(st, 0.1, [0.1, 0.1], 0, 0, StrategyKind.CONSENSUS)
+    for form in ("eigen", "series"):
+        with pytest.raises(UnsupportedInputError):
+            msd_component(st, 0.1, [0.1, 0.1], 0, 0, StrategyKind.CONSENSUS, form=form)
     with pytest.raises(UnsupportedInputError):
         _component_matrix(st, 0.1, np.array([0.1, 0.1]), StrategyKind.CONSENSUS)
+
+
+def test_unknown_strategy_is_config_error():
+    st = eigenstructure(np.eye(2), np.eye(1))
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        mode_eigenvalues(st, 0.1, "atc")
 
 
 def test_unstable_modes_reported_or_raised():

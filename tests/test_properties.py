@@ -12,6 +12,7 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       GroundTruth, NodeProfile, StrategyKind, build_error_recursion,
                       build_experiment, complete_topology, msd_series,
                       parse_pairs, spectral_radius)
+from adaptnet.strategies import combination_stack, recursion_step
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -39,9 +40,9 @@ def test_scalar_series_matches_lms_closed_form(x, sigma_u2, noise):
 
 
 @st.composite
-def heterogeneous_networks(draw):
+def heterogeneous_networks(draw, max_dim=3):
     n = draw(st.integers(2, 5))
-    m = draw(st.integers(1, 3))
+    m = draw(st.integers(1, max_dim))
     weights = draw(arrays(np.float64, (n, n), elements=st.floats(0.0, 1.0)))
     assume(np.all(weights.sum(axis=0) > 1e-3))
     a = weights / weights.sum(axis=0, keepdims=True)
@@ -62,6 +63,26 @@ def test_diffusion_radius_shared_and_never_above_noncooperative(network):
     # a defective eigenvalue is computed only to about sqrt(eps)
     assert abs(radii[StrategyKind.ATC] - radii[StrategyKind.CTA]) <= 1e-7
     assert radii[StrategyKind.ATC] <= radii[StrategyKind.NON_COOPERATIVE] + 1e-7
+
+
+@PROPERTY
+@given(heterogeneous_networks(max_dim=1), st.floats(-2.0, 2.0),
+       arrays(np.float64, 5, elements=st.floats(-2.0, 2.0)))
+def test_one_recursion_step_maps_the_error_through_b(network, w0, start):
+    # M = 1, noiseless data and u_k = sqrt(R_k): one step of the simulator
+    # takes the error w0 - W to B (w0 - W), with B from the theory's code
+    a, profiles = network
+    n = len(profiles)
+    r = np.array([p.covariance[0, 0] for p in profiles])
+    mu = np.array([p.step_size for p in profiles])
+    W = start[:n, None]
+    u = np.sqrt(r)[:, None]
+    d = u[:, 0] * w0
+    for kind in StrategyKind:
+        stack = combination_stack((kind,), a, n)
+        stepped = recursion_step(W, u, d, mu, *(x[0] for x in stack))
+        b = build_error_recursion(kind, a, profiles).transition
+        assert np.allclose(w0 - stepped, b @ (w0 - W), rtol=0.0, atol=1e-12), kind
 
 
 # Consensus diverges in every trial (mixing too strong for these steps);

@@ -61,31 +61,28 @@ def test_same_seed_bit_identical():
     truth = GroundTruth(np.array([1.0, -2.0]))
     one = SnapshotSource(profiles, truth, master_seed=42)
     two = SnapshotSource(profiles, truth, master_seed=42)
-    for trial in (0, 3):
-        for time in (0, 17):
-            s1 = one.snapshot(trial, time)
-            s2 = two.snapshot(trial, time)
-            npt.assert_array_equal(s1.u, s2.u)
-            npt.assert_array_equal(s1.d, s2.d)
+    for b in (0, 1):
+        for x1, x2 in zip(one.block([0, 3], b), two.block([0, 3], b)):
+            npt.assert_array_equal(x1, x2)
 
 
 def test_streams_disjoint_across_indices():
     source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 0)
-    a = source.snapshot(0, 0)
-    b = source.snapshot(0, 1)
-    c = source.snapshot(1, 0)
-    e = source.snapshot(0, BLOCK)
-    assert not np.array_equal(a.u, b.u)
-    assert not np.array_equal(a.u, c.u)
-    assert not np.array_equal(a.u, e.u)
+    u = source.block([0, 1], 0)[0]
+    a, b, c = u[0, 0], u[0, 1], u[1, 0]
+    e = source.block([0], 1)[0][0, 0]
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, e)
 
 
 def test_noiseless_data_is_exact_projection():
     profiles = _profiles(noise=0.0)
     truth = GroundTruth(np.array([0.5, -1.5]))
     source = SnapshotSource(profiles, truth, master_seed=7)
-    snap = source.snapshot(0, 0)
-    npt.assert_array_equal(snap.d, snap.u @ truth.vector)
+    u, v, d = source.block([0, 2], 0)
+    npt.assert_array_equal(v, 0.0)
+    npt.assert_array_equal(d, u @ truth.vector)
 
 
 def test_zero_truth_leaves_pure_noise():
@@ -94,10 +91,12 @@ def test_zero_truth_leaves_pure_noise():
     w = np.array([0.5, -1.5])
     with_truth = SnapshotSource(profiles, GroundTruth(w), master_seed=7)
     zero_truth = SnapshotSource(profiles, GroundTruth(np.zeros(2)), master_seed=7)
-    s1 = with_truth.snapshot(2, 5)
-    s0 = zero_truth.snapshot(2, 5)
-    npt.assert_array_equal(s1.u, s0.u)
-    npt.assert_allclose(s1.d - s0.d, s1.u @ w, atol=1e-15)
+    u1, v1, d1 = with_truth.block([2], 0)
+    u0, v0, d0 = zero_truth.block([2], 0)
+    npt.assert_array_equal(u1, u0)
+    npt.assert_array_equal(v1, v0)
+    npt.assert_array_equal(d0, v0)
+    npt.assert_allclose(d1 - d0, u1 @ w, atol=1e-15)
 
 
 def test_sample_covariance_matches_model():
@@ -135,15 +134,14 @@ def test_covariance_estimate_rate():
 
 
 def test_snapshot_is_a_slice_of_its_block():
+    # a trial drawn alone equals its row in any batch: trials regenerate in
+    # isolation, so outputs cannot depend on how trials are grouped
     source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
-    u, v, d = source.block([4, 1], 2)
-    assert u.shape == (2, BLOCK, 3, 2) and v.shape == d.shape == (2, BLOCK, 3)
-    for j, trial in enumerate((4, 1)):
-        for i in (0, 5, BLOCK - 1):
-            snap = source.snapshot(trial, 2 * BLOCK + i)
-            npt.assert_array_equal(snap.u, u[j, i])
-            npt.assert_array_equal(snap.v, v[j, i])
-            npt.assert_array_equal(snap.d, d[j, i])
+    u, v, d = source.block([4, 1, 7], 2)
+    assert u.shape == (3, BLOCK, 3, 2) and v.shape == d.shape == (3, BLOCK, 3)
+    for j, trial in enumerate((4, 1, 7)):
+        for batched, alone in zip((u, v, d), source.block([trial], 2)):
+            npt.assert_array_equal(alone[0], batched[j])
 
 
 def test_benchmark_profile_shape_and_ranges():

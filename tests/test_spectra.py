@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (NodeProfile, StrategyKind, UnsupportedInputError,
+from adaptnet import (ConfigError, NodeProfile, StrategyKind, UnsupportedInputError,
                       analyze_network, block_norm, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,
                       noncoop_step_bounds, spectral_radius, stability_verdict)
@@ -58,6 +58,25 @@ def test_consensus_two_node_scalar_entrywise():
     a = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
     rec = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
     npt.assert_allclose(rec.transition, [[-0.25, 0.85], [0.85, -0.45]], atol=1e-14)
+
+
+def test_noise_grams_entrywise():
+    # mu^2 sigma_v^2 R per node: 0.4^2 * 0.1 and 0.6^2 * 0.1
+    profiles = _scalar_profiles([0.4, 0.6])
+    a = np.array([[0.15, 0.3], [0.85, 0.7]])   # not symmetric: A^T D A != A D A^T
+    msm = [[0.016, 0.0], [0.0, 0.036]]
+    for kind in (StrategyKind.CTA, StrategyKind.CONSENSUS):
+        npt.assert_allclose(build_error_recursion(kind, a, profiles).noise_gram,
+                            msm, rtol=0.0, atol=1e-15)
+    # calA^T M S M calA, entry (i, j) = sum_k a_ki msm_kk a_kj
+    atc = build_error_recursion(StrategyKind.ATC, a, profiles).noise_gram
+    npt.assert_allclose(atc, [[0.02637, 0.02214], [0.02214, 0.01908]],
+                        rtol=0.0, atol=1e-15)
+
+
+def test_unknown_strategy_is_config_error():
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        build_error_recursion("atc", np.eye(2), _scalar_profiles([0.4, 0.6]))
 
 
 def test_cta_is_shrink_then_combine():

@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, StrategyKind, build_combination_matrix,
-                      random_connected_topology, update)
-from adaptnet.strategies import COOPERATIVE, combination_stack, recursion_step
+                      random_connected_topology)
+from adaptnet.strategies import (COOPERATIVE, combination_stack, recursion_step,
+                                 uses_a)
 
 NCOP = StrategyKind.NON_COOPERATIVE
 CONS = StrategyKind.CONSENSUS
@@ -25,6 +26,12 @@ def _random_weights(n, rng):
     return w / w.sum(axis=0, keepdims=True)
 
 
+def _step(kind, W, u, d, mu, A=None):
+    # one strategy through the engine's two calls
+    stack = combination_stack((kind,), A, W.shape[-2])
+    return recursion_step(W, u, d, mu, *(a[0] for a in stack))
+
+
 def test_from_name_round_trip():
     assert StrategyKind.from_name("ATC") is StrategyKind.ATC
     assert StrategyKind.from_name(" consensus ") is StrategyKind.CONSENSUS
@@ -35,7 +42,7 @@ def test_from_name_round_trip():
 def test_zero_step_freezes_noncooperative():
     rng = np.random.default_rng(0)
     W, u, d, _ = _random_inputs(4, 3, rng)
-    npt.assert_array_equal(update(NCOP, W, u, d, np.zeros(4)), W)
+    npt.assert_array_equal(_step(NCOP, W, u, d, np.zeros(4)), W)
 
 
 def test_zero_step_cooperative_is_pure_combination():
@@ -45,7 +52,7 @@ def test_zero_step_cooperative_is_pure_combination():
     mu = np.zeros(4)
     combined = A.T @ W
     for kind in COOPERATIVE:
-        npt.assert_allclose(update(kind, W, u, d, mu, A), combined, atol=1e-15)
+        npt.assert_allclose(_step(kind, W, u, d, mu, A), combined, atol=1e-15)
 
 
 def test_noiseless_fixed_point():
@@ -59,7 +66,7 @@ def test_noiseless_fixed_point():
     mu = rng.uniform(0.05, 0.3, size=n)
     A = _random_weights(n, rng)
     for kind in StrategyKind:
-        out = update(kind, W, u, d, mu, A)
+        out = _step(kind, W, u, d, mu, A)
         npt.assert_allclose(out, W, atol=1e-13)
 
 
@@ -67,14 +74,14 @@ def test_scalar_hand_example():
     W = np.array([[0.0]])
     u = np.array([[1.0]])
     d = np.array([1.0])
-    out = update(NCOP, W, u, d, np.array([0.5]))
+    out = _step(NCOP, W, u, d, np.array([0.5]))
     assert out[0, 0] == pytest.approx(0.5)
 
 
 def test_consensus_pure_averaging():
     W = np.array([[0.0], [1.0]])
     A = np.array([[0.5, 0.5], [0.5, 0.5]])
-    out = update(CONS, W, np.ones((2, 1)), np.zeros(2), np.zeros(2), A)
+    out = _step(CONS, W, np.ones((2, 1)), np.zeros(2), np.zeros(2), A)
     npt.assert_allclose(out, [[0.5], [0.5]])
 
 
@@ -82,9 +89,9 @@ def test_identity_matrix_degenerates_to_noncooperative():
     rng = np.random.default_rng(3)
     W, u, d, mu = _random_inputs(5, 2, rng)
     eye = np.eye(5)
-    base = update(NCOP, W, u, d, mu)
+    base = _step(NCOP, W, u, d, mu)
     for kind in COOPERATIVE:
-        npt.assert_allclose(update(kind, W, u, d, mu, eye), base, atol=1e-15)
+        npt.assert_allclose(_step(kind, W, u, d, mu, eye), base, atol=1e-15)
 
 
 def test_cta_minus_consensus_closed_form():
@@ -93,7 +100,7 @@ def test_cta_minus_consensus_closed_form():
     W, u, d, mu = _random_inputs(4, 3, rng)
     A = _random_weights(4, rng)
     psi = A.T @ W
-    gap = update(CTA, W, u, d, mu, A) - update(CONS, W, u, d, mu, A)
+    gap = _step(CTA, W, u, d, mu, A) - _step(CONS, W, u, d, mu, A)
     expected = (mu * np.einsum("km,km->k", u, W - psi))[:, None] * u
     npt.assert_allclose(gap, expected, atol=1e-13)
     assert np.max(np.abs(gap)) > 1e-6
@@ -107,11 +114,11 @@ def test_two_step_updates_equal_fused_forms():
     # ATC in one formula: w_k <- sum_l a_lk [w_l + mu_l u_l^T (d_l - u_l w_l)]
     adapted = W + (mu * (d - np.einsum("km,km->k", u, W)))[:, None] * u
     atc_direct = A.T @ adapted
-    npt.assert_allclose(update(ATC, W, u, d, mu, A), atc_direct, atol=1e-12)
+    npt.assert_allclose(_step(ATC, W, u, d, mu, A), atc_direct, atol=1e-12)
     # CTA in one formula: psi = sum_l a_lk w_l, then adapt at psi
     psi = A.T @ W
     cta_direct = psi + (mu * (d - np.einsum("km,km->k", u, psi)))[:, None] * u
-    npt.assert_allclose(update(CTA, W, u, d, mu, A), cta_direct, atol=1e-12)
+    npt.assert_allclose(_step(CTA, W, u, d, mu, A), cta_direct, atol=1e-12)
 
 
 def test_consensus_error_uses_own_previous_iterate():
@@ -120,7 +127,7 @@ def test_consensus_error_uses_own_previous_iterate():
     A = _random_weights(4, rng)
     psi = A.T @ W
     expected = psi + (mu * (d - np.einsum("km,km->k", u, W)))[:, None] * u
-    npt.assert_allclose(update(CONS, W, u, d, mu, A), expected, atol=1e-13)
+    npt.assert_allclose(_step(CONS, W, u, d, mu, A), expected, atol=1e-13)
 
 
 def _stacked_step(kinds, W, u, d, mu, A):
@@ -188,10 +195,18 @@ def test_overflow_stays_in_its_strategy_trial_slab():
 
 
 def test_update_requires_weights_for_cooperative():
-    rng = np.random.default_rng(9)
-    W, u, d, mu = _random_inputs(3, 2, rng)
-    with pytest.raises(ConfigError):
-        update(StrategyKind.ATC, W, u, d, mu)
+    with pytest.raises(ConfigError, match="combination matrix"):
+        combination_stack((NCOP, ATC), None, 3)
+    assert all(a.shape == (1, 3, 3) for a in combination_stack((NCOP,), None, 3))
+
+
+@pytest.mark.parametrize("kind", ["atc", None, 2])
+def test_table_rejects_non_members(kind):
+    # combination_stack used to let a raw KeyError escape
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        uses_a(kind)
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        combination_stack((ATC, kind), np.eye(3), 3)
 
 
 def test_batched_update_matches_per_trial_calls_bit_for_bit():
@@ -205,12 +220,12 @@ def test_batched_update_matches_per_trial_calls_bit_for_bit():
     stacked = _stacked_step(kinds, np.stack([W] * len(kinds)), u, d, mu, A)
     assert stacked.shape == (len(kinds), t, n, m)
     for s, kind in enumerate(kinds):
-        batched = update(kind, W, u, d, mu, A)
+        batched = _step(kind, W, u, d, mu, A)
         assert batched.shape == (t, n, m)
         npt.assert_array_equal(stacked[s], batched)
         for trial in range(t):
             npt.assert_array_equal(batched[trial],
-                                   update(kind, W[trial], u[trial], d[trial], mu, A))
+                                   _step(kind, W[trial], u[trial], d[trial], mu, A))
 
 
 class CountingStep:
@@ -283,7 +298,7 @@ def test_cooperative_cost_is_nk_plus_2_times_m():
     for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.CONSENSUS):
         shim = CountingStep(A)
         ref = shim.run(kind, W, u, d, mu)
-        fast = update(kind, W, u, d, mu, A)
+        fast = _step(kind, W, u, d, mu, A)
         npt.assert_allclose(ref, fast, atol=1e-12)
         expected = (degrees + 2) * m
         # ATC combines the adapted state over supp(A) columns; Metropolis can
@@ -303,7 +318,7 @@ def test_equal_seeds_identity_matrix_identical_trajectories():
         u = rng.standard_normal((n, m))
         d = rng.standard_normal(n)
         for kind in StrategyKind:
-            states[kind] = update(kind, states[kind], u, d, mu, eye)
+            states[kind] = _step(kind, states[kind], u, d, mu, eye)
     base = states[StrategyKind.NON_COOPERATIVE]
     for kind in StrategyKind:
         npt.assert_allclose(states[kind], base, atol=1e-13)
