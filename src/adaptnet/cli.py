@@ -55,7 +55,10 @@ def _cell(value) -> str:
 
 
 def _fmt_db(x: float) -> str:
-    return f"{x:10.3f}" if np.isfinite(x) else f"{'+inf':>10}"
+    # -inf dB is an exactly-zero MSD (a noiseless node), +inf a diverged one
+    if np.isnan(x):
+        return f"{'nan':>10}"
+    return f"{x:+10}" if np.isinf(x) else f"{x:10.3f}"
 
 
 def cmd_analyze(args) -> int:

@@ -11,7 +11,13 @@ kept deliberately separate so they can cross-validate each other:
 * series route, valid for any stable heterogeneous network:
       MSD_k = sum_j  Tr[ (e_k e_k^T (x) I_M)  B^j Y B^Tj ]
   with the network MSD the average over nodes, the series summed by
-  doubling (squared Smith iteration) and no eigendecomposition;
+  doubling (squared Smith iteration) and no eigendecomposition.  It runs on
+  the (K, n, n) block stacks of ``spectra``: when the covariances share an
+  eigenbasis Q (diagonal or common covariances), on M independent N x N
+  blocks B_m, Y_m, where MSD_k = sum_m [sum_j B_m^j Y_m B_m^Tj]_kk because
+  the rotation I_N (x) Q keeps each node's trace; otherwise on one dense
+  NM x NM block.  The stopping rule reads the total trace over the blocks,
+  which the rotation leaves unchanged, and ``MsdReport.blocks`` records K;
 
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
@@ -84,6 +90,7 @@ class MsdReport:
     network: float
     spectral_radius: float | None = None
     terms: int | None = None          # series terms covered, a power of two
+    blocks: int | None = None         # series blocks K; 1 = one dense NM block
     network_orthonormal: float | None = None
     orthonormality_defect: float | None = None
 
@@ -103,31 +110,36 @@ class MsdReport:
 def _doubling_sum(f, y):
     """Sum X = sum_j F^j Y F^jT by squared Smith doubling, X <- X + F X F^T
     then F <- F^2, so after s steps X covers 2^s terms; stops once the trace
-    of an increment is at most SERIES_RTOL of the running total.  Returns
-    (X, terms covered)."""
+    of an increment is at most SERIES_RTOL of the running total.  F and Y
+    may be (K, n, n) stacks of diagonal blocks, summed block by block, and
+    the traces are then totals over the blocks.  Returns (X, terms
+    covered)."""
     x = y
     for step in range(1, SERIES_MAX_STEPS + 1):
-        inc = f @ x @ f.T
+        inc = f @ x @ f.swapaxes(-1, -2)
         x = x + inc
-        if np.trace(inc) <= SERIES_RTOL * np.trace(x):
+        if (np.trace(inc, axis1=-2, axis2=-1).sum()
+                <= SERIES_RTOL * np.trace(x, axis1=-2, axis2=-1).sum()):
             return x, 2 ** step
         f = f @ f
     raise NumericalError(f"series did not settle in {SERIES_MAX_STEPS} doubling steps")
 
 
 def msd_series(recursion: ErrorRecursion) -> MsdReport:
-    """Per-node MSD from the series sum_j B^j Y B^jT, summed by doubling."""
-    n, m = recursion.n_nodes, recursion.dim
+    """Per-node MSD from the series sum_j B^j Y B^jT, summed by doubling on
+    the recursion's diagonal blocks."""
+    n, k = recursion.n_nodes, recursion.blocks
     rho = spectral_radius(recursion.transition)
     if rho >= 1.0:
         return MsdReport(strategy=recursion.strategy, method="series",
                          per_node=np.full(n, np.inf), network=np.inf,
-                         spectral_radius=rho, terms=0)
+                         spectral_radius=rho, terms=0, blocks=k)
     x, terms = _doubling_sum(recursion.transition, recursion.noise_gram)
-    per_node = x.diagonal().reshape(n, m).sum(axis=1)
+    # each block's rows run node by node, so (K, N, rows per node) sums to nodes
+    per_node = x.diagonal(axis1=1, axis2=2).reshape(k, n, -1).sum(axis=(0, 2))
     return MsdReport(strategy=recursion.strategy, method="series",
                      per_node=per_node, network=float(per_node.mean()),
-                     spectral_radius=rho, terms=terms)
+                     spectral_radius=rho, terms=terms, blocks=k)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,26 @@ so that, with calA = A (x) I_M,
     consensus   B = calA^T - M R          Y = M S M
     non-coop    B = I - M R               Y = M S M
 
+Block form.  When the covariances share an orthogonal eigenbasis Q, so that
+Q^T R_k Q = diag_m(d_{k,m}) at every node, the rotation I_N (x) Q followed
+by the permutation to m-major order splits B and Y exactly into M
+independent N x N blocks, one per eigen-coordinate m:
+
+    B_m = A2^T (A0^T - diag_k(mu_k d_{k,m})) A1^T
+    Y_m = A2^T diag_k(mu_k^2 s2_k d_{k,m}) A2
+
+Q comes from eigh(sum_k R_k) and is accepted when every Q^T R_k Q is
+diagonal to BASIS_TOL relative to its largest entry.  That covers diagonal
+covariances and one covariance shared by all nodes, so every input the
+config format can express.  Any other input (and M = 1, where the dense
+form already is one N x N block) keeps the dense Kronecker form above as a
+single block.  ``ErrorRecursion`` therefore holds B and Y as stacks of K
+diagonal blocks of shape (K, n, n): K = M, n = N with the basis Q, or
+K = 1, n = NM in node order with no basis.  Both come from the one table
+formula; only calA, M R and M S M are formed differently.  rho(B) is the
+largest radius over the blocks, and a trace of any series in B and Y is the
+sum of the block traces.
+
 Mean stability is rho(B) < 1.  ATC and CTA share a spectrum (products taken
 in either order), and both are never less stable than the non-cooperative
 baseline; consensus carries no such guarantee.
@@ -31,6 +51,9 @@ from .signalmodel import is_homogeneous
 from .strategies import StrategyKind, uses_a
 
 EQUALITY_TOL = 1e-9
+# largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
+# which the covariances count as sharing the eigenbasis Q
+BASIS_TOL = 1e-12
 
 
 def _weights(matrix) -> np.ndarray:
@@ -39,18 +62,41 @@ def _weights(matrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ErrorRecursion:
-    """Pair (B, Y) driving the mean-square error dynamics."""
+    """B and Y driving the mean-square error dynamics, each a (K, n, n) stack
+    of diagonal blocks: K = M blocks of n = N in the shared eigenbasis
+    ``basis`` = Q, or K = 1 block of n = NM in node order (``basis`` None)."""
 
     transition: np.ndarray
     noise_gram: np.ndarray
     n_nodes: int
     dim: int
     strategy: StrategyKind
+    basis: np.ndarray | None = None
+
+    @property
+    def blocks(self) -> int:
+        return self.transition.shape[0]
+
+
+def _shared_basis(covs: np.ndarray):
+    """(Q, d) with Q^T R_k Q = diag(d[k]) at every node to BASIS_TOL, Q from
+    eigh(sum_k R_k); (None, None) when M = 1 or no such basis exists."""
+    m = covs.shape[-1]
+    if m == 1:
+        return None, None
+    q = np.linalg.eigh(covs.sum(axis=0))[1]
+    rot = q.T @ covs @ q
+    d = rot.diagonal(axis1=1, axis2=2)
+    off = np.abs(rot * (1.0 - np.eye(m))).max(axis=(1, 2))
+    if np.all(off <= BASIS_TOL * np.abs(rot).max(axis=(1, 2))):
+        return q, d
+    return None, None
 
 
 def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecursion:
     """Assemble B and Y for one strategy from the combination matrix and the
-    per-node profiles (dense Kronecker extension)."""
+    per-node profiles, as M blocks when the covariances share an eigenbasis
+    and as one dense Kronecker block otherwise."""
     a = _weights(matrix)
     n = len(profiles)
     if a.shape != (n, n):
@@ -58,29 +104,40 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecu
     m = profiles[0].dim
     if any(p.dim != m for p in profiles):
         raise ConfigError("all nodes must share the regressor dimension")
-    nm = n * m
-    mu_blocks = np.concatenate([np.full(m, p.step_size) for p in profiles])
-    mstep = np.diag(mu_blocks)
-    r_blk = np.zeros((nm, nm))
-    s_blk = np.zeros((nm, nm))
-    for k, p in enumerate(profiles):
-        sl = slice(k * m, (k + 1) * m)
-        r_blk[sl, sl] = p.covariance
-        s_blk[sl, sl] = p.noise_variance * p.covariance
     a1, a0, a2 = uses_a(strategy)
-    cal_at = np.kron(a, np.eye(m)).T
+    mu = np.array([p.step_size for p in profiles])
+    noise = np.array([p.noise_variance for p in profiles])
+    covs = np.array([p.covariance for p in profiles])
+    basis, d = _shared_basis(covs)
+    if basis is None:
+        nm = n * m
+        mstep = np.diag(np.repeat(mu, m))
+        r_blk = np.zeros((nm, nm))
+        s_blk = np.zeros((nm, nm))
+        for k in range(n):
+            sl = slice(k * m, (k + 1) * m)
+            r_blk[sl, sl] = covs[k]
+            s_blk[sl, sl] = noise[k] * covs[k]
+        cal_at = np.kron(a, np.eye(m)).T
+        mr = (mstep @ r_blk)[None]
+        y = (mstep @ s_blk @ mstep)[None]
+    else:
+        # block m of M R and of M S M: diag_k(g_k d_{k,m}), g = mu and mu^2 s2
+        cal_at = a.T
+        mr, y = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
     # an I slot is skipped, not multiplied, so no product rounds B or Y
-    b = (cal_at if a0 else np.eye(nm)) - mstep @ r_blk
+    b = (cal_at if a0 else np.eye(cal_at.shape[0])) - mr
     if a1:
         b = b @ cal_at
-    y = mstep @ s_blk @ mstep
     if a2:
         b = cal_at @ b
         y = cal_at @ y @ cal_at.T
-    return ErrorRecursion(b, y, n, m, strategy)
+    return ErrorRecursion(b, y, n, m, strategy, basis)
 
 
 def spectral_radius(matrix) -> float:
+    """Largest eigenvalue magnitude of a square matrix or of a (K, n, n)
+    stack of diagonal blocks, the largest over the blocks."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix)))))
 
 

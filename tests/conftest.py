@@ -3,6 +3,7 @@ import pytest
 
 from adaptnet import (GroundTruth, NodeProfile, build_combination_matrix,
                       random_connected_topology)
+from adaptnet.strategies import uses_a
 
 
 def random_left_stochastic(n, rng):
@@ -40,6 +41,44 @@ def stable_profiles(n, m, rng, homogeneous=False, mu_lo=0.05, mu_hi=0.95,
         out.append(NodeProfile(covariance=cov, step_size=float(rng.uniform(mu_lo, mu_hi) * bound),
                                noise_variance=float(rng.uniform(0.01, 0.5))))
     return out
+
+
+def reference_recursion(strategy, a, profiles):
+    """(B, Y) as one dense NM x NM pair in node order, by the Kronecker
+    construction calA_j = A_j (x) I_M with no block split."""
+    n, m = len(profiles), profiles[0].dim
+    nm = n * m
+    mstep = np.diag(np.concatenate([np.full(m, p.step_size) for p in profiles]))
+    r_blk = np.zeros((nm, nm))
+    s_blk = np.zeros((nm, nm))
+    for k, p in enumerate(profiles):
+        sl = slice(k * m, (k + 1) * m)
+        r_blk[sl, sl] = p.covariance
+        s_blk[sl, sl] = p.noise_variance * p.covariance
+    a1, a0, a2 = uses_a(strategy)
+    cal_at = np.kron(a, np.eye(m)).T
+    b = (cal_at if a0 else np.eye(nm)) - mstep @ r_blk
+    if a1:
+        b = b @ cal_at
+    y = mstep @ s_blk @ mstep
+    if a2:
+        b = cal_at @ b
+        y = cal_at @ y @ cal_at.T
+    return b, y
+
+
+def full_map(stack, basis):
+    """The NM x NM matrix in node order from a (K, n, n) stack of diagonal
+    blocks: the one block when basis is None, else the M blocks placed on
+    their eigen-coordinates and rotated back by I_N (x) Q."""
+    if basis is None:
+        return stack[0]
+    m, n = stack.shape[:2]
+    rotated = np.zeros((n, m, n, m))
+    for j in range(m):
+        rotated[:, j, :, j] = stack[j]
+    rot = np.kron(np.eye(n), basis)
+    return rot @ rotated.reshape(n * m, n * m) @ rot.T
 
 
 def unit_truth(m):

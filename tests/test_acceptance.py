@@ -24,7 +24,7 @@ from adaptnet import (CombinationMatrix, ExperimentConfig, NodeProfile,
                       steady_state_vs_theory, strict_gap_holds,
                       strict_ordering_step_threshold)
 
-from conftest import (random_left_stochastic, random_symmetric_stochastic,
+from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
                       stable_profiles, unit_truth)
 
 NCOP = StrategyKind.NON_COOPERATIVE
@@ -138,8 +138,9 @@ def test_radius_orderings_over_random_draws():
             symmetric = bool(i % 2)
             weights = (random_symmetric_stochastic(n, rng) if symmetric
                        else random_left_stochastic(n, rng))
-            b = {kind: build_error_recursion(kind, weights, profiles).transition
-                 for kind in (NCOP, CONS, ATC, CTA)}
+            recs = {kind: build_error_recursion(kind, weights, profiles)
+                    for kind in (NCOP, CONS, ATC, CTA)}
+            b = {kind: full_map(rec.transition, rec.basis) for kind, rec in recs.items()}
             r_atc = spectral_radius(b[ATC])
             r_cta = spectral_radius(b[CTA])
             r_ncop = spectral_radius(b[NCOP])

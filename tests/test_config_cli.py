@@ -282,6 +282,18 @@ def test_cli_compare_ordering_flag(tmp_path, capsys):
     assert "atc <= cta <= non_cooperative (network): True" in capsys.readouterr().out
 
 
+def test_cli_compare_prints_noiseless_node_as_minus_inf(tmp_path, capsys):
+    # node 0 has no noise, so its theory MSD is exactly 0, i.e. -inf dB
+    path = tmp_path / "noiseless.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -inf, -20, -20\n"
+                    "ru_diag = 1\niterations = 80\ntrials = 3\n")
+    assert main(["compare", str(path)]) == 0
+    out = capsys.readouterr().out
+    row = next(ln for ln in out.splitlines() if ln.startswith("non_cooperative"))
+    assert row.split()[4] == "-inf"
+    assert "+inf" not in out
+
+
 def test_cli_compare_refuses_when_nothing_stable(unstable_cfg, capsys):
     assert main(["compare", unstable_cfg]) == 3
     err = capsys.readouterr().err

@@ -11,7 +11,7 @@ from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, Stabilit
                       strict_ordering_step_threshold)
 from adaptnet.msdtheory import _component_matrix
 
-from conftest import random_symmetric_stochastic, stable_profiles
+from conftest import full_map, random_symmetric_stochastic, stable_profiles
 
 ALL = tuple(StrategyKind)
 DIFF = (StrategyKind.ATC, StrategyKind.CTA)
@@ -71,7 +71,7 @@ def test_kronecker_mode_reconstruction():
     profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=0.1)
                 for _ in range(n)]
     rec = build_error_recursion(StrategyKind.ATC, a, profiles)
-    npt.assert_allclose(rebuilt.real, rec.transition, atol=1e-8)
+    npt.assert_allclose(rebuilt.real, full_map(rec.transition, rec.basis), atol=1e-8)
     npt.assert_allclose(rebuilt.imag, 0.0, atol=1e-8)
 
 

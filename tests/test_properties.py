@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import adaptnet.harness as harness
-from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
+from adaptnet import (CombinationMatrix, ConfigError, ErrorRecursion, ExperimentConfig,
                       GroundTruth, NodeProfile, StrategyKind, build_error_recursion,
                       build_experiment, complete_topology, msd_series,
                       parse_pairs, spectral_radius)
 from adaptnet.strategies import combination_stack, recursion_step
+
+from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
+                      reference_recursion)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -81,8 +84,66 @@ def test_one_recursion_step_maps_the_error_through_b(network, w0, start):
     for kind in StrategyKind:
         stack = combination_stack((kind,), a, n)
         stepped = recursion_step(W, u, d, mu, *(x[0] for x in stack))
-        b = build_error_recursion(kind, a, profiles).transition
+        b = build_error_recursion(kind, a, profiles).transition[0]
         assert np.allclose(w0 - stepped, b @ (w0 - W), rtol=0.0, atol=1e-12), kind
+
+
+@st.composite
+def covariance_networks(draw):
+    """A network whose covariances are diagonal, share one random rotation
+    (so they commute) or each have their own rotation (so, for M > 1, they
+    do not commute), over a left-stochastic or a symmetric A.  Hypothesis
+    draws the sizes and classes; the entries come from a drawn seed, so the
+    matrices are generic."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("diagonal", "rotated", "non_commuting")))
+    symmetric = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_symmetric_stochastic(n, rng) if symmetric else random_left_stochastic(n, rng)
+    eigs = rng.uniform(0.5, 3.0, size=(n, m))
+    shared = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    rotations = {"diagonal": [np.eye(m)] * n, "rotated": [shared] * n,
+                 "non_commuting": [np.linalg.qr(rng.standard_normal((m, m)))[0]
+                                   for _ in range(n)]}[kind]
+    mu = rng.uniform(0.05, 0.95, size=n) * 2.0 / eigs.max(axis=1)
+    noise = rng.uniform(0.01, 0.5, size=n)
+    profiles = [NodeProfile(covariance=(q * eigs[k]) @ q.T, step_size=float(mu[k]),
+                            noise_variance=float(noise[k]))
+                for k, q in enumerate(rotations)]
+    return kind, a, profiles
+
+
+@settings(PROPERTY, max_examples=60)
+@given(covariance_networks())
+def test_blocks_match_the_dense_kronecker_recursion(network):
+    # B and Y as M blocks in the shared eigenbasis (or one dense block when
+    # there is none) give the dense construction's maps, radius and MSD
+    kind, a, profiles = network
+    n, m = len(profiles), profiles[0].dim
+    for strategy in StrategyKind:
+        rec = build_error_recursion(strategy, a, profiles)
+        ref_b, ref_y = reference_recursion(strategy, a, profiles)
+        if kind == "non_commuting":
+            assert rec.blocks == 1 and rec.basis is None
+            assert np.array_equal(rec.transition[0], ref_b)
+            assert np.array_equal(rec.noise_gram[0], ref_y)
+        elif m > 1:
+            # the generic draws give eigh(sum_k R_k) distinct eigenvalues
+            assert rec.blocks == m
+        for stack, ref in ((rec.transition, ref_b), (rec.noise_gram, ref_y)):
+            err = np.abs(full_map(stack, rec.basis) - ref).max()
+            assert err <= 1e-13 * np.abs(ref).max(), (strategy, err)
+        assert abs(spectral_radius(rec.transition) - spectral_radius(ref_b)) <= 1e-12
+        got = msd_series(rec)
+        want = msd_series(ErrorRecursion(ref_b[None], ref_y[None], n, m, strategy))
+        assert got.terms == want.terms
+        assert got.blocks == rec.blocks
+        if np.all(np.isfinite(want.per_node)):
+            assert np.all(np.abs(got.per_node - want.per_node)
+                          <= 1e-12 * want.per_node), strategy
+        else:
+            assert np.array_equal(got.per_node, want.per_node)
 
 
 # Consensus diverges in every trial (mixing too strong for these steps);

@@ -7,7 +7,7 @@ from adaptnet import (ConfigError, NodeProfile, StrategyKind, UnsupportedInputEr
                       consensus_symmetric_bound, diffusion_equality_bound,
                       noncoop_step_bounds, spectral_radius, stability_verdict)
 
-from conftest import (random_left_stochastic, random_symmetric_stochastic,
+from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
                       stable_profiles)
 
 ALL = tuple(StrategyKind)
@@ -37,11 +37,11 @@ def test_noncoop_transition_is_shrink_and_gram_is_msm():
     blocks = [np.eye(2) - p.step_size * p.covariance for p in profiles]
     expected_b = np.block([[blocks[0], np.zeros((2, 2))],
                            [np.zeros((2, 2)), blocks[1]]])
-    npt.assert_allclose(rec.transition, expected_b, atol=1e-14)
+    npt.assert_allclose(full_map(rec.transition, rec.basis), expected_b, atol=1e-14)
     grams = [p.step_size ** 2 * p.noise_variance * p.covariance for p in profiles]
     expected_y = np.block([[grams[0], np.zeros((2, 2))],
                            [np.zeros((2, 2)), grams[1]]])
-    npt.assert_allclose(rec.noise_gram, expected_y, atol=1e-14)
+    npt.assert_allclose(full_map(rec.noise_gram, rec.basis), expected_y, atol=1e-14)
 
 
 def test_atc_two_node_scalar_entrywise():
@@ -49,7 +49,7 @@ def test_atc_two_node_scalar_entrywise():
     profiles = _scalar_profiles([0.4, 0.6])
     a = np.array([[0.15, 0.85], [0.85, 0.15]])
     rec = build_error_recursion(StrategyKind.ATC, a, profiles)
-    npt.assert_allclose(rec.transition, [[0.09, 0.34], [0.51, 0.06]], atol=1e-14)
+    npt.assert_allclose(rec.transition[0], [[0.09, 0.34], [0.51, 0.06]], atol=1e-14)
 
 
 def test_consensus_two_node_scalar_entrywise():
@@ -57,7 +57,7 @@ def test_consensus_two_node_scalar_entrywise():
     a_w, b_w = 0.85, 0.85
     a = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
     rec = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
-    npt.assert_allclose(rec.transition, [[-0.25, 0.85], [0.85, -0.45]], atol=1e-14)
+    npt.assert_allclose(rec.transition[0], [[-0.25, 0.85], [0.85, -0.45]], atol=1e-14)
 
 
 def test_noise_grams_entrywise():
@@ -66,10 +66,10 @@ def test_noise_grams_entrywise():
     a = np.array([[0.15, 0.3], [0.85, 0.7]])   # not symmetric: A^T D A != A D A^T
     msm = [[0.016, 0.0], [0.0, 0.036]]
     for kind in (StrategyKind.CTA, StrategyKind.CONSENSUS):
-        npt.assert_allclose(build_error_recursion(kind, a, profiles).noise_gram,
+        npt.assert_allclose(build_error_recursion(kind, a, profiles).noise_gram[0],
                             msm, rtol=0.0, atol=1e-15)
     # calA^T M S M calA, entry (i, j) = sum_k a_ki msm_kk a_kj
-    atc = build_error_recursion(StrategyKind.ATC, a, profiles).noise_gram
+    atc = build_error_recursion(StrategyKind.ATC, a, profiles).noise_gram[0]
     npt.assert_allclose(atc, [[0.02637, 0.02214], [0.02214, 0.01908]],
                         rtol=0.0, atol=1e-15)
 
@@ -86,8 +86,8 @@ def test_cta_is_shrink_then_combine():
     atc = build_error_recursion(StrategyKind.ATC, a, profiles)
     cta = build_error_recursion(StrategyKind.CTA, a, profiles)
     cal_a = np.kron(a, np.eye(2))
-    shrink = np.linalg.solve(cal_a.T, atc.transition)   # I - MR recovered
-    npt.assert_allclose(cta.transition, shrink @ cal_a.T, atol=1e-12)
+    shrink = np.linalg.solve(cal_a.T, full_map(atc.transition, atc.basis))   # I - MR
+    npt.assert_allclose(full_map(cta.transition, cta.basis), shrink @ cal_a.T, atol=1e-12)
 
 
 def test_spectral_radius_basics():
@@ -172,7 +172,8 @@ def test_block_norm_cases():
     rec = build_error_recursion(StrategyKind.NON_COOPERATIVE, np.eye(3), profiles)
     expected = max(spectral_radius(np.eye(2) - p.step_size * p.covariance)
                    for p in profiles)
-    assert block_norm(rec.transition, 3, 2) == pytest.approx(expected, abs=1e-12)
+    assert block_norm(full_map(rec.transition, rec.basis), 3, 2) == pytest.approx(
+        expected, abs=1e-12)
 
 
 def test_diffusion_radii_equal_and_dominated():
@@ -210,8 +211,9 @@ def test_symmetric_sorted_eigenvalue_dominance():
         a = random_symmetric_stochastic(n, rng)
         cons = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
         ncop = build_error_recursion(StrategyKind.NON_COOPERATIVE, a, profiles)
-        ev_c = np.sort(np.linalg.eigvalsh(0.5 * (cons.transition + cons.transition.T)))[::-1]
-        ev_n = np.sort(np.linalg.eigvals(ncop.transition).real)[::-1]
+        cons_map = full_map(cons.transition, cons.basis)
+        ev_c = np.sort(np.linalg.eigvalsh(0.5 * (cons_map + cons_map.T)))[::-1]
+        ev_n = np.sort(np.linalg.eigvals(full_map(ncop.transition, ncop.basis)).real)[::-1]
         assert np.all(ev_c <= ev_n + 1e-9)
 
 
@@ -225,7 +227,7 @@ def test_block_norm_product_bounds_radius():
         rec = build_error_recursion(StrategyKind.ATC, a, profiles)
         lhs = spectral_radius(rec.transition)
         cal_a = np.kron(a, np.eye(m))
-        shrink = np.linalg.solve(cal_a.T, rec.transition)
+        shrink = np.linalg.solve(cal_a.T, full_map(rec.transition, rec.basis))
         bound = block_norm(cal_a.T, n, m) * block_norm(shrink, n, m)
         assert lhs <= bound + 1e-9
 
