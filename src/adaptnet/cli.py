@@ -130,8 +130,12 @@ def cmd_compare(args) -> int:
     finite = {k: result.theory[k].network for k in cfg.strategies
               if k not in result.refused}
     if len(finite) > 1:
-        best = min(finite, key=finite.get)
-        print(f"\nlowest theoretical network MSD: {best.value}")
+        lowest = min(finite.values())
+        best = [k.value for k, v in finite.items() if v == lowest]
+        if len(best) == 1:
+            print(f"\nlowest theoretical network MSD: {best[0]}")
+        else:
+            print(f"\nlowest theoretical network MSD: tie between {', '.join(best)}")
     matrix = cfg.resolve_combination() if args.ordering else None
     if matrix is not None and is_homogeneous(cfg.profiles):
         rep = ordering_checks(matrix, cfg.profiles[0].covariance,

@@ -16,8 +16,11 @@ kept deliberately separate so they can cross-validate each other:
   eigenbasis Q (diagonal or common covariances), on M independent N x N
   blocks B_m, Y_m, where MSD_k = sum_m [sum_j B_m^j Y_m B_m^Tj]_kk because
   the rotation I_N (x) Q keeps each node's trace; otherwise on one dense
-  NM x NM block.  The stopping rule reads the total trace over the blocks,
-  which the rotation leaves unchanged, and ``MsdReport.blocks`` records K;
+  NM x NM block.  In the shared eigenbasis the per-mode MSD_k(m), node k's
+  share from eigen-coordinate m, is thus the (k, k) entry of series block m,
+  the quantity the eigen route's per-mode terms are checked against.  The
+  stopping rule reads the total trace over the blocks, which the rotation
+  leaves unchanged, and ``MsdReport.blocks`` records K;
 
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
@@ -254,18 +257,12 @@ def _mode_terms(structure: EigenStructure, mu: float, noise_variances,
     return comp
 
 
-def _refuse_consensus(strategy: StrategyKind):
-    if strategy is StrategyKind.CONSENSUS:
-        raise UnsupportedInputError(
-            "per-mode components are defined for ATC, CTA, and non-cooperative "
-            "strategies only; consensus couples the modes")
-
-
 def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
                       strategy: StrategyKind) -> np.ndarray:
-    """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route;
-    the non-cooperative strategy by its node-wise closed form, which needs
-    no eigenvectors."""
+    """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route,
+    for ATC, CTA and non-cooperative, the strategies the per-mode ordering
+    claims compare; the non-cooperative strategy by its node-wise closed
+    form, which needs no eigenvectors."""
     var = np.asarray(noise_variances, dtype=float)
     lam_r = structure.cov_eigenvalues
     shrink = 1.0 - mu * lam_r
@@ -274,39 +271,10 @@ def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
         if np.any(np.abs(denom) < DENOM_GUARD) or np.any(np.abs(shrink) >= 1.0):
             raise StabilityError(f"non-cooperative modes unstable at mu = {mu}")
         return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
-    _refuse_consensus(strategy)
     if np.any(np.abs(shrink) >= 1.0):
         # the l = 1 mode carries |lambda_1| = 1, so |1 - mu lam_m| < 1 is necessary
         raise StabilityError(f"diffusion modes unstable at mu = {mu}")
     return _mode_terms(structure, mu, var, strategy)
-
-
-def msd_component(structure: EigenStructure, mu: float, noise_variances,
-                  node: int, mode: int, strategy: StrategyKind,
-                  form: str = "eigen") -> float:
-    """Single MSD_k(m) value, by the eigen route or by direct series summation."""
-    if form == "eigen":
-        comp = _component_matrix(structure, mu, noise_variances, strategy)
-        return float(comp[node, mode])
-    if form != "series":
-        raise ConfigError(f"unknown component form {form!r}")
-    _refuse_consensus(strategy)
-    var = np.asarray(noise_variances, dtype=float)
-    lam = structure.cov_eigenvalues[mode]
-    shrink = 1.0 - mu * lam
-    if shrink ** 2 >= 1.0:
-        raise StabilityError(f"mode {mode} unstable at mu = {mu}")
-    scale = mu ** 2 * lam
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        x, _ = _doubling_sum(np.array([[shrink]]), np.array([[var[node]]]))
-        return float(scale * x[0, 0])
-    a = structure.matrix
-    # the propagation starts at A2^T Sigma_v A2: Sigma_v unless A2 = A (ATC)
-    start = np.diag(var)
-    if uses_a(strategy)[2]:
-        start = a.T @ start @ a
-    x, _ = _doubling_sum(shrink * a.T, start)
-    return float(scale * x[node, node])
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
@@ -435,7 +403,8 @@ class NoiseConditionReport:
 
 def individual_ordering_conditions(matrix, noise_variances) -> NoiseConditionReport:
     """Check (i) Sigma_v - A^T Sigma_v A >= 0 and (ii) for primitive A the
-    strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node."""
+    strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node.
+    Serves acceptance 7, the per-node benefit conditions."""
     a = _weights(matrix)
     var = np.asarray(noise_variances, dtype=float)
     sigma = np.diag(var)
@@ -470,7 +439,8 @@ class StepThresholdReport:
 
 def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> bool:
     """True when every (node, mode) component satisfies the strict gap
-    MSD_ncop,k(m) - MSD_cta,k(m) > 0 with a small relative margin."""
+    MSD_ncop,k(m) - MSD_cta,k(m) > 0 with a small relative margin.
+    Acceptance 7 re-checks each certified mu* with it."""
     try:
         cta = _component_matrix(structure, mu, noise_variances, StrategyKind.CTA)
         ncop = _component_matrix(structure, mu, noise_variances,
@@ -487,7 +457,7 @@ def strict_ordering_step_threshold(matrix, covariance, noise_variances
     """Locate a step-size mu* > 0 below which the strict per-node ordering
     MSD_atc < MSD_cta < MSD_ncop is certified, by geometric halving from the
     stability bound with log-scale refinement.  The reported mu* is a
-    certificate, not a supremum."""
+    certificate, not a supremum.  Serves acceptance 7's small-step claim."""
     structure = eigenstructure(matrix, covariance)
     if not is_primitive(structure.matrix):
         raise UnsupportedInputError("strict-ordering threshold requires a primitive matrix")

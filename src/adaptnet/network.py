@@ -118,15 +118,6 @@ def load_topology(path) -> NetworkTopology:
     return NetworkTopology(n, adj)
 
 
-def save_topology(topology: NetworkTopology, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"nodes {topology.n_nodes}\n")
-        for l in range(topology.n_nodes):
-            for k in range(l + 1, topology.n_nodes):
-                if topology.adjacency[l, k]:
-                    fh.write(f"{l + 1} {k + 1}\n")
-
-
 @dataclass(frozen=True, eq=False)
 class CombinationMatrix:
     """Left-stochastic weights on a topology; ``weights[l, k]`` is a_{l,k}."""
@@ -205,42 +196,6 @@ def build_combination_matrix(topology: NetworkTopology, rule: str,
     return CombinationMatrix(w, topology)
 
 
-def consensus_weights_to_matrix(b_weights, step_sizes) -> CombinationMatrix:
-    """Fold raw consensus coefficients b_{l,k} >= 0 into a combination matrix.
-
-    a_{l,k} = mu_k b_{l,k} for l != k and a_{k,k} = 1 - mu_k sum_{j != k} b_{j,k}.
-    The self-weight must stay nonnegative.
-    """
-    b = np.asarray(b_weights, dtype=float)
-    mu = np.asarray(step_sizes, dtype=float)
-    n = b.shape[0]
-    if b.shape != (n, n) or mu.shape != (n,):
-        raise ConfigError(f"shape mismatch: b {b.shape}, step sizes {mu.shape}")
-    if np.any(b < 0):
-        raise ConfigError("consensus weights must be nonnegative")
-    if np.any(np.diag(b) != 0):
-        raise ConfigError("consensus weights must have a zero diagonal")
-    w = b * mu[None, :]
-    self_weight = 1.0 - w.sum(axis=0)
-    bad = np.flatnonzero(self_weight < 0)
-    if bad.size:
-        k = bad[0]
-        raise ConfigError(
-            f"node {k}: mu_k * sum of cross weights = {w[:, k].sum():.6g} exceeds 1")
-    np.fill_diagonal(w, self_weight)
-    support = (b > 0) | (b > 0).T
-    np.fill_diagonal(support, True)
-    return CombinationMatrix(w, NetworkTopology(n, support))
-
-
-def matrix_to_consensus_weights(matrix: CombinationMatrix, step_sizes) -> np.ndarray:
-    """Inverse of :func:`consensus_weights_to_matrix` (off-diagonal read-back)."""
-    mu = np.asarray(step_sizes, dtype=float)
-    b = matrix.weights / mu[None, :]
-    np.fill_diagonal(b, 0.0)
-    return b
-
-
 def _support(matrix) -> np.ndarray:
     w = matrix.weights if isinstance(matrix, CombinationMatrix) else np.asarray(matrix)
     return w > 0
@@ -276,7 +231,8 @@ class PerronPair:
 
 
 def perron_pair(matrix, max_iters: int = 100000) -> PerronPair:
-    """Power iteration for the Perron pair of a primitive combination matrix."""
+    """Power iteration for the Perron pair of a primitive combination matrix;
+    its s1 weighs the noise in acceptance 7's strict per-node condition."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
     a = matrix.weights if isinstance(matrix, CombinationMatrix) else np.asarray(matrix, dtype=float)
@@ -317,10 +273,3 @@ def load_combination_csv(path) -> CombinationMatrix:
     np.fill_diagonal(support, True)
     return CombinationMatrix(w, NetworkTopology(w.shape[0], support))
 
-
-def save_combination_csv(matrix: CombinationMatrix, path, comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for row in matrix.weights:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")

@@ -188,20 +188,6 @@ def diffusion_equality_bound(matrix, covariance) -> float:
     return float(np.min(1.0 - np.abs(rest)) / denom)
 
 
-def block_norm(matrix, n_blocks: int, block_dim: int) -> float:
-    """Largest block-row sum of per-block spectral norms."""
-    x = np.asarray(matrix)
-    if x.shape != (n_blocks * block_dim, n_blocks * block_dim):
-        raise ConfigError(f"matrix shape {x.shape} is not {n_blocks}x{n_blocks} "
-                          f"blocks of size {block_dim}")
-    total = np.zeros(n_blocks)
-    for k in range(n_blocks):
-        for l in range(n_blocks):
-            blk = x[k * block_dim:(k + 1) * block_dim, l * block_dim:(l + 1) * block_dim]
-            total[k] += np.linalg.norm(blk, 2)
-    return float(total.max())
-
-
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Per-strategy spectral radii plus the closed-form step-size bounds."""

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, StabilityError
 from .msdtheory import PSD_TOL
-from .network import complete_topology, CombinationMatrix, is_primitive
-from .signalmodel import NodeProfile
+from .network import is_primitive
 
 REGION_BOUNDARY_TOL = 1e-9
 
@@ -41,10 +40,11 @@ class TwoNodeConfig:
     def __post_init__(self):
         if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
             raise ConfigError(f"a, b must lie in [0, 1], got a={self.a}, b={self.b}")
-        if not (self.mu_sigma1 > 0 and self.mu_sigma2 > 0):
-            raise ConfigError("mu*sigma^2 products must be positive")
-        if not self.t > 0:
-            raise ConfigError(f"noise ratio must be positive, got {self.t}")
+        if not (0 < self.mu_sigma1 < np.inf and 0 < self.mu_sigma2 < np.inf):
+            raise ConfigError("mu*sigma^2 products must be positive and finite, got "
+                              f"{self.mu_sigma1}, {self.mu_sigma2}")
+        if not 0 < self.t < np.inf:
+            raise ConfigError(f"noise ratio must be positive and finite, got {self.t}")
 
     def combination(self) -> np.ndarray:
         """The left-stochastic A (columns sum to one)."""
@@ -63,23 +63,14 @@ def canonical(cfg: TwoNodeConfig) -> tuple[TwoNodeConfig, bool]:
                          mu_sigma2=cfg.mu_sigma1, t=1.0 / cfg.t), True
 
 
-def discriminant_forms(cfg: TwoNodeConfig) -> tuple[float, float]:
-    """The two algebraically equal forms of the consensus discriminant."""
-    cfg, _ = canonical(cfg)
-    a, b = cfg.a, cfg.b
-    p1, p2 = cfg.mu_sigma1, cfg.mu_sigma2
-    d1 = (-a + b - p1 + p2) ** 2 + 4.0 * a * b
-    d2 = (a + b + p1 - p2) ** 2 + 4.0 * b * (p2 - p1)
-    return d1, d2
-
-
 def consensus_min_eigenvalue(cfg: TwoNodeConfig) -> float:
     """Smallest eigenvalue of the 2x2 consensus transition matrix."""
     cfg, _ = canonical(cfg)
-    d, _ = discriminant_forms(cfg)
-    if d < 0:
-        raise ConfigError(f"negative discriminant {d}; invalid configuration")
-    return 0.5 * (2.0 - cfg.a - cfg.b - cfg.mu_sigma1 - cfg.mu_sigma2 - np.sqrt(d))
+    # root of the discriminant (b - a + p2 - p1)^2 + 4ab, real since a, b >= 0;
+    # hypot keeps a large finite p2 from overflowing the square
+    root = np.hypot(cfg.b - cfg.a + cfg.mu_sigma2 - cfg.mu_sigma1,
+                    2.0 * np.sqrt(cfg.a * cfg.b))
+    return 0.5 * (2.0 - cfg.a - cfg.b - cfg.mu_sigma1 - cfg.mu_sigma2 - root)
 
 
 def consensus_instability_condition(cfg: TwoNodeConfig) -> bool:
@@ -105,14 +96,6 @@ def diffusion_stabilization_range(cfg: TwoNodeConfig) -> float:
     if abs(cfg.b - (1.0 - cfg.a)) > 1e-12:
         raise ConfigError(f"stabilization analysis assumes b = 1 - a, got a={cfg.a}, b={cfg.b}")
     return (2.0 - p1) / (p2 - p1)
-
-
-def diffusion_eigenvalues_rank_one(cfg: TwoNodeConfig) -> tuple[float, float]:
-    """ATC/CTA eigenvalues in the b = 1 - a family: {0, 1 - p1 - (p2-p1) a}."""
-    if abs(cfg.b - (1.0 - cfg.a)) > 1e-12:
-        raise ConfigError("rank-one eigenvalue formula assumes b = 1 - a")
-    p1, p2 = cfg.mu_sigma1, cfg.mu_sigma2
-    return 0.0, 1.0 - p1 - (p2 - p1) * cfg.a
 
 
 def region_thresholds(mu_sigma: float) -> tuple[float, float, float]:
@@ -172,8 +155,8 @@ class TwoNodeConditionReport:
 
 
 def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionReport:
-    if not t > 0:
-        raise ConfigError(f"noise ratio must be positive, got {t}")
+    if not 0 < t < np.inf:
+        raise ConfigError(f"noise ratio must be positive and finite, got {t}")
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
         raise ConfigError(f"a, b must lie in [0, 1], got a={a}, b={b}")
     at = np.array([[1.0 - a, a], [b, 1.0 - b]])
@@ -196,23 +179,15 @@ def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionR
     )
 
 
-def general_model(cfg: TwoNodeConfig, regressor_power: float = 1.0):
-    """Concrete scalar network realizing this configuration, for the general
-    analysis path: (CombinationMatrix, profiles).  Step sizes scale inversely
-    with regressor_power so that mu * sigma^2 stays fixed; node 2 has unit
-    noise variance and node 1 the ratio t."""
-    mu = np.array([cfg.mu_sigma1, cfg.mu_sigma2]) / regressor_power
-    cov = np.array([[regressor_power]])
-    noise = np.array([cfg.t, 1.0])
-    profiles = [NodeProfile(step_size=mu[k], covariance=cov, noise_variance=noise[k])
-                for k in range(2)]
-    matrix = CombinationMatrix(cfg.combination(), complete_topology(2))
-    return matrix, profiles
+def _unit_grid(points: int) -> np.ndarray:
+    if points < 1:
+        raise ConfigError(f"grid needs a positive point count, got {points}")
+    return np.linspace(0.0, 1.0, points)
 
 
 def region_grid(mu_sigma: float, points: int = 200):
     """(a, b, label) rows over the unit square; unstable points labeled so."""
-    vals = np.linspace(0.0, 1.0, points)
+    vals = _unit_grid(points)
     rows = []
     for a in vals:
         for b in vals:
@@ -226,7 +201,7 @@ def region_grid(mu_sigma: float, points: int = 200):
 
 def condition_grid(t: float, points: int = 200):
     """(a, b, PSD shrinkage, strict condition) rows over the unit square."""
-    vals = np.linspace(0.0, 1.0, points)
+    vals = _unit_grid(points)
     rows = []
     for a in vals:
         for b in vals:

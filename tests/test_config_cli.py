@@ -2,10 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (CombinationMatrix, ConfigError, StrategyKind,
-                      build_experiment, complete_topology, line_topology,
-                      parse_pairs, load_experiment, save_combination_csv,
-                      save_topology)
+from adaptnet import (ConfigError, StrategyKind, build_experiment,
+                      complete_topology, line_topology, parse_pairs,
+                      load_experiment)
 from adaptnet.cli import main
 
 
@@ -133,8 +132,7 @@ def test_topology_choices(tmp_path):
         "topology = random\nedge_prob = 0.5\nseed = 3\n"))
     assert rand.topology.n_nodes == 5
 
-    saved = tmp_path / "pair.topo"
-    save_topology(complete_topology(2), saved)
+    (tmp_path / "pair.topo").write_text("nodes 2\n1 2\n")
     from_file = build_experiment(parse_pairs(MINIMAL + "topology = pair.topo\n"),
                                  base_dir=str(tmp_path))
     npt.assert_array_equal(from_file.topology.adjacency,
@@ -143,8 +141,7 @@ def test_topology_choices(tmp_path):
 
 def test_explicit_combination_csv(tmp_path):
     weights = np.array([[0.15, 0.85], [0.85, 0.15]])
-    save_combination_csv(CombinationMatrix(weights, complete_topology(2)),
-                         tmp_path / "a.csv")
+    np.savetxt(tmp_path / "a.csv", weights, delimiter=",")
     cfg = build_experiment(parse_pairs(MINIMAL + "a_csv = a.csv\n"),
                            base_dir=str(tmp_path))
     assert cfg.rule is None
@@ -184,9 +181,7 @@ def stable_cfg(tmp_path):
 @pytest.fixture
 def unstable_cfg(tmp_path):
     # aggressive mixing destabilizes consensus at these step sizes
-    weights = np.array([[0.15, 0.85], [0.85, 0.15]])
-    save_combination_csv(CombinationMatrix(weights, complete_topology(2)),
-                         tmp_path / "hot.csv")
+    np.savetxt(tmp_path / "hot.csv", [[0.15, 0.85], [0.85, 0.15]], delimiter=",")
     path = tmp_path / "unstable.cfg"
     path.write_text("nodes = 2\ndim = 1\nmu = 0.4, 0.6\nnoise_db = -20\n"
                     "ru_diag = 1\na_csv = hot.csv\niterations = 300\ntrials = 2\n"
@@ -294,6 +289,18 @@ def test_cli_compare_prints_noiseless_node_as_minus_inf(tmp_path, capsys):
     assert "+inf" not in out
 
 
+def test_cli_compare_names_no_winner_on_a_tie(tmp_path, capsys):
+    # no node has noise, so every strategy's theory MSD is exactly 0
+    path = tmp_path / "silent.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nru_diag = 1\nnoise_db = -inf\n"
+                    "topology = full\nrule = metropolis\niterations = 80\ntrials = 3\n")
+    assert main(["compare", str(path)]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("lowest theoretical network MSD"))
+    assert line == ("lowest theoretical network MSD: tie between "
+                    "non_cooperative, consensus, atc, cta")
+
+
 def test_cli_compare_refuses_when_nothing_stable(unstable_cfg, capsys):
     assert main(["compare", unstable_cfg]) == 3
     err = capsys.readouterr().err
@@ -374,3 +381,30 @@ def test_cli_two_node_point(capsys):
     assert "consensus smallest eigenvalue: -1.2058621384" in out
     assert "consensus unstable (a + b >= 2 - mu1*sigma1^2): True" in out
     assert "combination matrix primitive: True" in out
+
+
+def _assert_config_refusal(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ")
+    assert "Traceback" not in err
+
+
+def test_cli_two_node_point_rejects_infinite_product(capsys):
+    _assert_config_refusal(["two-node", "point", "--a", "0.5", "--b", "0.5",
+                            "--mu-sigma1", "inf", "--mu-sigma2", "0.6"], capsys)
+
+
+def test_cli_two_node_conditions_rejects_infinite_noise_ratio(tmp_path, capsys):
+    _assert_config_refusal(["two-node", "conditions", "--noise-ratio", "inf",
+                            "--points", "3", "--out", str(tmp_path / "c.csv")], capsys)
+    assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("points", ["-3", "0"])
+def test_cli_two_node_maps_reject_nonpositive_points(tmp_path, capsys, points):
+    for argv in (["region", "--mu-sigma", "0.4"], ["conditions", "--noise-ratio", "2"]):
+        out = tmp_path / "map.csv"
+        _assert_config_refusal(["two-node", *argv, "--points", points,
+                                "--out", str(out)], capsys)
+        assert not out.exists()

@@ -6,12 +6,13 @@ from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, Stabilit
                       StrategyKind, UnsupportedInputError,
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
-                      msd_component, msd_eigenform, msd_series,
+                      msd_eigenform, msd_series,
                       ordering_checks, strict_gap_holds,
                       strict_ordering_step_threshold)
-from adaptnet.msdtheory import _component_matrix
+from adaptnet.msdtheory import _component_matrix, _doubling_sum
 
-from conftest import full_map, random_symmetric_stochastic, stable_profiles
+from conftest import (full_map, random_left_stochastic, random_spd,
+                      random_symmetric_stochastic, stable_profiles)
 
 ALL = tuple(StrategyKind)
 DIFF = (StrategyKind.ATC, StrategyKind.CTA)
@@ -167,21 +168,29 @@ def test_identity_matrix_components_equal():
 
 
 def test_component_series_matches_eigen_route():
+    # in the shared eigenbasis, series block m's (k, k) entry is MSD_k(m)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        n = int(rng.integers(2, 5))
-        a = random_symmetric_stochastic(n, rng)
-        cov = np.diag(rng.uniform(0.5, 3.0, size=2))
-        mu = float(rng.uniform(0.1, 0.5) * 2.0 / np.linalg.eigvalsh(cov)[-1])
-        noise = rng.uniform(0.02, 0.4, size=n)
-        st = eigenstructure(a, cov)
-        for kind in (StrategyKind.ATC, StrategyKind.CTA,
-                     StrategyKind.NON_COOPERATIVE):
-            for k in range(n):
-                for m in range(2):
-                    eig = msd_component(st, mu, noise, k, m, kind, form="eigen")
-                    ser = msd_component(st, mu, noise, k, m, kind, form="series")
-                    assert eig == pytest.approx(ser, rel=1e-8)
+    for draw_a in (random_symmetric_stochastic, random_left_stochastic):
+        for rotated in (False, True):
+            for _ in range(5):
+                n = int(rng.integers(2, 6))
+                m = int(rng.integers(2, 4))
+                a = draw_a(n, rng)
+                cov = (random_spd(m, rng) if rotated
+                       else np.diag(rng.uniform(0.5, 3.0, size=m)))
+                mu = float(rng.uniform(0.1, 0.5) * 2.0 / np.linalg.eigvalsh(cov)[-1])
+                noise = rng.uniform(0.02, 0.4, size=n)
+                profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=v)
+                            for v in noise]
+                st = eigenstructure(a, cov)
+                for kind in (StrategyKind.ATC, StrategyKind.CTA,
+                             StrategyKind.NON_COOPERATIVE):
+                    rec = build_error_recursion(kind, a, profiles)
+                    assert rec.blocks == m
+                    x, _ = _doubling_sum(rec.transition, rec.noise_gram)
+                    series = x.diagonal(axis1=1, axis2=2).T
+                    npt.assert_allclose(_component_matrix(st, mu, noise, kind), series,
+                                        rtol=1e-12)
 
 
 def test_components_sum_to_per_node_msd():
@@ -196,15 +205,6 @@ def test_components_sum_to_per_node_msd():
         comp = _component_matrix(st, mu, noise, kind)
         rep = msd_eigenform(st, mu, noise, kind)
         npt.assert_allclose(comp.sum(axis=1), rep.per_node, atol=1e-10)
-
-
-def test_consensus_components_unsupported():
-    st = eigenstructure(np.eye(2), np.eye(1))
-    for form in ("eigen", "series"):
-        with pytest.raises(UnsupportedInputError):
-            msd_component(st, 0.1, [0.1, 0.1], 0, 0, StrategyKind.CONSENSUS, form=form)
-    with pytest.raises(UnsupportedInputError):
-        _component_matrix(st, 0.1, np.array([0.1, 0.1]), StrategyKind.CONSENSUS)
 
 
 def test_unknown_strategy_is_config_error():

@@ -3,12 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (CombinationMatrix, ConfigError, NumericalError,
-                      build_combination_matrix, complete_topology,
-                      consensus_weights_to_matrix, is_primitive, line_topology,
-                      load_combination_csv, load_topology,
-                      matrix_to_consensus_weights, perron_pair,
-                      random_connected_topology, save_combination_csv,
-                      save_topology)
+                      build_combination_matrix, complete_topology, is_primitive,
+                      line_topology, load_combination_csv, load_topology,
+                      perron_pair, random_connected_topology)
 from adaptnet.network import COLUMN_SUM_TOL, RULES, NetworkTopology
 
 from conftest import random_left_stochastic
@@ -62,7 +59,9 @@ def test_topology_file_round_trip(tmp_path):
     rng = np.random.default_rng(3)
     topo = random_connected_topology(9, 0.3, rng)
     path = tmp_path / "graph.txt"
-    save_topology(topo, path)
+    # 1-based upper-triangle edge list under the "nodes N" line
+    edges = np.argwhere(np.triu(topo.adjacency, k=1)) + 1
+    np.savetxt(path, edges, fmt="%d", header=f"nodes {topo.n_nodes}", comments="")
     back = load_topology(path)
     npt.assert_array_equal(topo.adjacency, back.adjacency)
 
@@ -133,36 +132,6 @@ def test_combination_matrix_validation():
         CombinationMatrix(off, line)
 
 
-def test_consensus_weights_zero_gives_identity():
-    b = np.zeros((3, 3))
-    mat = consensus_weights_to_matrix(b, np.array([0.1, 0.2, 0.3]))
-    npt.assert_array_equal(mat.weights, np.eye(3))
-
-
-def test_consensus_weights_two_node():
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    mat = consensus_weights_to_matrix(b, np.array([0.3, 0.3]))
-    npt.assert_allclose(mat.weights, [[0.7, 0.3], [0.3, 0.7]], atol=1e-15)
-
-
-def test_consensus_weights_overweight_names_node():
-    b = np.array([[0.0, 2.0], [4.0, 0.0]])
-    # column 0 collects b_{1,0} = 4, so node 0 has mu * sum b = 1.2 > 1
-    with pytest.raises(ConfigError, match="node 0"):
-        consensus_weights_to_matrix(b, np.array([0.3, 0.3]))
-
-
-def test_consensus_weights_round_trip():
-    rng = np.random.default_rng(2)
-    n = 5
-    mu = rng.uniform(0.05, 0.4, size=n)
-    b = rng.random((n, n)) * 0.4
-    np.fill_diagonal(b, 0.0)
-    mat = consensus_weights_to_matrix(b, mu)
-    back = matrix_to_consensus_weights(mat, mu)
-    npt.assert_allclose(back, b, atol=1e-12)
-
-
 def test_is_primitive_identity_false():
     assert not is_primitive(np.eye(4))
 
@@ -227,7 +196,7 @@ def test_combination_csv_round_trip(tmp_path):
     topo = random_connected_topology(5, 0.5, rng)
     mat = build_combination_matrix(topo, "uniform")
     path = tmp_path / "a.csv"
-    save_combination_csv(mat, path, comment="round trip")
+    np.savetxt(path, mat.weights, fmt="%.17g", delimiter=",", header="round trip")
     back = load_combination_csv(path)
     npt.assert_allclose(back.weights, mat.weights, atol=1e-15)
     npt.assert_array_equal(back.topology.adjacency, mat.topology.adjacency)

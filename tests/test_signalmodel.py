@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, GroundTruth, NodeProfile, SnapshotSource,
-                      benchmark_profile, covariance_sqrt)
-from adaptnet.signalmodel import BLOCK
+                      benchmark_profile)
+from adaptnet.signalmodel import BLOCK, covariance_sqrt
 
 from conftest import random_spd
 

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, NodeProfile, StrategyKind, UnsupportedInputError,
-                      analyze_network, block_norm, build_error_recursion,
+                      analyze_network, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,
                       noncoop_step_bounds, spectral_radius, stability_verdict)
 
@@ -163,19 +163,6 @@ def test_equality_bound_cases():
     assert diffusion_equality_bound(swap, np.eye(2)) == pytest.approx(0.0)
 
 
-def test_block_norm_cases():
-    rng = np.random.default_rng(4)
-    assert block_norm(np.eye(6), 3, 2) == pytest.approx(1.0)
-    a = random_left_stochastic(4, rng)
-    assert block_norm(np.kron(a.T, np.eye(3)), 4, 3) == pytest.approx(1.0, abs=1e-12)
-    profiles = stable_profiles(3, 2, rng)
-    rec = build_error_recursion(StrategyKind.NON_COOPERATIVE, np.eye(3), profiles)
-    expected = max(spectral_radius(np.eye(2) - p.step_size * p.covariance)
-                   for p in profiles)
-    assert block_norm(full_map(rec.transition, rec.basis), 3, 2) == pytest.approx(
-        expected, abs=1e-12)
-
-
 def test_diffusion_radii_equal_and_dominated():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -215,21 +202,6 @@ def test_symmetric_sorted_eigenvalue_dominance():
         ev_c = np.sort(np.linalg.eigvalsh(0.5 * (cons_map + cons_map.T)))[::-1]
         ev_n = np.sort(np.linalg.eigvals(full_map(ncop.transition, ncop.basis)).real)[::-1]
         assert np.all(ev_c <= ev_n + 1e-9)
-
-
-def test_block_norm_product_bounds_radius():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(1, 4))
-        profiles = stable_profiles(n, m, rng)
-        a = random_left_stochastic(n, rng)
-        rec = build_error_recursion(StrategyKind.ATC, a, profiles)
-        lhs = spectral_radius(rec.transition)
-        cal_a = np.kron(a, np.eye(m))
-        shrink = np.linalg.solve(cal_a.T, full_map(rec.transition, rec.basis))
-        bound = block_norm(cal_a.T, n, m) * block_norm(shrink, n, m)
-        assert lhs <= bound + 1e-9
 
 
 def test_homogeneous_diffusion_equals_noncoop_below_bound():
