@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (stability report), ``simulate`` (learning-curve
 CSV), ``compare`` (theory vs simulation), ``two-node`` (closed-form 2-node
 maps and point reports).  All CSVs carry a leading comment line with the
 tool version and seed, then a header row.  Exit codes: 0 success, 2 bad
-config or unsupported input, 3 stability refusal, 4 other library errors.
+config, unsupported input or an output path that cannot be written, 3
+stability refusal, 4 other library errors.
 """
 
 from __future__ import annotations
@@ -177,15 +178,21 @@ def cmd_two_node(args) -> int:
         print(f"consensus unstable (a + b >= 2 - mu1*sigma1^2): {unstable}")
     except ConfigError as exc:
         print(f"consensus instability test not applicable: {exc}")
-    if abs(args.b - (1.0 - args.a)) <= 1e-12 and args.mu_sigma2 >= 2.0 > args.mu_sigma1:
+    # each closed form states its own preconditions; where one does not
+    # apply, its ConfigError means the line is left out
+    try:
         limit = diffusion_stabilization_range(cfg)
         print(f"diffusion stable for a < {limit:.10f} along b = 1 - a")
-    if args.mu_sigma1 == args.mu_sigma2 and 0.0 < args.mu_sigma1 < 1.0:
+    except ConfigError:
+        pass
+    if args.mu_sigma1 == args.mu_sigma2:
         try:
             region = msd_region_classify(args.a, args.b, args.mu_sigma1)
             print(f"homogeneous MSD region: {region}")
         except StabilityError as exc:
             print(f"homogeneous MSD region: unstable ({exc})")
+        except ConfigError:
+            pass
     conds = individual_msd_conditions(args.a, args.b, args.noise_ratio)
     print(f"noise shrink matrix PSD: {conds.noise_shrink_psd} "
           f"(det = {conds.determinant:.6g}, min eigenvalue = {conds.min_eigenvalue:.6g})")
@@ -263,6 +270,10 @@ def main(argv=None) -> int:
     except AdaptNetError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        # an output path that cannot be written, e.g. in a missing directory
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NotDiagonalizableError
-from .msdtheory import eigenstructure, msd_eigenform, msd_series
+from .msdtheory import _db, eigenstructure, msd_eigenform, msd_series
 from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
 from .signalmodel import BLOCK, GroundTruth, SnapshotSource, is_homogeneous
 from .spectra import build_error_recursion
@@ -95,18 +95,14 @@ class LearningCurve:
     standard_error: float
     diverged_trials: int
     divergence_onset: int | None
-    steady_start: int
-    steady_slope_db_per_100: float | None
 
     @property
     def msd_db(self):
-        with np.errstate(divide="ignore"):
-            return 10.0 * np.log10(self.msd)
+        return _db(self.msd)
 
     @property
     def network_steady_db(self) -> float:
-        with np.errstate(divide="ignore"):
-            return float(10.0 * np.log10(self.network_steady))
+        return float(_db(self.network_steady))
 
     def normalized_db(self):
         """Curve shifted so its peak sits at 0 dB (presentation only)."""
@@ -128,14 +124,6 @@ class LearningCurve:
             return 0
         last = int(above[-1]) + 1
         return last if last < db.size else None
-
-
-def _slope_db_per_100(curve_db: np.ndarray) -> float | None:
-    if curve_db.size < 2 or not np.all(np.isfinite(curve_db)):
-        return None
-    x = np.arange(curve_db.size, dtype=float)
-    slope = np.polyfit(x, curve_db, 1)[0]
-    return float(slope * 100.0)
 
 
 def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
@@ -213,15 +201,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             se = float(np.std(nets, ddof=1) / np.sqrt(cfg.trials))
         else:
             se = float("inf") if diverged else 0.0
-        with np.errstate(divide="ignore"):
-            window_db = 10.0 * np.log10(msd[steady_start:])
         out[kind] = LearningCurve(
             strategy=kind, msd=msd, per_node_steady=per_node,
             network_steady=float(per_node.mean()), standard_error=se,
             diverged_trials=diverged,
-            divergence_onset=int(onset.min()) if diverged else None,
-            steady_start=steady_start,
-            steady_slope_db_per_100=_slope_db_per_100(window_db))
+            divergence_onset=int(onset.min()) if diverged else None)
     return out
 
 
@@ -286,9 +270,8 @@ def steady_state_vs_theory(cfg: ExperimentConfig) -> TheoryComparison:
     for kind in stable:
         rep = theory[kind]
         curve = curves[kind]
-        with np.errstate(divide="ignore"):
-            sim_nodes = 10.0 * np.log10(curve.per_node_steady)
-            th_nodes = 10.0 * np.log10(rep.per_node)
+        sim_nodes = _db(curve.per_node_steady)
+        th_nodes = _db(rep.per_node)
         for k in range(len(cfg.profiles)):
             rows.append(ComparisonRow(kind, k, float(sim_nodes[k]), float(th_nodes[k]),
                                       float(sim_nodes[k] - th_nodes[k])))

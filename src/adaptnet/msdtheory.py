@@ -47,6 +47,9 @@ Mode eigenvalues (homogeneous case), from the table:
     diffusion (ATC = CTA)   lambda_l(A) (1 - mu lambda_m)
     consensus               lambda_l(A) - mu lambda_m
     non-cooperative         1 - mu lambda_m
+
+The eigen route's stability is this grid's radius, max |lambda_{l,m}| < 1,
+for every strategy; ``_component_matrix`` is the one place that decides it.
 """
 
 from __future__ import annotations
@@ -235,11 +238,10 @@ def _mode_noise(structure: EigenStructure, noise_variances,
     return g2 * np.conj(g2).T * (s.conj().T @ (var[:, None] * s))
 
 
-def _mode_terms(structure: EigenStructure, mu: float, noise_variances,
-                strategy: StrategyKind) -> np.ndarray:
+def _mode_terms(structure: EigenStructure, modes: np.ndarray, mu: float,
+               noise_variances, strategy: StrategyKind) -> np.ndarray:
     """The eigen route's per-mode loop: the (N, M) contributions MSD_k(m),
-    with denominators from the mode grid."""
-    modes = mode_eigenvalues(structure, mu, strategy)
+    with denominators from the strategy's mode grid ``modes``."""
     noise = _mode_noise(structure, noise_variances, strategy)
     scale = mu ** 2 * structure.cov_eigenvalues
     u = structure.right_vectors
@@ -260,39 +262,40 @@ def _mode_terms(structure: EigenStructure, mu: float, noise_variances,
 def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
                       strategy: StrategyKind) -> np.ndarray:
     """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route,
-    for ATC, CTA and non-cooperative, the strategies the per-mode ordering
-    claims compare; the non-cooperative strategy by its node-wise closed
-    form, which needs no eigenvectors."""
+    for any strategy.  The one stability decision of the eigen route: a
+    StabilityError unless every error mode of the strategy's grid lies
+    inside the unit circle.  The non-cooperative strategy takes its
+    node-wise closed form, which needs no eigenvectors."""
+    modes = mode_eigenvalues(structure, mu, strategy)
+    radius = float(np.max(np.abs(modes)))
+    if radius >= 1.0:
+        raise StabilityError(f"{strategy.value} error modes reach radius "
+                             f"{radius:.6g} >= 1 at mu = {mu}")
     var = np.asarray(noise_variances, dtype=float)
-    lam_r = structure.cov_eigenvalues
-    shrink = 1.0 - mu * lam_r
     if strategy is StrategyKind.NON_COOPERATIVE:
-        denom = 1.0 - shrink ** 2
-        if np.any(np.abs(denom) < DENOM_GUARD) or np.any(np.abs(shrink) >= 1.0):
-            raise StabilityError(f"non-cooperative modes unstable at mu = {mu}")
+        lam_r = structure.cov_eigenvalues
+        denom = 1.0 - (1.0 - mu * lam_r) ** 2
+        if np.any(denom < DENOM_GUARD):
+            raise StabilityError(f"non-cooperative modes near-singular at mu = {mu}")
         return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
-    if np.any(np.abs(shrink) >= 1.0):
-        # the l = 1 mode carries |lambda_1| = 1, so |1 - mu lam_m| < 1 is necessary
-        raise StabilityError(f"diffusion modes unstable at mu = {mu}")
-    return _mode_terms(structure, mu, var, strategy)
+    return _mode_terms(structure, modes, mu, var, strategy)
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
                   strategy: StrategyKind) -> MsdReport:
-    """Closed eigen-route MSD report for one strategy."""
+    """Closed eigen-route MSD report for one strategy: the row sums of
+    ``_component_matrix``, or a diverged report where it refuses."""
     var = np.asarray(noise_variances, dtype=float)
     n = structure.n_nodes
     modes = mode_eigenvalues(structure, mu, strategy)
     radius = float(np.max(np.abs(modes)))
     defect = structure.orthonormality_defect
-    if radius >= 1.0:
+    try:
+        per_node = _component_matrix(structure, mu, var, strategy).sum(axis=1)
+    except StabilityError:
         return MsdReport(strategy=strategy, method="eigenform",
                          per_node=np.full(n, np.inf), network=np.inf,
                          spectral_radius=radius, orthonormality_defect=defect)
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        per_node = _component_matrix(structure, mu, var, strategy).sum(axis=1)
-    else:
-        per_node = _mode_terms(structure, mu, var, strategy).sum(axis=1)
     # every collapsed value is taken in the A eigenbasis, so the strategies
     # compare like for like
     diag_noise = np.diag(_mode_noise(structure, var, strategy)).real
@@ -446,8 +449,6 @@ def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> b
         ncop = _component_matrix(structure, mu, noise_variances,
                                  StrategyKind.NON_COOPERATIVE)
     except StabilityError:
-        return False
-    if np.max(np.abs(mode_eigenvalues(structure, mu, StrategyKind.CTA))) >= 1.0:
         return False
     return bool(np.all(ncop - cta > GAP_REL_MARGIN * np.abs(ncop)))
 

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, UnsupportedInputError
+from .errors import ConfigError, UnsupportedInputError
 
 COLUMN_SUM_TOL = 1e-12
 # random draws tried before a connected topology is given up on
 TOPOLOGY_ATTEMPTS = 1000
-# power-iteration stop: largest entry change between iterates
-PERRON_TOL = 1e-12
 RULES = ("uniform", "metropolis", "relative_variance")
 
 
@@ -130,6 +128,9 @@ class CombinationMatrix:
         n = self.topology.n_nodes
         if w.shape != (n, n):
             raise ConfigError(f"weights shape {w.shape} does not match topology with {n} nodes")
+        if not np.all(np.isfinite(w)):
+            l, k = np.argwhere(~np.isfinite(w))[0]
+            raise ConfigError(f"non-finite weight a[{l},{k}] = {w[l, k]}")
         if np.any(w < 0):
             l, k = np.argwhere(w < 0)[0]
             raise ConfigError(f"negative weight a[{l},{k}] = {w[l, k]}")
@@ -230,31 +231,23 @@ class PerronPair:
     s1: np.ndarray
 
 
-def perron_pair(matrix, max_iters: int = 100000) -> PerronPair:
-    """Power iteration for the Perron pair of a primitive combination matrix;
-    its s1 weighs the noise in acceptance 7's strict per-node condition."""
+def perron_pair(matrix) -> PerronPair:
+    """Perron pair of a primitive combination matrix: the eigenvectors of A^T
+    and of A at the eigenvalue nearest one, which is simple for a primitive
+    A; its s1 weighs the noise in acceptance 7's strict per-node condition."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
     a = matrix.weights if isinstance(matrix, CombinationMatrix) else np.asarray(matrix, dtype=float)
-    at = a.T
-    n = a.shape[0]
 
-    def iterate(op):
-        x = np.ones(n) / np.sqrt(n)
-        for _ in range(max_iters):
-            nxt = op @ x
-            nxt = nxt / np.linalg.norm(nxt)
-            if nxt.sum() < 0:
-                nxt = -nxt
-            if np.max(np.abs(nxt - x)) < PERRON_TOL:
-                return nxt
-            x = nxt
-        raise NumericalError("power iteration did not converge")
+    def unit_vector(op):
+        vals, vecs = np.linalg.eig(op)
+        # LAPACK returns a real vector for a real eigenvalue of a real matrix
+        v = vecs[:, np.argmin(np.abs(vals - 1.0))].real
+        return v / (np.linalg.norm(v) * np.sign(v.sum()))
 
-    r1 = iterate(at)
-    s1 = iterate(a)
-    s1 = s1 / (s1 @ r1)
-    return PerronPair(r1, s1)
+    r1 = unit_vector(a.T)
+    s1 = unit_vector(a)
+    return PerronPair(r1, s1 / (s1 @ r1))
 
 
 def load_combination_csv(path) -> CombinationMatrix:

@@ -349,6 +349,26 @@ def test_cli_rejects_non_finite_profile(tmp_path, capsys, line):
     assert "ConfigError" in capsys.readouterr().err
 
 
+def test_cli_rejects_non_finite_combination_weight(tmp_path, capsys):
+    (tmp_path / "nan.csv").write_text("nan,0.5\n0.5,0.5\n")
+    path = tmp_path / "nan.cfg"
+    path.write_text(MINIMAL + "a_csv = nan.csv\n")
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and "non-finite weight" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["simulate --out", "compare --csv"])
+def test_cli_unwritable_output_path(stable_cfg, tmp_path, capsys, flag):
+    command, option = flag.split()
+    target = tmp_path / "missing" / "out.csv"
+    assert main([command, stable_cfg, option, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("FileNotFoundError: ") and str(target) in err
+    assert "Traceback" not in err
+
+
 def test_noiseless_nodes_from_minus_inf_db():
     cfg = build_experiment(parse_pairs(MINIMAL + "noise_db = -inf\n"))
     assert all(p.noise_variance == 0.0 for p in cfg.profiles)
@@ -381,6 +401,28 @@ def test_cli_two_node_point(capsys):
     assert "consensus smallest eigenvalue: -1.2058621384" in out
     assert "consensus unstable (a + b >= 2 - mu1*sigma1^2): True" in out
     assert "combination matrix primitive: True" in out
+
+
+@pytest.mark.parametrize("a, b, p1, p2, stabilized, region", [
+    (0.3, 0.7, 0.4, 2.4, True, False),     # b = 1 - a, p1 < 2 <= p2
+    (0.3, 0.6, 0.4, 2.4, False, False),    # b != 1 - a
+    (0.3, 0.7, 2.4, 0.4, False, False),    # node 1 the unstable one
+    (0.3, 0.7, 0.4, 1.9, False, False),    # both nodes stable
+    (0.3, 0.3, 0.5, 0.5, False, True),     # homogeneous, 0 < mu sigma^2 < 1
+    (0.3, 0.3, 1.5, 1.5, False, False),    # homogeneous, mu sigma^2 >= 1
+    (0.3, 0.3, 0.5, 0.6, False, False),    # heterogeneous
+])
+def test_cli_two_node_point_applicability_lines(capsys, a, b, p1, p2,
+                                                stabilized, region):
+    assert main(["two-node", "point", "--a", str(a), "--b", str(b),
+                 "--mu-sigma1", str(p1), "--mu-sigma2", str(p2)]) == 0
+    out = capsys.readouterr().out
+    assert ("diffusion stable for a < " in out) is stabilized
+    assert ("homogeneous MSD region: " in out) is region
+    if stabilized:
+        assert "diffusion stable for a < 0.8000000000 along b = 1 - a" in out
+    if region:
+        assert "homogeneous MSD region: I\n" in out
 
 
 def _assert_config_refusal(argv, capsys):

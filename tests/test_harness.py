@@ -269,7 +269,6 @@ def test_unstable_consensus_divergence_is_reported():
     assert np.isinf(cons.standard_error)
     assert np.isinf(cons.msd[-1])
     assert cons.iterations_to_settle() is None
-    assert cons.steady_slope_db_per_100 is None
 
     atc = curves[StrategyKind.ATC]
     assert atc.diverged_trials == 0

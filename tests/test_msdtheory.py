@@ -7,7 +7,7 @@ from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, Stabilit
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
                       msd_eigenform, msd_series,
-                      ordering_checks, strict_gap_holds,
+                      ordering_checks, spectral_radius, strict_gap_holds,
                       strict_ordering_step_threshold)
 from adaptnet.msdtheory import _component_matrix, _doubling_sum
 
@@ -168,8 +168,10 @@ def test_identity_matrix_components_equal():
 
 
 def test_component_series_matches_eigen_route():
-    # in the shared eigenbasis, series block m's (k, k) entry is MSD_k(m)
+    # in the shared eigenbasis, series block m's (k, k) entry is MSD_k(m);
+    # consensus can be unstable at these steps, and those draws are skipped
     rng = np.random.default_rng(4)
+    stable_consensus = 0
     for draw_a in (random_symmetric_stochastic, random_left_stochastic):
         for rotated in (False, True):
             for _ in range(5):
@@ -183,14 +185,17 @@ def test_component_series_matches_eigen_route():
                 profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=v)
                             for v in noise]
                 st = eigenstructure(a, cov)
-                for kind in (StrategyKind.ATC, StrategyKind.CTA,
-                             StrategyKind.NON_COOPERATIVE):
+                for kind in ALL:
                     rec = build_error_recursion(kind, a, profiles)
                     assert rec.blocks == m
+                    if spectral_radius(rec.transition) >= 1.0:
+                        continue
+                    stable_consensus += kind is StrategyKind.CONSENSUS
                     x, _ = _doubling_sum(rec.transition, rec.noise_gram)
                     series = x.diagonal(axis1=1, axis2=2).T
                     npt.assert_allclose(_component_matrix(st, mu, noise, kind), series,
                                         rtol=1e-12)
+    assert stable_consensus > 0
 
 
 def test_components_sum_to_per_node_msd():
@@ -219,6 +224,17 @@ def test_unstable_modes_reported_or_raised():
     assert rep.diverged
     with pytest.raises(StabilityError):
         _component_matrix(st, 2.5, np.array([0.1, 0.1]), StrategyKind.ATC)
+
+
+def test_unstable_consensus_modes_raised():
+    # diffusion modes lambda_l(A)(1 - mu) stay inside the unit circle, but
+    # the consensus mode lambda_2(A) - mu = -0.7 - 0.6 leaves it
+    st = eigenstructure(_two_node_matrix(0.85, 0.85), np.array([[1.0]]))
+    noise = np.array([0.1, 0.1])
+    _component_matrix(st, 0.6, noise, StrategyKind.CTA)
+    with pytest.raises(StabilityError, match="radius 1.3"):
+        _component_matrix(st, 0.6, noise, StrategyKind.CONSENSUS)
+    assert msd_eigenform(st, 0.6, noise, StrategyKind.CONSENSUS).diverged
 
 
 def test_msd_orderings_random_symmetric():

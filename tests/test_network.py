@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (CombinationMatrix, ConfigError, NumericalError,
+from adaptnet import (CombinationMatrix, ConfigError,
                       build_combination_matrix, complete_topology, is_primitive,
                       line_topology, load_combination_csv, load_topology,
                       perron_pair, random_connected_topology)
@@ -132,6 +132,17 @@ def test_combination_matrix_validation():
         CombinationMatrix(off, line)
 
 
+@pytest.mark.parametrize("weights", [
+    [[np.nan, 0.5], [0.5, 0.5]],
+    [[0.5, 0.5], [0.5, np.nan]],
+    [[0.5, np.nan], [0.5, 0.5]],
+], ids=["diagonal", "last-diagonal", "off-diagonal"])
+def test_combination_matrix_rejects_non_finite_weights(weights):
+    # a NaN column sum passes |sum - 1| > tol, so finiteness is checked first
+    with pytest.raises(ConfigError, match="non-finite weight"):
+        CombinationMatrix(np.array(weights), complete_topology(2))
+
+
 def test_is_primitive_identity_false():
     assert not is_primitive(np.eye(4))
 
@@ -184,11 +195,15 @@ def test_perron_power_convergence_monotone():
     assert errs[-1] < 1e-6
 
 
-def test_perron_nonconvergence_raises():
-    # primitive but with second eigenvalue 1 - 3e-5: far too slow for 50 steps
+def test_perron_pair_with_second_eigenvalue_near_one():
+    # primitive, second eigenvalue 1 - 3e-5; rounding the entries alone moves
+    # the exact pair of the stored matrix by about 9e-13
     slow = np.array([[1.0 - 1e-5, 2e-5], [1e-5, 1.0 - 2e-5]])
-    with pytest.raises(NumericalError):
-        perron_pair(slow, max_iters=50)
+    pair = perron_pair(slow)
+    npt.assert_allclose(pair.s1, np.array([2.0, 1.0]) * np.sqrt(2.0) / 3.0,
+                        rtol=0, atol=1e-12)
+    npt.assert_allclose(pair.r1, np.array([1.0, 1.0]) / np.sqrt(2.0),
+                        rtol=0, atol=1e-12)
 
 
 def test_combination_csv_round_trip(tmp_path):
