@@ -11,7 +11,9 @@ stability refusal, 4 other library errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -32,6 +34,26 @@ def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8"), True
+
+
+@contextmanager
+def _claimed(path):
+    """Claim a CSV target before the work that fills it.  Opening it for
+    append fails at once on a missing directory or a read-only target and
+    truncates nothing; if the block then fails, a file the claim created is
+    removed and one that was there already is left as it was."""
+    if path is None or path == "-":
+        yield
+        return
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            with suppress(FileNotFoundError):
+                os.unlink(path)
+        raise
 
 
 def _write_csv(path, header, rows, seed=None) -> None:
@@ -89,14 +111,15 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = load_experiment(args.config)
-    curves = run_experiment(cfg)
-    rows = []
-    for kind in cfg.strategies:
-        curve = curves[kind]
-        db = curve.normalized_db() if args.normalize else curve.msd_db
-        for i, value in enumerate(db):
-            rows.append((i, kind.value, f"{value:.12g}" if np.isfinite(value) else "inf"))
-    _write_csv(args.out, ("iteration", "strategy", "msd_db"), rows, seed=cfg.seed)
+    with _claimed(args.out):
+        curves = run_experiment(cfg)
+        rows = []
+        for kind in cfg.strategies:
+            curve = curves[kind]
+            db = curve.normalized_db() if args.normalize else curve.msd_db
+            for i, value in enumerate(db):
+                rows.append((i, kind.value, f"{value:.12g}" if np.isfinite(value) else "inf"))
+        _write_csv(args.out, ("iteration", "strategy", "msd_db"), rows, seed=cfg.seed)
     for kind in cfg.strategies:
         curve = curves[kind]
         if curve.diverged_trials:
@@ -108,6 +131,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_experiment(args.config)
+    with _claimed(args.csv):
+        return _compare(args, cfg)
+
+
+def _compare(args, cfg) -> int:
     result = steady_state_vs_theory(cfg)
     if len(result.refused) == len(cfg.strategies):
         detail = ", ".join(f"{k.value} (rho = {rho:.6f})"

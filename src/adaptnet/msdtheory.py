@@ -281,21 +281,20 @@ def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
     return _mode_terms(structure, modes, mu, var, strategy)
 
 
-def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
-                  strategy: StrategyKind) -> MsdReport:
-    """Closed eigen-route MSD report for one strategy: the row sums of
-    ``_component_matrix``, or a diverged report where it refuses."""
+def _eigenform_report(structure: EigenStructure, mu: float, noise_variances,
+                      strategy: StrategyKind, comp: np.ndarray | None) -> MsdReport:
+    """The eigen-route MSD report built on the strategy's component matrix
+    ``comp``, or a diverged report where it is None (refused)."""
     var = np.asarray(noise_variances, dtype=float)
     n = structure.n_nodes
     modes = mode_eigenvalues(structure, mu, strategy)
     radius = float(np.max(np.abs(modes)))
     defect = structure.orthonormality_defect
-    try:
-        per_node = _component_matrix(structure, mu, var, strategy).sum(axis=1)
-    except StabilityError:
+    if comp is None:
         return MsdReport(strategy=strategy, method="eigenform",
                          per_node=np.full(n, np.inf), network=np.inf,
                          spectral_radius=radius, orthonormality_defect=defect)
+    per_node = comp.sum(axis=1)
     # every collapsed value is taken in the A eigenbasis, so the strategies
     # compare like for like
     diag_noise = np.diag(_mode_noise(structure, var, strategy)).real
@@ -306,6 +305,17 @@ def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
     return MsdReport(strategy=strategy, method="eigenform", per_node=per_node,
                      network=network, spectral_radius=radius,
                      network_orthonormal=ortho, orthonormality_defect=defect)
+
+
+def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
+                  strategy: StrategyKind) -> MsdReport:
+    """Closed eigen-route MSD report for one strategy: the row sums of
+    ``_component_matrix``, or a diverged report where it refuses."""
+    try:
+        comp = _component_matrix(structure, mu, noise_variances, strategy)
+    except StabilityError:
+        comp = None
+    return _eigenform_report(structure, mu, noise_variances, strategy, comp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,7 +344,12 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingR
     stable instance; violations are reported, never raised."""
     structure = eigenstructure(matrix, covariance)
     var = np.asarray(noise_variances, dtype=float)
-    reports = {kind: msd_eigenform(structure, mu, var, kind) for kind in StrategyKind}
+    # the per-mode identities need ATC, CTA and the non-cooperative strategy
+    # stable, so their refusal is raised; consensus may diverge
+    comp = {kind: _component_matrix(structure, mu, var, kind)
+            for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
+    reports = {kind: _eigenform_report(structure, mu, var, kind, comp[kind]) if kind in comp
+               else msd_eigenform(structure, mu, var, kind) for kind in StrategyKind}
     network = {kind: rep.network for kind, rep in reports.items()}
     per_node = {kind: rep.per_node for kind, rep in reports.items()}
     atc, cta = network[StrategyKind.ATC], network[StrategyKind.CTA]
@@ -342,27 +357,21 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingR
     mu_lmin = mu * float(structure.cov_eigenvalues[0])
     worst = bool(ncop <= cons + ORDERING_SLACK) if 1.0 <= mu_lmin < 2.0 else None
 
-    comp = {kind: _component_matrix(structure, mu, var, kind)
-            for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
     gap_nc = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.CTA]
     gap_na = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.ATC]
     gap_ca = comp[StrategyKind.CTA] - comp[StrategyKind.ATC]
     shrink = 1.0 - mu * structure.cov_eigenvalues
     target1 = 1.0 / shrink ** 2
     target2 = 1.0 / (1.0 - shrink ** 2)
+    # (node, mode) entries with a gap below the floor are skipped; a NaN
+    # gap is not below it, and its NaN ratio error is ignored
     floor = 1e-14 * np.abs(comp[StrategyKind.NON_COOPERATIVE]).max()
-    ratio_err = 0.0
-    skipped = 0
-    for k in range(gap_nc.shape[0]):
-        for m in range(gap_nc.shape[1]):
-            if abs(gap_nc[k, m]) < floor or abs(gap_ca[k, m]) < floor:
-                skipped += 1
-                continue
-            r1 = gap_na[k, m] / gap_nc[k, m]
-            r2 = gap_na[k, m] / gap_ca[k, m]
-            ratio_err = max(ratio_err,
-                            abs(r1 - target1[m]) / abs(target1[m]),
-                            abs(r2 - target2[m]) / abs(target2[m]))
+    skip = (np.abs(gap_nc) < floor) | (np.abs(gap_ca) < floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        errs = np.stack([np.abs(gap_na / gap_nc - target1) / np.abs(target1),
+                         np.abs(gap_na / gap_ca - target2) / np.abs(target2)])[:, ~skip]
+    ratio_err = float(np.max(errs, where=~np.isnan(errs), initial=0.0))
+    skipped = int(np.count_nonzero(skip))
 
     cta_modes = mode_eigenvalues(structure, mu, StrategyKind.CTA)
     cons_modes = mode_eigenvalues(structure, mu, StrategyKind.CONSENSUS)

@@ -26,6 +26,11 @@ from .network import is_primitive
 REGION_BOUNDARY_TOL = 1e-9
 
 
+def _check_noise_ratio(t: float) -> None:
+    if not 0 < t < np.inf:
+        raise ConfigError(f"noise ratio must be positive and finite, got {t}")
+
+
 @dataclass(frozen=True)
 class TwoNodeConfig:
     """a, b: combination weights; mu_sigma_k: step-size times regressor power;
@@ -43,8 +48,7 @@ class TwoNodeConfig:
         if not (0 < self.mu_sigma1 < np.inf and 0 < self.mu_sigma2 < np.inf):
             raise ConfigError("mu*sigma^2 products must be positive and finite, got "
                               f"{self.mu_sigma1}, {self.mu_sigma2}")
-        if not 0 < self.t < np.inf:
-            raise ConfigError(f"noise ratio must be positive and finite, got {self.t}")
+        _check_noise_ratio(self.t)
 
     def combination(self) -> np.ndarray:
         """The left-stochastic A (columns sum to one)."""
@@ -108,6 +112,19 @@ def region_thresholds(mu_sigma: float) -> tuple[float, float, float]:
             2.0 - mu_sigma)
 
 
+def _region_labels(s, thresholds) -> np.ndarray:
+    """The region rule on an array of sums s = a + b: "unstable" from the
+    stability limit on, "boundary" within ``REGION_BOUNDARY_TOL`` of either
+    threshold, then "I", "II" or "III" (see ``msd_region_classify``)."""
+    t1, t2, stability = thresholds
+    return np.select([s >= stability,
+                      (np.abs(s - t1) <= REGION_BOUNDARY_TOL)
+                      | (np.abs(s - t2) <= REGION_BOUNDARY_TOL),
+                      s < t1,
+                      s < t2],
+                     ["unstable", "boundary", "I", "II"], default="III")
+
+
 def msd_region_classify(a: float, b: float, mu_sigma: float) -> str:
     """Classify (a, b) into the homogeneous MSD-ordering regions.
 
@@ -117,20 +134,16 @@ def msd_region_classify(a: float, b: float, mu_sigma: float) -> str:
     Region III (above the second threshold): consensus is worse than the
                non-cooperative baseline.
     Points within ``REGION_BOUNDARY_TOL`` of a threshold are labeled "boundary"
-    (the defining inequalities are non-strict on both sides there).
+    (the defining inequalities are non-strict on both sides there).  A point
+    at or past the consensus stability limit raises ``StabilityError``.
     """
-    t1, t2, stability = region_thresholds(mu_sigma)
+    thresholds = region_thresholds(mu_sigma)
     s = a + b
-    if s >= stability:
+    label = str(_region_labels(np.asarray(s), thresholds))
+    if label == "unstable":
         raise StabilityError(
-            f"consensus is unstable for a + b = {s:.6g} >= {stability:.6g}")
-    if abs(s - t1) <= REGION_BOUNDARY_TOL or abs(s - t2) <= REGION_BOUNDARY_TOL:
-        return "boundary"
-    if s < t1:
-        return "I"
-    if s < t2:
-        return "II"
-    return "III"
+            f"consensus is unstable for a + b = {s:.6g} >= {thresholds[2]:.6g}")
+    return label
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,57 +167,79 @@ class TwoNodeConditionReport:
     primitive: bool
 
 
-def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionReport:
-    if not 0 < t < np.inf:
-        raise ConfigError(f"noise ratio must be positive and finite, got {t}")
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ConfigError(f"a, b must lie in [0, 1], got a={a}, b={b}")
-    at = np.array([[1.0 - a, a], [b, 1.0 - b]])
+def _transposed_weights(a, b) -> np.ndarray:
+    """A^T = [[1-a, a], [b, 1-b]] at every point of the broadcast a, b:
+    shape (..., 2, 2)."""
+    a, b = np.broadcast_arrays(a, b)
+    return np.stack([np.stack([1.0 - a, a], axis=-1),
+                     np.stack([b, 1.0 - b], axis=-1)], axis=-2)
+
+
+def _noise_conditions(a, b, t: float):
+    """The noise-shrinkage and strict conditions at every point of the
+    broadcast arrays a, b, for one noise ratio t the caller has checked.
+
+    Returns (shrink, det, min_eig, psd, lhs1, lhs2, strict): the (..., 2, 2)
+    stack of Sigma_v - A^T Sigma_v A, its determinants and smallest
+    eigenvalues, the PSD verdicts, the two strict left-hand sides and the
+    strict verdicts, each of the broadcast shape."""
+    at = _transposed_weights(a, b)
     sigma = np.diag([t, 1.0])
-    shrink = sigma - at @ sigma @ at.T
-    det = float(np.linalg.det(shrink))
-    min_eig = float(np.linalg.eigvalsh(shrink)[0])
+    shrink = sigma - at @ sigma @ at.swapaxes(-1, -2)
+    det = np.linalg.det(shrink)
+    min_eig = np.linalg.eigvalsh(shrink)[..., 0]
     lhs1 = (t - 1.0) * a + 2.0 * b * t
     lhs2 = 2.0 * a + (1.0 - t) * b
+    return (shrink, det, min_eig, min_eig >= -PSD_TOL,
+            lhs1, lhs2, (lhs1 > 0) & (lhs2 > 0))
+
+
+def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionReport:
+    _check_noise_ratio(t)
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ConfigError(f"a, b must lie in [0, 1], got a={a}, b={b}")
+    shrink, det, min_eig, psd, lhs1, lhs2, strict = _noise_conditions(a, b, t)
     return TwoNodeConditionReport(
         shrink_matrix=shrink,
-        determinant=det,
-        min_eigenvalue=min_eig,
-        noise_shrink_psd=min_eig >= -PSD_TOL,
+        determinant=float(det),
+        min_eigenvalue=float(min_eig),
+        noise_shrink_psd=bool(psd),
         proportional_weights=abs(a - t * b) <= PSD_TOL,
         b_within_range=b <= min(1.0, 1.0 / t) + PSD_TOL,
-        strict_lhs=(lhs1, lhs2),
-        strict_condition=lhs1 > 0 and lhs2 > 0,
-        primitive=is_primitive(at.T),
+        strict_lhs=(float(lhs1), float(lhs2)),
+        strict_condition=bool(strict),
+        primitive=is_primitive(_transposed_weights(a, b).T),
     )
 
 
-def _unit_grid(points: int) -> np.ndarray:
+def _check_points(points: int) -> None:
     if points < 1:
         raise ConfigError(f"grid needs a positive point count, got {points}")
-    return np.linspace(0.0, 1.0, points)
+
+
+def _unit_square(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) over an evenly spaced grid of the unit square, indexed [i, j]
+    so that a raveled array runs a-major, the grids' row order."""
+    vals = np.linspace(0.0, 1.0, points)
+    return np.meshgrid(vals, vals, indexing="ij")
 
 
 def region_grid(mu_sigma: float, points: int = 200):
-    """(a, b, label) rows over the unit square; unstable points labeled so."""
-    vals = _unit_grid(points)
-    rows = []
-    for a in vals:
-        for b in vals:
-            try:
-                label = msd_region_classify(float(a), float(b), mu_sigma)
-            except StabilityError:
-                label = "unstable"
-            rows.append((float(a), float(b), label))
-    return rows
+    """(a, b, label) rows over the unit square; unstable points labeled so.
+    The square is labeled in one array pass of the region rule."""
+    _check_points(points)
+    thresholds = region_thresholds(mu_sigma)
+    a, b = _unit_square(points)
+    labels = _region_labels(a + b, thresholds)
+    return list(zip(a.ravel().tolist(), b.ravel().tolist(), labels.ravel().tolist()))
 
 
 def condition_grid(t: float, points: int = 200):
-    """(a, b, PSD shrinkage, strict condition) rows over the unit square."""
-    vals = _unit_grid(points)
-    rows = []
-    for a in vals:
-        for b in vals:
-            rep = individual_msd_conditions(float(a), float(b), t)
-            rows.append((float(a), float(b), rep.noise_shrink_psd, rep.strict_condition))
-    return rows
+    """(a, b, PSD shrinkage, strict condition) rows over the unit square,
+    evaluated in one array pass."""
+    _check_points(points)
+    _check_noise_ratio(t)
+    a, b = _unit_square(points)
+    _, _, _, psd, _, _, strict = _noise_conditions(a, b, t)
+    return list(zip(a.ravel().tolist(), b.ravel().tolist(),
+                    psd.ravel().tolist(), strict.ravel().tolist()))

@@ -2,7 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, StrategyKind, build_experiment,
+import adaptnet.cli as cli
+from adaptnet import (ConfigError, NumericalError, StrategyKind, build_experiment,
                       complete_topology, line_topology, parse_pairs,
                       load_experiment)
 from adaptnet.cli import main
@@ -359,14 +360,42 @@ def test_cli_rejects_non_finite_combination_weight(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _replace_experiment(monkeypatch, run):
+    monkeypatch.setattr(cli, "run_experiment", run)
+    monkeypatch.setattr(cli, "steady_state_vs_theory", run)
+
+
 @pytest.mark.parametrize("flag", ["simulate --out", "compare --csv"])
-def test_cli_unwritable_output_path(stable_cfg, tmp_path, capsys, flag):
+def test_cli_unwritable_output_path(stable_cfg, tmp_path, capsys, monkeypatch, flag):
+    # the target is checked before the Monte Carlo run is paid for
+    def not_run(cfg):
+        raise AssertionError("experiment ran before the output path was checked")
+
+    _replace_experiment(monkeypatch, not_run)
     command, option = flag.split()
     target = tmp_path / "missing" / "out.csv"
     assert main([command, stable_cfg, option, str(target)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("FileNotFoundError: ") and str(target) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["simulate --out", "compare --csv"])
+def test_cli_failed_run_leaves_output_path_as_it_was(stable_cfg, tmp_path, capsys,
+                                                     monkeypatch, flag):
+    def failed(cfg):
+        raise NumericalError("run failed")
+
+    _replace_experiment(monkeypatch, failed)
+    command, option = flag.split()
+    fresh = tmp_path / "fresh.csv"
+    assert main([command, stable_cfg, option, str(fresh)]) == 4
+    assert not fresh.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier output\n")
+    assert main([command, stable_cfg, option, str(kept)]) == 4
+    assert kept.read_text() == "earlier output\n"
+    assert "NumericalError: run failed" in capsys.readouterr().err
 
 
 def test_noiseless_nodes_from_minus_inf_db():

@@ -306,6 +306,61 @@ def test_ratio_identities_hold():
         assert rep.shift_identity_error < 1e-12
 
 
+def _reference_ratio_checks(matrix, covariance, mu, noise):
+    """ordering_checks' (ratio_max_error, ratio_skipped) as a scalar loop
+    over (node, mode): the same skip floor, a NaN ratio error ignored."""
+    st = eigenstructure(matrix, covariance)
+    comp = {kind: _component_matrix(st, mu, noise, kind)
+            for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
+    gap_nc = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.CTA]
+    gap_na = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.ATC]
+    gap_ca = comp[StrategyKind.CTA] - comp[StrategyKind.ATC]
+    shrink = 1.0 - mu * st.cov_eigenvalues
+    target1, target2 = 1.0 / shrink ** 2, 1.0 / (1.0 - shrink ** 2)
+    floor = 1e-14 * np.abs(comp[StrategyKind.NON_COOPERATIVE]).max()
+    ratio_err, skipped = 0.0, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(gap_nc.shape[0]):
+            for m in range(gap_nc.shape[1]):
+                if abs(gap_nc[k, m]) < floor or abs(gap_ca[k, m]) < floor:
+                    skipped += 1
+                    continue
+                r1 = gap_na[k, m] / gap_nc[k, m]
+                r2 = gap_na[k, m] / gap_ca[k, m]
+                # max() keeps its running value against a NaN
+                ratio_err = max(ratio_err,
+                                abs(r1 - target1[m]) / abs(target1[m]),
+                                abs(r2 - target2[m]) / abs(target2[m]))
+    return ratio_err, skipped
+
+
+def test_ordering_ratio_checks_match_scalar_loop():
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(6):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        a = (random_symmetric_stochastic(n, rng) if rng.random() < 0.5
+             else random_left_stochastic(n, rng))
+        profiles = stable_profiles(n, m, rng, homogeneous=True, mu_hi=0.9)
+        cases.append((a, profiles[0].covariance, profiles[0].step_size,
+                      np.array([p.noise_variance for p in profiles])))
+    # node 0 on its own: its gaps vanish and are skipped, the others are not
+    isolated = np.zeros((3, 3))
+    isolated[0, 0] = 1.0
+    isolated[1:, 1:] = _two_node_matrix(0.3, 0.4)
+    cases.append((isolated, np.diag([1.0, 2.0]), 0.3, np.array([0.1, 0.2, 0.3])))
+    # zero noise: every gap is 0, none is below the zero floor, every ratio is NaN
+    cases.append((_two_node_matrix(0.3, 0.4), np.array([[1.0]]), 0.5, np.zeros(2)))
+    skipped = []
+    for a, cov, mu, noise in cases:
+        rep = ordering_checks(a, cov, mu, noise)
+        expected = _reference_ratio_checks(a, cov, mu, noise)
+        assert (rep.ratio_max_error, rep.ratio_skipped) == expected
+        skipped.append(expected[1])
+    assert skipped[-2] == 2 and skipped[-1] == 0
+    assert any(s == 0 for s in skipped[:-2])
+
+
 def test_psd_noise_shrinkage_implies_per_node_ordering():
     # a = t b keeps Sigma_v - A^T Sigma_v A PSD; ordering then holds per node
     t, b_w = 2.0, 0.3

@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import adaptnet.twonode as twonode
 from adaptnet import (CombinationMatrix, ConfigError, NodeProfile, StabilityError,
                       StrategyKind, TwoNodeConfig, build_error_recursion, canonical,
                       complete_topology, condition_grid,
@@ -10,6 +13,7 @@ from adaptnet import (CombinationMatrix, ConfigError, NodeProfile, StabilityErro
                       individual_msd_conditions, is_primitive,
                       msd_eigenform, msd_region_classify, region_grid,
                       region_thresholds, spectral_radius)
+from adaptnet.twonode import REGION_BOUNDARY_TOL
 
 
 def _cons_matrix(cfg):
@@ -42,11 +46,23 @@ def test_conditions_reject_infinite_noise_ratio():
 
 
 @pytest.mark.parametrize("points", [0, -3])
-def test_grids_reject_nonpositive_point_counts(points):
-    with pytest.raises(ConfigError, match="point count"):
-        region_grid(0.4, points=points)
-    with pytest.raises(ConfigError, match="point count"):
-        condition_grid(2.0, points=points)
+def test_grids_reject_nonpositive_point_counts(points, monkeypatch):
+    # a bad point count is reported before a bad mu*sigma^2 or noise ratio,
+    # and every refusal comes before the grid's arrays are built
+    def unbuilt(points):
+        raise AssertionError("grid arrays built before validation")
+
+    monkeypatch.setattr(twonode, "_unit_square", unbuilt)
+    for mu_sigma in (0.4, 1.5):
+        with pytest.raises(ConfigError, match="point count"):
+            region_grid(mu_sigma, points=points)
+    for t in (2.0, np.inf):
+        with pytest.raises(ConfigError, match="point count"):
+            condition_grid(t, points=points)
+    with pytest.raises(ConfigError, match="mu\\*sigma"):
+        region_grid(1.5, points=3)
+    with pytest.raises(ConfigError, match="noise ratio"):
+        condition_grid(np.inf, points=3)
 
 
 def test_canonical_swaps_labels():
@@ -320,3 +336,44 @@ def test_is_primitive_grid_consistency():
                                (1.0, 1.0, False)]:
         at = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
         assert is_primitive(at.T) == expected
+
+
+GRID = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+@GRID
+@given(t=st.one_of(st.floats(0.05, 20.0),
+                   # a grid-index ratio puts grid points on the a = t b line
+                   st.builds(lambda i, j: i / j, st.integers(1, 14), st.integers(1, 14))),
+       points=st.integers(1, 15))
+@example(t=1.0, points=21)
+@example(t=2.0, points=21)
+@example(t=0.5, points=21)
+def test_condition_grid_rows_match_point_reports(t, points):
+    rows = condition_grid(t, points=points)
+    vals = np.linspace(0.0, 1.0, points)
+    assert [(a_w, b_w) for a_w, b_w, _, _ in rows] == [(float(x), float(y))
+                                                       for x in vals for y in vals]
+    for row in rows:
+        rep = individual_msd_conditions(row[0], row[1], t)
+        assert row == (row[0], row[1], rep.noise_shrink_psd, rep.strict_condition)
+
+
+@GRID
+@given(points=st.integers(2, 15), k=st.integers(0, 28), which=st.integers(0, 2),
+       offset=st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]))
+@example(points=21, k=15, which=0, offset=0.0)
+def test_region_grid_labels_match_point_classification(points, k, which, offset):
+    # place threshold `which` at a grid sum k / (points - 1), shifted by a
+    # multiple of the boundary tolerance, so grid points fall on, just
+    # inside and just outside its boundary band
+    s = k / (points - 1) + offset * REGION_BOUNDARY_TOL
+    assume(s < 2.0)
+    mu_sigma = ((2.0 - 2.0 * s) / (2.0 - s), 1.0 - s / 2.0, 2.0 - s)[which]
+    assume(0.0 < mu_sigma < 1.0)
+    for a_w, b_w, label in region_grid(mu_sigma, points=points):
+        try:
+            expected = msd_region_classify(a_w, b_w, mu_sigma)
+        except StabilityError:
+            expected = "unstable"
+        assert label == expected, (a_w, b_w)
