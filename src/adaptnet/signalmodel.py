@@ -125,8 +125,12 @@ class SnapshotSource:
         for j, trial in enumerate(trials):
             counter = np.array([0, 0, b, trial], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
-            z[j] = rng.standard_normal((BLOCK, n, m + 1))
-        u = np.einsum("kij,...kj->...ki", self._sqrts, z[..., :m])
+            rng.standard_normal(out=z[j])
+        # one (BLOCK, M) @ (M, M) BLAS product per (node, trial), so a trial's
+        # bits do not depend on its batch; each slab of the (N, T, BLOCK, M)
+        # view has unit column stride, so z is not copied
+        u = np.moveaxis(z[..., :m].transpose(2, 0, 1, 3)
+                        @ self._sqrts.swapaxes(-1, -2)[:, None], 0, 2)
         v = self._noise_std * z[..., m]
         return u, v, np.einsum("...km,m->...k", u, self.truth.vector) + v
 

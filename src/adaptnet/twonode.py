@@ -160,8 +160,6 @@ class TwoNodeConditionReport:
     determinant: float
     min_eigenvalue: float
     noise_shrink_psd: bool
-    proportional_weights: bool
-    b_within_range: bool
     strict_lhs: tuple
     strict_condition: bool
     primitive: bool
@@ -204,8 +202,6 @@ def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionR
         determinant=float(det),
         min_eigenvalue=float(min_eig),
         noise_shrink_psd=bool(psd),
-        proportional_weights=abs(a - t * b) <= PSD_TOL,
-        b_within_range=b <= min(1.0, 1.0 / t) + PSD_TOL,
         strict_lhs=(float(lhs1), float(lhs2)),
         strict_condition=bool(strict),
         primitive=is_primitive(_transposed_weights(a, b).T),

@@ -110,6 +110,37 @@ def test_sample_covariance_matches_model():
     assert abs(sample[0, 1]) < 0.05 * 4.0
 
 
+def test_sample_covariance_matches_each_nodes_own_model():
+    # distinct non-diagonal R_k per node: a node or axis mix-up in the
+    # stacked colouring product shows as a covariance of the wrong node
+    rng = np.random.default_rng(4)
+    covs = [random_spd(3, rng) for _ in range(4)]
+    profiles = [NodeProfile(covariance=c, step_size=0.1, noise_variance=0.1) for c in covs]
+    source = SnapshotSource(profiles, GroundTruth(np.zeros(3)), master_seed=2)
+    draws = 100000
+    u = _regressors(source, draws)
+    for k, cov in enumerate(covs):
+        sample = u[:, k].T @ u[:, k] / draws
+        npt.assert_allclose(sample, cov, rtol=0.05, atol=0.05 * np.abs(cov).max())
+
+
+def test_diagonal_colouring_is_an_exact_scaling():
+    # diagonal covariances colour by sqrt(diag R_k) bit for bit, on z redrawn
+    # here from the documented stream: key SeedSequence(seed) state, counter
+    # [0, 0, block, trial], BLOCK x N x (M + 1) standard normals
+    _, profiles, truth = benchmark_profile(n_nodes=5, dim=4, seed=1)
+    seed, n, m = 8, len(profiles), truth.dim
+    source = SnapshotSource(profiles, truth, master_seed=seed)
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    scale = np.sqrt([np.diag(p.covariance) for p in profiles])
+    u = source.block([5, 0], 3)[0]
+    for j, trial in enumerate((5, 0)):
+        counter = np.array([0, 0, 3, trial], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        z = rng.standard_normal((BLOCK, n, m + 1))
+        npt.assert_array_equal(u[j], z[..., :m] * scale)
+
+
 def test_cross_node_correlation_small():
     profiles = _profiles(n=2, m=1)
     source = SnapshotSource(profiles, GroundTruth(np.zeros(1)), master_seed=5)
@@ -133,15 +164,31 @@ def test_covariance_estimate_rate():
     assert e_big < 10 * e_small / np.sqrt(100)
 
 
-def test_snapshot_is_a_slice_of_its_block():
+def _assert_batch_rows_regenerate(source):
     # a trial drawn alone equals its row in any batch: trials regenerate in
     # isolation, so outputs cannot depend on how trials are grouped
-    source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
+    n, m = len(source.profiles), source.truth.dim
     u, v, d = source.block([4, 1, 7], 2)
-    assert u.shape == (3, BLOCK, 3, 2) and v.shape == d.shape == (3, BLOCK, 3)
+    assert u.shape == (3, BLOCK, n, m) and v.shape == d.shape == (3, BLOCK, n)
     for j, trial in enumerate((4, 1, 7)):
         for batched, alone in zip((u, v, d), source.block([trial], 2)):
             npt.assert_array_equal(alone[0], batched[j])
+
+
+def test_snapshot_is_a_slice_of_its_block():
+    _assert_batch_rows_regenerate(
+        SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3))
+
+
+def test_batch_invariance_with_per_node_full_covariances():
+    # the colouring runs one BLAS product per (node, trial); with each node's
+    # own non-diagonal R_k it is no longer exact, and must still not depend
+    # on the batch
+    rng = np.random.default_rng(6)
+    profiles = [NodeProfile(covariance=random_spd(4, rng), step_size=0.05, noise_variance=0.1)
+                for _ in range(5)]
+    _assert_batch_rows_regenerate(
+        SnapshotSource(profiles, GroundTruth(rng.standard_normal(4)), 3))
 
 
 def test_benchmark_profile_shape_and_ranges():

@@ -261,6 +261,23 @@ def test_psd_iff_proportional_weights():
     assert rep2.determinant == pytest.approx(-0.25)
 
 
+def test_psd_exactly_on_the_proportional_line():
+    # the closed form: the shrink matrix is PSD exactly when a = t b with
+    # b <= min(1, 1/t), and its determinant -(a - t b)^2 keeps it indefinite
+    # off that line
+    rng = np.random.default_rng(11)
+    for t in np.concatenate([[0.25, 0.5, 1.0, 2.0, 4.0], rng.uniform(0.1, 10.0, 20)]):
+        t = float(t)
+        for b_w in np.linspace(0.0, min(1.0, 1.0 / t), 21):
+            a_w = min(t * float(b_w), 1.0)
+            assert individual_msd_conditions(a_w, float(b_w), t).noise_shrink_psd, (a_w, b_w, t)
+        a_off, b_off = rng.uniform(0.0, 1.0, size=(2, 200))
+        for a_w, b_w in zip(a_off, b_off):
+            if abs(a_w - t * b_w) >= 0.05:
+                assert not individual_msd_conditions(float(a_w), float(b_w), t).noise_shrink_psd, \
+                    (a_w, b_w, t)
+
+
 def test_psd_eigenvalue_formula_when_proportional():
     rng = np.random.default_rng(5)
     for _ in range(100):
