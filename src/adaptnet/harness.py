@@ -19,10 +19,10 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, NotDiagonalizableError
-from .msdtheory import _db, eigenstructure, msd_eigenform, msd_series
+from .errors import ConfigError
+from .msdtheory import _db, msd_series
 from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
-from .signalmodel import BLOCK, GroundTruth, SnapshotSource, is_homogeneous
+from .signalmodel import BLOCK, GroundTruth, SnapshotSource
 from .spectra import build_error_recursion
 from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
                          recursion_step)
@@ -210,27 +210,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 
 def theory_reports(cfg: ExperimentConfig) -> dict:
-    """Theoretical steady-state MSD per selected strategy: eigen route for
-    homogeneous diagonalizable instances, series route otherwise."""
+    """Theoretical steady-state MSD per selected strategy, each from the
+    block series sum_j B^j Y B^jT (``msd_series``) with its radius rho(B);
+    the eigen route (``msd_eigenform``) is only the closed-form check."""
     matrix = cfg.resolve_combination()
-    reports = {}
-    homogeneous = is_homogeneous(cfg.profiles)
-    noise = np.array([p.noise_variance for p in cfg.profiles])
-    structure = None
-    if homogeneous and matrix is not None:
-        try:
-            structure = eigenstructure(matrix, cfg.profiles[0].covariance)
-        except NotDiagonalizableError:
-            structure = None
-    for kind in cfg.strategies:
-        if kind is StrategyKind.NON_COOPERATIVE or matrix is None or structure is None:
-            rec = build_error_recursion(kind, matrix if matrix is not None
-                                        else np.eye(len(cfg.profiles)), cfg.profiles)
-            reports[kind] = msd_series(rec)
-        else:
-            reports[kind] = msd_eigenform(structure, cfg.profiles[0].step_size,
-                                          noise, kind)
-    return reports
+    weights = matrix if matrix is not None else np.eye(len(cfg.profiles))
+    return {kind: msd_series(build_error_recursion(kind, weights, cfg.profiles))
+            for kind in cfg.strategies}
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,6 +50,10 @@ Mode eigenvalues (homogeneous case), from the table:
 
 The eigen route's stability is this grid's radius, max |lambda_{l,m}| < 1,
 for every strategy; ``_component_matrix`` is the one place that decides it.
+
+Every report the harness prints comes from the series route; the eigen
+route is the closed-form check on it and the source of the paper's
+per-mode identities (``ordering_checks``, the strict-gap threshold).
 """
 
 from __future__ import annotations
@@ -91,7 +95,6 @@ class MsdReport:
     """Steady-state MSD values, linear scale; dB views via properties."""
 
     strategy: StrategyKind
-    method: str
     per_node: np.ndarray
     network: float
     spectral_radius: float | None = None
@@ -137,15 +140,14 @@ def msd_series(recursion: ErrorRecursion) -> MsdReport:
     n, k = recursion.n_nodes, recursion.blocks
     rho = spectral_radius(recursion.transition)
     if rho >= 1.0:
-        return MsdReport(strategy=recursion.strategy, method="series",
-                         per_node=np.full(n, np.inf), network=np.inf,
-                         spectral_radius=rho, terms=0, blocks=k)
+        return MsdReport(strategy=recursion.strategy, per_node=np.full(n, np.inf),
+                         network=np.inf, spectral_radius=rho, terms=0, blocks=k)
     x, terms = _doubling_sum(recursion.transition, recursion.noise_gram)
     # each block's rows run node by node, so (K, N, rows per node) sums to nodes
     per_node = x.diagonal(axis1=1, axis2=2).reshape(k, n, -1).sum(axis=(0, 2))
-    return MsdReport(strategy=recursion.strategy, method="series",
-                     per_node=per_node, network=float(per_node.mean()),
-                     spectral_radius=rho, terms=terms, blocks=k)
+    return MsdReport(strategy=recursion.strategy, per_node=per_node,
+                     network=float(per_node.mean()), spectral_radius=rho,
+                     terms=terms, blocks=k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +293,9 @@ def _eigenform_report(structure: EigenStructure, mu: float, noise_variances,
     radius = float(np.max(np.abs(modes)))
     defect = structure.orthonormality_defect
     if comp is None:
-        return MsdReport(strategy=strategy, method="eigenform",
-                         per_node=np.full(n, np.inf), network=np.inf,
-                         spectral_radius=radius, orthonormality_defect=defect)
+        return MsdReport(strategy=strategy, per_node=np.full(n, np.inf),
+                         network=np.inf, spectral_radius=radius,
+                         orthonormality_defect=defect)
     per_node = comp.sum(axis=1)
     # every collapsed value is taken in the A eigenbasis, so the strategies
     # compare like for like
@@ -302,9 +304,9 @@ def _eigenform_report(structure: EigenStructure, mu: float, noise_variances,
                          / (1.0 - np.abs(modes) ** 2))) / n
     exact = float(per_node.mean())
     network = ortho if defect <= ORTHONORMAL_TOL else exact
-    return MsdReport(strategy=strategy, method="eigenform", per_node=per_node,
-                     network=network, spectral_radius=radius,
-                     network_orthonormal=ortho, orthonormality_defect=defect)
+    return MsdReport(strategy=strategy, per_node=per_node, network=network,
+                     spectral_radius=radius, network_orthonormal=ortho,
+                     orthonormality_defect=defect)
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,

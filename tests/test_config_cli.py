@@ -278,6 +278,24 @@ def test_cli_compare_ordering_flag(tmp_path, capsys):
     assert "atc <= cta <= non_cooperative (network): True" in capsys.readouterr().out
 
 
+def test_cli_compare_ordering_on_a_defective_matrix(tmp_path, capsys):
+    # left-stochastic but not diagonalizable: the table comes from the block
+    # series, while the ordering verdict needs the eigen route and is skipped
+    np.savetxt(tmp_path / "defective.csv",
+               [[0.5, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 1.0]], delimiter=",")
+    path = tmp_path / "defective.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -20\nru_diag = 1\n"
+                    "a_csv = defective.csv\niterations = 80\ntrials = 3\n")
+    csv = tmp_path / "cmp.csv"
+    assert main(["compare", str(path), "--ordering", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("ordering not checked"))
+    assert "not diagonalizable" in line
+    assert "atc <= cta" not in out
+    _, rows = _read_csv(csv)
+    assert len(rows) == 4 * 4
+
+
 def test_cli_compare_prints_noiseless_node_as_minus_inf(tmp_path, capsys):
     # node 0 has no noise, so its theory MSD is exactly 0, i.e. -inf dB
     path = tmp_path / "noiseless.cfg"

@@ -6,9 +6,10 @@ import pytest
 
 import adaptnet.harness as harness
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
-                      GroundTruth, NodeProfile, SnapshotSource, StrategyKind,
-                      build_error_recursion, complete_topology, msd_series,
-                      random_connected_topology, run_experiment,
+                      GroundTruth, NodeProfile, NotDiagonalizableError,
+                      SnapshotSource, StrategyKind, build_error_recursion,
+                      complete_topology, eigenstructure, msd_eigenform,
+                      msd_series, random_connected_topology, run_experiment,
                       steady_state_vs_theory, theory_reports)
 from adaptnet.signalmodel import BLOCK
 from adaptnet.strategies import combination_stack, recursion_step
@@ -306,24 +307,48 @@ def test_settle_index_matches_curve_shape():
     assert np.max(shifted) == pytest.approx(0.0, abs=1e-12)
 
 
+def _assert_reports_are_the_block_series(cfg):
+    reports = theory_reports(cfg)
+    assert tuple(reports) == cfg.strategies
+    for kind, rep in reports.items():
+        series = msd_series(build_error_recursion(kind, cfg.resolve_combination(),
+                                                  cfg.profiles))
+        npt.assert_array_equal(rep.per_node, series.per_node)
+        assert rep.network == series.network
+        assert rep.spectral_radius == series.spectral_radius
+        assert rep.terms == series.terms and rep.blocks == series.blocks
+    return reports
+
+
 def test_theory_reports_pick_eigenform_for_homogeneous(rng):
     cfg = _metropolis_config(rng, iterations=10, trials=1)
-    reports = theory_reports(cfg)
-    assert reports[StrategyKind.NON_COOPERATIVE].method == "series"
-    for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.CONSENSUS):
-        assert reports[kind].method == "eigenform"
-    # independent series evaluation must land on the same per-node values
-    matrix = cfg.resolve_combination()
-    for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.CONSENSUS):
-        rec = build_error_recursion(kind, matrix, cfg.profiles)
-        series = msd_series(rec)
-        npt.assert_allclose(reports[kind].per_node, series.per_node, rtol=1e-6)
+    reports = _assert_reports_are_the_block_series(cfg)
+    # on a homogeneous instance the closed eigen form lands on the same values
+    structure = eigenstructure(cfg.resolve_combination(), cfg.profiles[0].covariance)
+    noise = [p.noise_variance for p in cfg.profiles]
+    for kind, rep in reports.items():
+        eigen = msd_eigenform(structure, cfg.profiles[0].step_size, noise, kind)
+        npt.assert_allclose(rep.per_node, eigen.per_node, rtol=1e-12)
+        assert rep.network == pytest.approx(eigen.network, rel=1e-12)
 
 
 def test_theory_reports_use_series_for_heterogeneous_steps():
-    cfg = _two_node(0.3, 0.3, 0.4, 0.6)
-    reports = theory_reports(cfg)
-    assert all(rep.method == "series" for rep in reports.values())
+    _assert_reports_are_the_block_series(_two_node(0.3, 0.3, 0.4, 0.6))
+
+
+def test_theory_reports_sum_the_block_series_for_every_strategy():
+    # left-stochastic but defective: the eigen route refuses this matrix
+    defective = np.array([[0.5, 0.0, 0.0],
+                          [0.5, 0.5, 0.0],
+                          [0.0, 0.5, 1.0]])
+    profiles = [NodeProfile(step_size=0.05, covariance=np.array([[1.0]]),
+                            noise_variance=1e-2) for _ in range(3)]
+    cfg = ExperimentConfig(
+        profiles=profiles, truth=unit_truth(1),
+        combination=CombinationMatrix(defective, complete_topology(3)))
+    with pytest.raises(NotDiagonalizableError):
+        eigenstructure(defective, profiles[0].covariance)
+    _assert_reports_are_the_block_series(cfg)
 
 
 def test_simulation_tracks_theory_within_a_db():
