@@ -86,9 +86,7 @@ def _fmt_db(x: float) -> str:
 
 def cmd_analyze(args) -> int:
     cfg = load_experiment(args.config)
-    matrix = cfg.resolve_combination()
-    report = analyze_network(matrix if matrix is not None else np.eye(len(cfg.profiles)),
-                             cfg.profiles)
+    report = analyze_network(cfg.resolve_combination(), cfg.profiles)
     print(f"{'strategy':<16} {'rho(B)':>12} {'stable':>8} {'margin':>12}")
     for name, rho, stable, margin in report.rows():
         print(f"{name:<16} {rho:12.6f} {str(stable):>8} {margin:12.6f}")
@@ -165,17 +163,8 @@ def _compare(args, cfg) -> int:
             print(f"\nlowest theoretical network MSD: {best[0]}")
         else:
             print(f"\nlowest theoretical network MSD: tie between {', '.join(best)}")
-    matrix = cfg.resolve_combination() if args.ordering else None
-    if matrix is not None and is_homogeneous(cfg.profiles):
-        try:
-            rep = ordering_checks(matrix, cfg.profiles[0].covariance,
-                                  cfg.profiles[0].step_size,
-                                  [p.noise_variance for p in cfg.profiles])
-        except UnsupportedInputError as exc:
-            # the eigen route's closed forms do not apply; the table above stands
-            print(f"ordering not checked: {exc}")
-        else:
-            print(f"atc <= cta <= non_cooperative (network): {rep.diffusion_first}")
+    if args.ordering:
+        print(_ordering_line(cfg))
     if args.csv:
         rows = [(r.strategy.value, "network" if r.node is None else r.node,
                  f"{r.theory_db:.12g}", f"{r.simulated_db:.12g}", f"{r.gap_db:.12g}")
@@ -183,6 +172,21 @@ def _compare(args, cfg) -> int:
         _write_csv(args.csv, ("strategy", "node", "theory_db", "simulated_db", "gap_db"),
                    rows, seed=cfg.seed)
     return 0
+
+
+def _ordering_line(cfg) -> str:
+    """The eigen route's network ordering verdict, or why it was not checked;
+    where its closed forms do not apply, the table above stands."""
+    if not is_homogeneous(cfg.profiles):
+        return ("ordering not checked: the closed forms need one step size and "
+                "one covariance shared by every node")
+    try:
+        rep = ordering_checks(cfg.resolve_combination(), cfg.profiles[0].covariance,
+                              cfg.profiles[0].step_size,
+                              [p.noise_variance for p in cfg.profiles])
+    except UnsupportedInputError as exc:
+        return f"ordering not checked: {exc}"
+    return f"atc <= cta <= non_cooperative (network): {rep.diffusion_first}"
 
 
 def cmd_two_node(args) -> int:

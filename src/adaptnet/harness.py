@@ -8,9 +8,12 @@ independent sampling noise.  The selected strategies and a chunk of
 (A1, A0, A2) of its table stacked per strategy.  Trials are reduced in
 trial order, so outputs are bit-identical for any chunk size.
 
-A strategy whose network squared error exceeds a large multiple of ||w0||^2
-(of 1 when w0 = 0) is flagged diverged for that trial; its curve carries +inf
-from the onset iteration onward and is reported, never silently dropped.
+A strategy whose network squared error exceeds ``DIVERGENCE_FACTOR`` times
+||w0||^2 (of 1 when w0 = 0) is flagged diverged for that trial; its curve
+carries +inf from the onset iteration onward and is reported, never dropped.
+``ExperimentConfig`` resolves the combination matrix A once, and theory and
+simulation read that one matrix (the identity on an isolated topology when
+only the non-cooperative strategy runs; none of its formulas reads A).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ ALL_STRATEGIES = tuple(StrategyKind)
 CHUNK = 32
 # a curve has settled once it stays this close above its steady state
 SETTLE_WITHIN_DB = 3.0
+# a trial diverged once its network squared error exceeds this times ||w0||^2
+DIVERGENCE_FACTOR = 1e12
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +52,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     steady_window: float = 0.1
-    divergence_factor: float = 1e12
     # retired: trials run in one thread, so a worker count is checked and ignored
     workers: InitVar[int] = 1
 
@@ -58,9 +62,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.steady_window <= 1.0:
             raise ConfigError(f"steady window fraction must lie in (0, 1], got {self.steady_window}")
-        if not 0.0 < self.divergence_factor < np.inf:
-            raise ConfigError("divergence factor must be positive and finite, "
-                              f"got {self.divergence_factor}")
         if workers < 1:
             raise ConfigError("workers must be at least 1")
         if not self.strategies:
@@ -70,18 +71,25 @@ class ExperimentConfig:
             raise ConfigError(f"unknown strategies {unknown!r}; give StrategyKind members")
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError(f"strategies repeat: {[k.value for k in self.strategies]}")
-
-    def resolve_combination(self) -> CombinationMatrix | None:
-        if self.combination is not None:
-            return self.combination
-        if self.rule is not None:
+        n = len(self.profiles)
+        matrix = self.combination
+        if matrix is None and self.rule is not None:
             if self.topology is None:
                 raise ConfigError("a combination rule needs a topology")
             noise = [p.noise_variance for p in self.profiles]
-            return build_combination_matrix(self.topology, self.rule, noise)
-        if any(k in COOPERATIVE for k in self.strategies):
-            raise ConfigError("cooperative strategies need a combination matrix or rule")
-        return None
+            matrix = build_combination_matrix(self.topology, self.rule, noise)
+        elif matrix is None:
+            if any(k in COOPERATIVE for k in self.strategies):
+                raise ConfigError("cooperative strategies need a combination matrix or rule")
+            matrix = CombinationMatrix(np.eye(n), NetworkTopology(n, np.eye(n, dtype=bool)))
+        if matrix.n_nodes != n:
+            raise ConfigError(f"combination matrix is {matrix.n_nodes}-node, profiles give {n}")
+        # not a field, so dataclasses.replace resolves A again from its inputs
+        object.__setattr__(self, "_matrix", matrix)
+
+    def resolve_combination(self) -> CombinationMatrix:
+        """The combination matrix A, resolved once at construction."""
+        return self._matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,18 +171,14 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all selected strategies over the trial ensemble; deterministic
     in (seed, config) for any trial chunk size."""
-    matrix = cfg.resolve_combination()
     n = len(cfg.profiles)
-    if matrix is not None and matrix.n_nodes != n:
-        raise ConfigError(f"combination matrix is {matrix.n_nodes}-node, profiles give {n}")
-    stack = combination_stack(cfg.strategies,
-                              matrix.weights if matrix is not None else None, n)
+    stack = combination_stack(cfg.strategies, cfg.resolve_combination().weights, n)
     mu = np.array([p.step_size for p in cfg.profiles])
     w0 = cfg.truth.vector
     source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
     steady_start = cfg.iterations - max(1, int(round(cfg.steady_window * cfg.iterations)))
     # a zero truth gives no scale, so the threshold falls back to unit power
-    threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
+    threshold = DIVERGENCE_FACTOR * (float(w0 @ w0) or 1.0)
 
     s = len(cfg.strategies)
     curve_sum = np.zeros((s, cfg.iterations))
@@ -214,8 +218,7 @@ def theory_reports(cfg: ExperimentConfig) -> dict:
     block series sum_j B^j Y B^jT (``msd_series``) with its radius rho(B);
     the eigen route (``msd_eigenform``) is only the closed-form check."""
     matrix = cfg.resolve_combination()
-    weights = matrix if matrix is not None else np.eye(len(cfg.profiles))
-    return {kind: msd_series(build_error_recursion(kind, weights, cfg.profiles))
+    return {kind: msd_series(build_error_recursion(kind, matrix, cfg.profiles))
             for kind in cfg.strategies}
 
 
@@ -251,7 +254,8 @@ def steady_state_vs_theory(cfg: ExperimentConfig) -> TheoryComparison:
     stable = tuple(k for k in cfg.strategies if k not in refused)
     if not stable:
         return TheoryComparison(rows=(), theory=theory, curves={}, refused=refused)
-    curves = run_experiment(replace(cfg, strategies=stable))
+    curves = run_experiment(replace(cfg, strategies=stable,
+                                    combination=cfg.resolve_combination()))
     rows = []
     for kind in stable:
         rep = theory[kind]

@@ -64,8 +64,8 @@ import numpy as np
 
 from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
-from .network import is_primitive, perron_pair
-from .spectra import ErrorRecursion, _weights, spectral_radius
+from .network import as_weights, is_primitive, perron_pair
+from .spectra import ErrorRecursion, spectral_radius
 from .strategies import StrategyKind, uses_a
 
 ORTHONORMAL_TOL = 1e-8
@@ -155,7 +155,6 @@ class EigenStructure:
     """Bi-orthogonal eigen decomposition of A^T plus the covariance modes."""
 
     matrix: np.ndarray
-    covariance: np.ndarray
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
@@ -177,7 +176,7 @@ class EigenStructure:
 def eigenstructure(matrix, covariance) -> EigenStructure:
     """Eigen decomposition of A^T with the unit eigenvalue ordered first and
     vectors normalized to ||r_l|| = 1, s_l^* r_l = 1."""
-    a = _weights(matrix)
+    a = as_weights(matrix)
     r_u = np.asarray(covariance, dtype=float)
     if np.array_equal(a, a.T):
         # symmetric case: eigh keeps repeated eigenspaces orthonormal, which
@@ -207,7 +206,7 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
     cov_vals, cov_vecs = np.linalg.eigh(r_u)
     if cov_vals.min() <= 0:
         raise ConfigError("covariance must be positive definite")
-    return EigenStructure(matrix=a, covariance=r_u, eigenvalues=eigs,
+    return EigenStructure(matrix=a, eigenvalues=eigs,
                           right_vectors=u, left_vectors=left,
                           cov_eigenvalues=cov_vals, cov_vectors=cov_vecs,
                           condition=cond)
@@ -402,8 +401,6 @@ class NoiseConditionReport:
     min_eigenvalue: float
     noise_shrink_psd: bool
     primitive: bool
-    perron_noise_mean: float | None
-    strict_margins: np.ndarray | None
     strict_condition: bool | None
 
     @property
@@ -419,22 +416,20 @@ def individual_ordering_conditions(matrix, noise_variances) -> NoiseConditionRep
     """Check (i) Sigma_v - A^T Sigma_v A >= 0 and (ii) for primitive A the
     strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node.
     Serves acceptance 7, the per-node benefit conditions."""
-    a = _weights(matrix)
+    a = as_weights(matrix)
     var = np.asarray(noise_variances, dtype=float)
     sigma = np.diag(var)
     shrink = sigma - a.T @ sigma @ a
     min_eig = float(np.linalg.eigvalsh(shrink)[0])
     psd = min_eig >= -PSD_TOL
     primitive = is_primitive(a)
-    mean = margins = strict = None
+    strict = None
     if primitive:
         pair = perron_pair(a)
         mean = float(pair.s1 @ (var * pair.s1)) / a.shape[0]
-        margins = var - mean
-        strict = bool(np.all(margins > 0))
+        strict = bool(np.all(var > mean))
     return NoiseConditionReport(shrink_matrix=shrink, min_eigenvalue=min_eig,
                                 noise_shrink_psd=psd, primitive=primitive,
-                                perron_noise_mean=mean, strict_margins=margins,
                                 strict_condition=strict)
 
 

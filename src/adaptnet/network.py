@@ -197,9 +197,11 @@ def build_combination_matrix(topology: NetworkTopology, rule: str,
     return CombinationMatrix(w, topology)
 
 
-def _support(matrix) -> np.ndarray:
-    w = matrix.weights if isinstance(matrix, CombinationMatrix) else np.asarray(matrix)
-    return w > 0
+def as_weights(matrix) -> np.ndarray:
+    """The weights of a ``CombinationMatrix``, or any array-like A as floats."""
+    if isinstance(matrix, CombinationMatrix):
+        return matrix.weights
+    return np.asarray(matrix, dtype=float)
 
 
 def is_primitive(matrix) -> bool:
@@ -209,14 +211,13 @@ def is_primitive(matrix) -> bool:
     absorbing because a left-stochastic matrix has no zero column, so checking
     the first squared power past the Wielandt bound suffices.
     """
-    s = _support(matrix)
+    s = as_weights(matrix) > 0
     n = s.shape[0]
     if np.any(~s.any(axis=0)):
         raise ConfigError("support has a zero column; matrix is not left-stochastic")
     bound = (n - 1) ** 2 + 1
     power = 1
-    cur = s.astype(np.int64)
-    cur = (cur > 0)
+    cur = s
     while power < bound and not cur.all():
         cur = (cur.astype(np.int64) @ cur.astype(np.int64)) > 0
         power *= 2
@@ -237,7 +238,7 @@ def perron_pair(matrix) -> PerronPair:
     A; its s1 weighs the noise in acceptance 7's strict per-node condition."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
-    a = matrix.weights if isinstance(matrix, CombinationMatrix) else np.asarray(matrix, dtype=float)
+    a = as_weights(matrix)
 
     def unit_vector(op):
         vals, vecs = np.linalg.eig(op)

@@ -47,17 +47,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnsupportedInputError
+from .network import as_weights
 from .signalmodel import is_homogeneous
 from .strategies import StrategyKind, uses_a
 
-EQUALITY_TOL = 1e-9
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
 # which the covariances count as sharing the eigenbasis Q
 BASIS_TOL = 1e-12
-
-
-def _weights(matrix) -> np.ndarray:
-    return np.asarray(getattr(matrix, "weights", matrix), dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +93,7 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecu
     """Assemble B and Y for one strategy from the combination matrix and the
     per-node profiles, as M blocks when the covariances share an eigenbasis
     and as one dense Kronecker block otherwise."""
-    a = _weights(matrix)
+    a = as_weights(matrix)
     n = len(profiles)
     if a.shape != (n, n):
         raise ConfigError(f"combination matrix {a.shape} does not match {n} profiles")
@@ -163,7 +159,7 @@ def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
 
     The interval is empty (bound 0) when lambda_min(A) = -1.
     """
-    a = _weights(matrix)
+    a = as_weights(matrix)
     if not np.allclose(a, a.T, atol=1e-12):
         raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
     lam_min = np.linalg.eigvalsh(a)[0]
@@ -177,7 +173,7 @@ def diffusion_equality_bound(matrix, covariance) -> float:
 
     A = I has no constraining mode; returns +inf.
     """
-    a = _weights(matrix)
+    a = as_weights(matrix)
     if np.array_equal(a, np.eye(a.shape[0])):
         return float("inf")
     eigs = np.linalg.eigvals(a)
@@ -209,7 +205,7 @@ def analyze_network(matrix, profiles) -> StabilityReport:
     for kind in StrategyKind:
         rec = build_error_recursion(kind, matrix, profiles)
         verdicts[kind] = stability_verdict(rec.transition)
-    a = _weights(matrix)
+    a = as_weights(matrix)
     try:
         cons_bounds = consensus_symmetric_bound(matrix, profiles)
     except UnsupportedInputError:

@@ -72,11 +72,9 @@ def uses_a(kind) -> tuple:
 
 def combination_stack(kinds, weights, n: int):
     """Transposed (A1, A0, A2) of the listed strategies, each of shape
-    (S, N, N).  ``weights`` is A (unused, and may be None, when no listed
-    strategy cooperates)."""
+    (S, N, N): the (N, N) array ``weights`` = A where the table puts A, the
+    identity where it puts I."""
     uses = [uses_a(k) for k in kinds]
-    if weights is None and any(any(u) for u in uses):
-        raise ConfigError("cooperative strategies need a combination matrix")
     eye = np.eye(n)
     # transposed views, not copies: matmul then reads A exactly as it reads A.T
     return tuple(np.stack([weights if u[slot] else eye for u in uses])

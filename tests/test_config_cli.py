@@ -3,7 +3,9 @@ import numpy.testing as npt
 import pytest
 
 import adaptnet.cli as cli
-from adaptnet import (ConfigError, NumericalError, StrategyKind, build_experiment,
+import adaptnet.harness as harness
+from adaptnet import (ConfigError, NumericalError, StrategyKind,
+                      build_combination_matrix, build_experiment,
                       complete_topology, line_topology, parse_pairs,
                       load_experiment)
 from adaptnet.cli import main
@@ -276,6 +278,36 @@ def test_cli_compare_ordering_flag(tmp_path, capsys):
                     "ru_diag = 1\nrule = metropolis\niterations = 80\ntrials = 3\n")
     assert main(["compare", str(path), "--ordering"]) == 0
     assert "atc <= cta <= non_cooperative (network): True" in capsys.readouterr().out
+
+
+def test_cli_compare_ordering_on_heterogeneous_profiles(stable_cfg, tmp_path, capsys):
+    # mu = 0.04, 0.06: the eigen route's closed forms do not apply, and the
+    # flag used to be ignored without a word
+    csv = tmp_path / "cmp.csv"
+    assert main(["compare", stable_cfg, "--ordering", "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    line = next(ln for ln in out.splitlines() if ln.startswith("ordering not checked"))
+    assert "one step size and one covariance" in line
+    assert "atc <= cta" not in out
+    _, rows = _read_csv(csv)
+    assert len(rows) == 3 * 4
+
+
+def test_cli_compare_builds_the_combination_matrix_once(tmp_path, monkeypatch):
+    # theory and simulation read the one matrix resolved at construction
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_combination_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_combination_matrix", counted)
+    path = tmp_path / "rule.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -20, -15, -25\n"
+                    "ru_diag = 1\nrule = relative_variance\niterations = 80\n"
+                    "trials = 3\n")
+    assert main(["compare", str(path), "--ordering"]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_compare_ordering_on_a_defective_matrix(tmp_path, capsys):

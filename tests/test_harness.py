@@ -74,13 +74,6 @@ def test_config_rejects_unknown_strategies(strategies):
         replace(_two_node(0.3, 0.3, 0.4, 0.6), strategies=strategies)
 
 
-@pytest.mark.parametrize("factor", [float("nan"), 0.0, -1.0, float("inf")])
-def test_config_rejects_bad_divergence_factor(factor):
-    # every trial used to be reported diverged at iteration 0
-    with pytest.raises(ConfigError, match="divergence factor"):
-        replace(_two_node(0.3, 0.3, 0.4, 0.6), divergence_factor=factor)
-
-
 @pytest.mark.parametrize("field, value", [("iterations", 1.5), ("trials", 2.0),
                                           ("seed", 1.5)])
 def test_config_rejects_non_integer_counts(field, value):
@@ -93,29 +86,43 @@ def test_resolve_combination_paths():
     base = _two_node(0.3, 0.3, 0.4, 0.6)
     assert base.resolve_combination() is base.combination
 
-    # rule without topology is unusable
-    broken = ExperimentConfig(profiles=base.profiles, truth=base.truth,
-                              rule="uniform")
-    with pytest.raises(ConfigError):
-        broken.resolve_combination()
+    # rule without topology is unusable, and refused at construction
+    with pytest.raises(ConfigError, match="needs a topology"):
+        ExperimentConfig(profiles=base.profiles, truth=base.truth, rule="uniform")
 
     # cooperative strategies demand a matrix or rule
-    bare = ExperimentConfig(profiles=base.profiles, truth=base.truth)
-    with pytest.raises(ConfigError):
-        bare.resolve_combination()
+    with pytest.raises(ConfigError, match="matrix or rule"):
+        ExperimentConfig(profiles=base.profiles, truth=base.truth)
 
-    # pure non-cooperative runs need neither
+    # pure non-cooperative runs need neither: the identity on an isolated
+    # topology stands in for A
     solo = ExperimentConfig(profiles=base.profiles, truth=base.truth,
                             strategies=(StrategyKind.NON_COOPERATIVE,))
-    assert solo.resolve_combination() is None
+    matrix = solo.resolve_combination()
+    npt.assert_array_equal(matrix.weights, np.eye(2))
+    npt.assert_array_equal(matrix.topology.adjacency, np.eye(2, dtype=bool))
+    assert solo.resolve_combination() is matrix
+
+    # a rule is resolved once per construction, and again by replace
+    ruled = ExperimentConfig(profiles=base.profiles, truth=base.truth,
+                             topology=complete_topology(2), rule="uniform")
+    assert ruled.resolve_combination() is ruled.resolve_combination()
+    noisier = [replace(p, noise_variance=4 * p.noise_variance) if k else p
+               for k, p in enumerate(base.profiles)]
+    reweighted = replace(ruled, profiles=noisier, rule="relative_variance")
+    npt.assert_allclose(reweighted.resolve_combination().weights[:, 0], [0.8, 0.2])
 
 
 def test_run_experiment_rejects_node_count_mismatch():
+    # refused at construction, before any run can read the matrix
     base = _two_node(0.3, 0.3, 0.4, 0.6)
-    padded = ExperimentConfig(profiles=base.profiles + [base.profiles[0]],
-                              truth=base.truth, combination=base.combination)
-    with pytest.raises(ConfigError):
-        run_experiment(padded)
+    with pytest.raises(ConfigError, match="2-node, profiles give 3"):
+        ExperimentConfig(profiles=base.profiles + [base.profiles[0]],
+                         truth=base.truth, combination=base.combination)
+    with pytest.raises(ConfigError, match="2-node, profiles give 3"):
+        ExperimentConfig(profiles=base.profiles + [base.profiles[0]],
+                         truth=base.truth, topology=complete_topology(2),
+                         rule="metropolis")
 
 
 def test_same_seed_bit_identical(rng):
@@ -145,14 +152,13 @@ def _reference_run(cfg):
     """The engine's outputs from a plain loop: one trial and one strategy at
     a time through ``recursion_step``, a trial frozen from its divergence
     onset."""
-    matrix = cfg.resolve_combination()
-    weights = matrix.weights if matrix is not None else None
+    weights = cfg.resolve_combination().weights
     n = len(cfg.profiles)
     mu = np.array([p.step_size for p in cfg.profiles])
     w0 = cfg.truth.vector
     source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
     steady_start = cfg.iterations - max(1, int(round(cfg.steady_window * cfg.iterations)))
-    threshold = cfg.divergence_factor * (float(w0 @ w0) or 1.0)
+    threshold = harness.DIVERGENCE_FACTOR * (float(w0 @ w0) or 1.0)
     out = {}
     for kind in cfg.strategies:
         a1t, a0t, a2t = (a[0] for a in combination_stack((kind,), weights, n))
@@ -191,22 +197,24 @@ def _reference_run(cfg):
 
 
 def _late_divergence(**kw):
-    # consensus diverges at iteration 214 in trial 5 only, a later block
-    return _two_node(0.78, 0.78, 0.5, 0.6, iterations=300, trials=6, seed=3,
-                     divergence_factor=1e6, **kw)
+    # with the divergence factor at 1e6, consensus diverges at iteration 214
+    # in trial 5 only, a later block
+    return _two_node(0.78, 0.78, 0.5, 0.6, iterations=300, trials=6, seed=3, **kw)
 
 
-@pytest.mark.parametrize("make, chunk", [
-    (lambda rng: _late_divergence(), 4),
+@pytest.mark.parametrize("make, chunk, factor", [
+    (lambda rng: _late_divergence(), 4, 1e6),
     (lambda rng: _late_divergence(strategies=(StrategyKind.CTA, StrategyKind.CONSENSUS,
                                               StrategyKind.NON_COOPERATIVE),
-                                  steady_window=0.5), 5),
-    (lambda rng: _metropolis_config(rng, iterations=BLOCK + 1, trials=3, seed=4), 2),
+                                  steady_window=0.5), 5, 1e6),
+    (lambda rng: _metropolis_config(rng, iterations=BLOCK + 1, trials=3, seed=4), 2,
+     harness.DIVERGENCE_FACTOR),
 ], ids=["later-block", "subset-reordered", "block-plus-one"])
-def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk):
+def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk, factor):
     cfg = make(rng)
     assert cfg.trials > chunk and cfg.iterations % BLOCK != 0
     monkeypatch.setattr(harness, "CHUNK", chunk)
+    monkeypatch.setattr(harness, "DIVERGENCE_FACTOR", factor)
     curves = run_experiment(cfg)
     reference = _reference_run(cfg)
     assert list(curves) == list(cfg.strategies)
@@ -216,7 +224,7 @@ def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk
         assert curves[kind].standard_error == se
         assert curves[kind].diverged_trials == diverged
         assert curves[kind].divergence_onset == onset
-    if cfg.divergence_factor == 1e6:
+    if factor == 1e6:
         cons = curves[StrategyKind.CONSENSUS]
         assert cons.diverged_trials == 1 and cons.divergence_onset > BLOCK
 

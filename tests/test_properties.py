@@ -157,13 +157,13 @@ CHUNKED = ExperimentConfig(
                                   complete_topology(2)))
 
 
-def _run_chunked(cfg, chunk):
-    saved = harness.CHUNK
-    harness.CHUNK = chunk
+def _run_chunked(cfg, chunk, factor):
+    saved = harness.CHUNK, harness.DIVERGENCE_FACTOR
+    harness.CHUNK, harness.DIVERGENCE_FACTOR = chunk, factor
     try:
         return harness.run_experiment(cfg)
     finally:
-        harness.CHUNK = saved
+        harness.CHUNK, harness.DIVERGENCE_FACTOR = saved
 
 
 @PROPERTY
@@ -173,10 +173,9 @@ def _run_chunked(cfg, chunk):
 @example(chunk=3, trials=7, iterations=200, factor=4.0, seed=1)
 def test_outputs_bit_identical_for_any_chunk_size(chunk, trials, iterations,
                                                   factor, seed):
-    cfg = replace(CHUNKED, trials=trials, iterations=iterations, seed=seed,
-                  divergence_factor=factor)
-    whole = _run_chunked(cfg, trials)
-    parts = _run_chunked(cfg, chunk)
+    cfg = replace(CHUNKED, trials=trials, iterations=iterations, seed=seed)
+    whole = _run_chunked(cfg, trials, factor)
+    parts = _run_chunked(cfg, chunk, factor)
     for kind, ref in whole.items():
         got = parts[kind]
         np.testing.assert_array_equal(got.msd, ref.msd)

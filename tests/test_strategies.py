@@ -195,9 +195,10 @@ def test_overflow_stays_in_its_strategy_trial_slab():
 
 
 def test_update_requires_weights_for_cooperative():
-    with pytest.raises(ConfigError, match="combination matrix"):
-        combination_stack((NCOP, ATC), None, 3)
-    assert all(a.shape == (1, 3, 3) for a in combination_stack((NCOP,), None, 3))
+    # the non-cooperative row reads none of A: all three slots are I
+    A = _random_weights(3, np.random.default_rng(2))
+    for a in combination_stack((NCOP,), A, 3):
+        npt.assert_array_equal(a, np.eye(3)[None])
 
 
 @pytest.mark.parametrize("kind", ["atc", None, 2])
