@@ -14,16 +14,18 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .config import load_experiment
 from .errors import AdaptNetError, ConfigError, StabilityError, UnsupportedInputError
-from .harness import run_experiment, steady_state_vs_theory
+from .harness import ALL_STRATEGIES, run_experiment, steady_state_vs_theory
 from .msdtheory import ordering_checks
 from .signalmodel import is_homogeneous
 from .spectra import analyze_network
+from .strategies import COOPERATIVE
 from .twonode import (TwoNodeConfig, condition_grid, consensus_instability_condition,
                       consensus_min_eigenvalue, diffusion_stabilization_range,
                       individual_msd_conditions, msd_region_classify, region_grid,
@@ -84,9 +86,17 @@ def _fmt_db(x: float) -> str:
     return f"{x:+10}" if np.isinf(x) else f"{x:10.3f}"
 
 
+def _four_strategy_matrix(cfg):
+    """A as the report on all four strategies reads it: a config that selects
+    no cooperative strategy resolves its rule again as if it selected them."""
+    if any(k in COOPERATIVE for k in cfg.strategies):
+        return cfg.resolve_combination()
+    return replace(cfg, strategies=ALL_STRATEGIES).resolve_combination()
+
+
 def cmd_analyze(args) -> int:
     cfg = load_experiment(args.config)
-    report = analyze_network(cfg.resolve_combination(), cfg.profiles)
+    report = analyze_network(_four_strategy_matrix(cfg), cfg.profiles)
     print(f"{'strategy':<16} {'rho(B)':>12} {'stable':>8} {'margin':>12}")
     for name, rho, stable, margin in report.rows():
         print(f"{name:<16} {rho:12.6f} {str(stable):>8} {margin:12.6f}")
@@ -181,10 +191,10 @@ def _ordering_line(cfg) -> str:
         return ("ordering not checked: the closed forms need one step size and "
                 "one covariance shared by every node")
     try:
-        rep = ordering_checks(cfg.resolve_combination(), cfg.profiles[0].covariance,
+        rep = ordering_checks(_four_strategy_matrix(cfg), cfg.profiles[0].covariance,
                               cfg.profiles[0].step_size,
                               [p.noise_variance for p in cfg.profiles])
-    except UnsupportedInputError as exc:
+    except (ConfigError, UnsupportedInputError) as exc:
         return f"ordering not checked: {exc}"
     return f"atc <= cta <= non_cooperative (network): {rep.diffusion_first}"
 

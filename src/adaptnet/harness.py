@@ -13,7 +13,10 @@ A strategy whose network squared error exceeds ``DIVERGENCE_FACTOR`` times
 carries +inf from the onset iteration onward and is reported, never dropped.
 ``ExperimentConfig`` resolves the combination matrix A once, and theory and
 simulation read that one matrix (the identity on an isolated topology when
-only the non-cooperative strategy runs; none of its formulas reads A).
+only the non-cooperative strategy runs; none of its formulas reads A, so a
+given rule is checked by name but its matrix is not built).  The theory of
+all selected strategies is one pass: one stack of error blocks, one eigvals
+call and one doubling loop (``series_reports``).
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .msdtheory import _db, msd_series
-from .network import CombinationMatrix, NetworkTopology, build_combination_matrix
+from .msdtheory import _db, series_reports
+from .network import (CombinationMatrix, NetworkTopology, build_combination_matrix,
+                      check_rule)
 from .signalmodel import BLOCK, GroundTruth, SnapshotSource
-from .spectra import build_error_recursion
+from .spectra import build_error_recursions
 from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
                          recursion_step)
 
@@ -72,16 +76,23 @@ class ExperimentConfig:
         if len(set(self.strategies)) != len(self.strategies):
             raise ConfigError(f"strategies repeat: {[k.value for k in self.strategies]}")
         n = len(self.profiles)
+        cooperative = any(k in COOPERATIVE for k in self.strategies)
         matrix = self.combination
         if matrix is None and self.rule is not None:
             if self.topology is None:
                 raise ConfigError("a combination rule needs a topology")
-            noise = [p.noise_variance for p in self.profiles]
-            matrix = build_combination_matrix(self.topology, self.rule, noise)
-        elif matrix is None:
-            if any(k in COOPERATIVE for k in self.strategies):
+            check_rule(self.rule)
+            # only a cooperative strategy reads A, so only then can its rule refuse the config
+            if cooperative:
+                noise = [p.noise_variance for p in self.profiles]
+                matrix = build_combination_matrix(self.topology, self.rule, noise)
+        if matrix is None:
+            if cooperative:
                 raise ConfigError("cooperative strategies need a combination matrix or rule")
-            matrix = CombinationMatrix(np.eye(n), NetworkTopology(n, np.eye(n, dtype=bool)))
+            # a rule's topology still sets the node count checked below
+            size = n if self.rule is None else self.topology.n_nodes
+            matrix = CombinationMatrix(np.eye(size),
+                                       NetworkTopology(size, np.eye(size, dtype=bool)))
         if matrix.n_nodes != n:
             raise ConfigError(f"combination matrix is {matrix.n_nodes}-node, profiles give {n}")
         # not a field, so dataclasses.replace resolves A again from its inputs
@@ -215,11 +226,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def theory_reports(cfg: ExperimentConfig) -> dict:
     """Theoretical steady-state MSD per selected strategy, each from the
-    block series sum_j B^j Y B^jT (``msd_series``) with its radius rho(B);
-    the eigen route (``msd_eigenform``) is only the closed-form check."""
-    matrix = cfg.resolve_combination()
-    return {kind: msd_series(build_error_recursion(kind, matrix, cfg.profiles))
-            for kind in cfg.strategies}
+    block series sum_j B^j Y B^jT with its radius rho(B), all strategies in
+    one pass (``series_reports``); the eigen route (``msd_eigenform``) is
+    only the closed-form check."""
+    return series_reports(build_error_recursions(
+        cfg.strategies, cfg.resolve_combination(), cfg.profiles))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,11 @@ kept deliberately separate so they can cross-validate each other:
   share from eigen-coordinate m, is thus the (k, k) entry of series block m,
   the quantity the eigen route's per-mode terms are checked against.  The
   stopping rule reads the total trace over the blocks, which the rotation
-  leaves unchanged, and ``MsdReport.blocks`` records K;
+  leaves unchanged, and ``MsdReport.blocks`` records K.  ``series_reports``
+  sums the series of every stable strategy of a ``RecursionStack`` in one
+  doubling loop with a leading strategy axis, each strategy stopping at its
+  own step and then leaving the loop; ``msd_series`` is its one-strategy
+  case;
 
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
@@ -65,7 +69,7 @@ import numpy as np
 from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
 from .network import as_weights, is_primitive, perron_pair
-from .spectra import ErrorRecursion, spectral_radius
+from .spectra import ErrorRecursion, RecursionStack, spectral_radii
 from .strategies import StrategyKind, uses_a
 
 ORTHONORMAL_TOL = 1e-8
@@ -117,37 +121,66 @@ class MsdReport:
 
 
 def _doubling_sum(f, y):
-    """Sum X = sum_j F^j Y F^jT by squared Smith doubling, X <- X + F X F^T
-    then F <- F^2, so after s steps X covers 2^s terms; stops once the trace
-    of an increment is at most SERIES_RTOL of the running total.  F and Y
-    may be (K, n, n) stacks of diagonal blocks, summed block by block, and
-    the traces are then totals over the blocks.  Returns (X, terms
-    covered)."""
-    x = y
+    """Sum X_s = sum_j F_s^j Y_s F_s^jT for every series s of the (S, K, n, n)
+    stacks F and Y by squared Smith doubling, X <- X + F X F^T then
+    F <- F^2, so after t steps X covers 2^t terms.  Each series holds K
+    diagonal blocks, summed block by block, and stops once the trace total
+    over its blocks of an increment is at most SERIES_RTOL of its running
+    total; a stopped series is dropped, and only the ones still running
+    are multiplied on.  Returns (X, (S,) terms covered)."""
+    # C order: the per-node sums read X's layout, so it must not follow Y's
+    out = np.empty(y.shape)
+    terms = np.zeros(len(y), dtype=int)
+    live = np.arange(len(y))
+    x = y.copy()
     for step in range(1, SERIES_MAX_STEPS + 1):
         inc = f @ x @ f.swapaxes(-1, -2)
-        x = x + inc
-        if (np.trace(inc, axis1=-2, axis2=-1).sum()
-                <= SERIES_RTOL * np.trace(x, axis1=-2, axis2=-1).sum()):
-            return x, 2 ** step
+        x += inc
+        done = (np.trace(inc, axis1=-2, axis2=-1).sum(axis=-1)
+                <= SERIES_RTOL * np.trace(x, axis1=-2, axis2=-1).sum(axis=-1))
+        if done.any():
+            out[live[done]] = x[done]
+            terms[live[done]] = 2 ** step
+            if done.all():
+                return out, terms
+            live, x, f = live[~done], x[~done], f[~done]
         f = f @ f
     raise NumericalError(f"series did not settle in {SERIES_MAX_STEPS} doubling steps")
 
 
+def series_reports(stack: RecursionStack) -> dict:
+    """Per-node MSD of every strategy of the stack from its series
+    sum_j B^j Y B^jT: every radius from one eigvals call, and the series of
+    every stable strategy summed in one doubling loop.  A strategy with
+    rho(B) >= 1 gets a diverged report with ``terms`` = 0."""
+    n, k = stack.n_nodes, stack.transition.shape[1]
+    radii = spectral_radii(stack.transition)
+    stable = np.flatnonzero(radii < 1.0)
+    settled = {}
+    if stable.size:
+        # an index array copies the stacks, so all-stable stacks go in as views
+        pick = slice(None) if stable.size == len(radii) else stable
+        x, terms = _doubling_sum(stack.transition[pick], stack.noise_gram[pick])
+        settled = dict(zip(stable.tolist(), zip(x, terms.tolist())))
+    reports = {}
+    for s, (kind, rho) in enumerate(zip(stack.strategies, radii.tolist())):
+        xs, terms = settled.get(s, (None, 0))
+        # each block's rows run node by node, so (K, N, rows per node) sums to nodes
+        per_node = (np.full(n, np.inf) if xs is None else
+                    xs.diagonal(axis1=1, axis2=2).reshape(k, n, -1).sum(axis=(0, 2)))
+        reports[kind] = MsdReport(strategy=kind, per_node=per_node,
+                                  network=float(per_node.mean()), spectral_radius=rho,
+                                  terms=terms, blocks=k)
+    return reports
+
+
 def msd_series(recursion: ErrorRecursion) -> MsdReport:
-    """Per-node MSD from the series sum_j B^j Y B^jT, summed by doubling on
-    the recursion's diagonal blocks."""
-    n, k = recursion.n_nodes, recursion.blocks
-    rho = spectral_radius(recursion.transition)
-    if rho >= 1.0:
-        return MsdReport(strategy=recursion.strategy, per_node=np.full(n, np.inf),
-                         network=np.inf, spectral_radius=rho, terms=0, blocks=k)
-    x, terms = _doubling_sum(recursion.transition, recursion.noise_gram)
-    # each block's rows run node by node, so (K, N, rows per node) sums to nodes
-    per_node = x.diagonal(axis1=1, axis2=2).reshape(k, n, -1).sum(axis=(0, 2))
-    return MsdReport(strategy=recursion.strategy, per_node=per_node,
-                     network=float(per_node.mean()), spectral_radius=rho,
-                     terms=terms, blocks=k)
+    """Per-node MSD from the series sum_j B^j Y B^jT of one strategy: the
+    one-strategy case of ``series_reports``."""
+    stack = RecursionStack((recursion.strategy,), recursion.transition[None],
+                           recursion.noise_gram[None], recursion.n_nodes,
+                           recursion.dim, recursion.basis)
+    return series_reports(stack)[recursion.strategy]
 
 
 @dataclass(frozen=True, eq=False)

@@ -161,6 +161,7 @@ def build_combination_matrix(topology: NetworkTopology, rule: str,
                        absorbs the remainder (symmetric, doubly stochastic)
     relative_variance  a_{l,k} proportional to 1/sigma_{v,l}^2 over N_k
     """
+    check_rule(rule)
     n = topology.n_nodes
     adj = topology.adjacency
     w = np.zeros((n, n))
@@ -192,9 +193,13 @@ def build_combination_matrix(topology: NetworkTopology, rule: str,
         for k in range(n):
             nk = topology.neighbors(k)
             w[nk, k] = inv[nk] / inv[nk].sum()
-    else:
-        raise ConfigError(f"unknown combination rule {rule!r}; choose from {RULES}")
     return CombinationMatrix(w, topology)
+
+
+def check_rule(rule: str) -> None:
+    """A ConfigError unless ``rule`` names one of ``RULES``."""
+    if rule not in RULES:
+        raise ConfigError(f"unknown combination rule {rule!r}; choose from {RULES}")
 
 
 def as_weights(matrix) -> np.ndarray:

@@ -35,6 +35,14 @@ formula; only calA, M R and M S M are formed differently.  rho(B) is the
 largest radius over the blocks, and a trace of any series in B and Y is the
 sum of the block traces.
 
+One pass per network.  ``build_error_recursions`` computes mu, the noise,
+the covariance stack and the basis once and then applies each requested
+strategy's table row, giving a ``RecursionStack`` of (S, K, n, n) stacks;
+``spectral_radii`` takes every strategy's radius from one eigvals call on
+it, and ``analyze_network`` is one such pass over all four strategies.
+``build_error_recursion`` is the one-strategy case.  Batched matmul and
+eigvals work block by block, so each strategy gets the bits it gets alone.
+
 Mean stability is rho(B) < 1.  ATC and CTA share a spectrum (products taken
 in either order), and both are never less stable than the non-cooperative
 baseline; consensus carries no such guarantee.
@@ -89,10 +97,25 @@ def _shared_basis(covs: np.ndarray):
     return None, None
 
 
-def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecursion:
-    """Assemble B and Y for one strategy from the combination matrix and the
-    per-node profiles, as M blocks when the covariances share an eigenbasis
-    and as one dense Kronecker block otherwise."""
+@dataclass(frozen=True, eq=False)
+class RecursionStack:
+    """B and Y of several strategies on one network, built on one shared
+    basis: (S, K, n, n) stacks whose entry s holds the blocks of
+    ``strategies[s]``."""
+
+    strategies: tuple
+    transition: np.ndarray
+    noise_gram: np.ndarray
+    n_nodes: int
+    dim: int
+    basis: np.ndarray | None = None
+
+
+def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
+    """Assemble B and Y for every listed strategy in one pass: mu, the noise,
+    the covariance stack and the shared basis once, then one row of the
+    (A1, A0, A2) table per strategy.  M blocks when the covariances share an
+    eigenbasis, one dense Kronecker block otherwise."""
     a = as_weights(matrix)
     n = len(profiles)
     if a.shape != (n, n):
@@ -100,7 +123,7 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecu
     m = profiles[0].dim
     if any(p.dim != m for p in profiles):
         raise ConfigError("all nodes must share the regressor dimension")
-    a1, a0, a2 = uses_a(strategy)
+    rows = [uses_a(kind) for kind in strategies]
     mu = np.array([p.step_size for p in profiles])
     noise = np.array([p.noise_variance for p in profiles])
     covs = np.array([p.covariance for p in profiles])
@@ -116,25 +139,44 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecu
             s_blk[sl, sl] = noise[k] * covs[k]
         cal_at = np.kron(a, np.eye(m)).T
         mr = (mstep @ r_blk)[None]
-        y = (mstep @ s_blk @ mstep)[None]
+        msm = (mstep @ s_blk @ mstep)[None]
     else:
         # block m of M R and of M S M: diag_k(g_k d_{k,m}), g = mu and mu^2 s2
         cal_at = a.T
-        mr, y = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
-    # an I slot is skipped, not multiplied, so no product rounds B or Y
-    b = (cal_at if a0 else np.eye(cal_at.shape[0])) - mr
-    if a1:
-        b = b @ cal_at
-    if a2:
-        b = cal_at @ b
-        y = cal_at @ y @ cal_at.T
-    return ErrorRecursion(b, y, n, m, strategy, basis)
+        mr, msm = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
+    eye = np.eye(cal_at.shape[0])
+    b = np.empty((len(rows),) + mr.shape)
+    y = np.empty_like(b)
+    for s, (a1, a0, a2) in enumerate(rows):
+        # an I slot is skipped, not multiplied, so no product rounds B or Y
+        b[s] = (cal_at if a0 else eye) - mr
+        y[s] = msm
+        if a1:
+            b[s] = b[s] @ cal_at
+        if a2:
+            b[s] = cal_at @ b[s]
+            y[s] = cal_at @ msm @ cal_at.T
+    return RecursionStack(tuple(strategies), b, y, n, m, basis)
+
+
+def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecursion:
+    """B and Y for one strategy: the one-strategy case of
+    ``build_error_recursions``."""
+    stack = build_error_recursions((strategy,), matrix, profiles)
+    return ErrorRecursion(stack.transition[0], stack.noise_gram[0], stack.n_nodes,
+                          stack.dim, strategy, stack.basis)
 
 
 def spectral_radius(matrix) -> float:
     """Largest eigenvalue magnitude of a square matrix or of a (K, n, n)
     stack of diagonal blocks, the largest over the blocks."""
     return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix)))))
+
+
+def spectral_radii(transitions: np.ndarray) -> np.ndarray:
+    """rho(B) of every strategy of an (S, K, n, n) stack from one eigvals
+    call, each the largest radius over its K blocks."""
+    return np.abs(np.linalg.eigvals(transitions)).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -144,14 +186,22 @@ class StabilityVerdict:
     margin: float
 
 
-def stability_verdict(matrix) -> StabilityVerdict:
-    rho = spectral_radius(matrix)
+def _verdict(rho: float) -> StabilityVerdict:
     return StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
+
+
+def stability_verdict(matrix) -> StabilityVerdict:
+    return _verdict(spectral_radius(matrix))
+
+
+def _lambda_max(profiles) -> np.ndarray:
+    """Largest eigenvalue of every node's covariance, one eigvalsh call."""
+    return np.linalg.eigvalsh(np.array([p.covariance for p in profiles]))[:, -1]
 
 
 def noncoop_step_bounds(profiles) -> np.ndarray:
     """Per-node open upper bounds: mu_k < 2 / lambda_max(R_k) keeps the node stable."""
-    return np.array([2.0 / np.linalg.eigvalsh(p.covariance)[-1] for p in profiles])
+    return 2.0 / _lambda_max(profiles)
 
 
 def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
@@ -163,8 +213,7 @@ def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
     if not np.allclose(a, a.T, atol=1e-12):
         raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
     lam_min = np.linalg.eigvalsh(a)[0]
-    return np.array([(1.0 + lam_min) / np.linalg.eigvalsh(p.covariance)[-1]
-                     for p in profiles])
+    return (1.0 + lam_min) / _lambda_max(profiles)
 
 
 def diffusion_equality_bound(matrix, covariance) -> float:
@@ -200,11 +249,12 @@ class StabilityReport:
 
 
 def analyze_network(matrix, profiles) -> StabilityReport:
-    """Spectral verdicts for all four strategies plus every applicable bound."""
-    verdicts = {}
-    for kind in StrategyKind:
-        rec = build_error_recursion(kind, matrix, profiles)
-        verdicts[kind] = stability_verdict(rec.transition)
+    """Spectral verdicts for all four strategies, from one pass of
+    ``build_error_recursions`` and one eigvals call, plus every applicable
+    bound."""
+    stack = build_error_recursions(tuple(StrategyKind), matrix, profiles)
+    radii = spectral_radii(stack.transition).tolist()
+    verdicts = {kind: _verdict(rho) for kind, rho in zip(stack.strategies, radii)}
     a = as_weights(matrix)
     try:
         cons_bounds = consensus_symmetric_bound(matrix, profiles)

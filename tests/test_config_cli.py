@@ -352,6 +352,64 @@ def test_cli_compare_names_no_winner_on_a_tie(tmp_path, capsys):
                     "non_cooperative, consensus, atc, cta")
 
 
+# a rule whose matrix only a cooperative strategy would read
+UNREAD_RULE_CFG = """nodes = 2
+dim = 1
+mu = 0.1
+ru_diag = 1
+noise_db = -inf
+topology = full
+rule = relative_variance
+strategies = non_cooperative
+iterations = 60
+trials = 2
+"""
+
+
+def test_cli_compare_ignores_a_rule_no_strategy_reads(tmp_path, capsys):
+    # relative_variance refuses noiseless nodes, yet the non-cooperative
+    # strategy never reads A, so the run matches the uniform-rule variant
+    outputs = []
+    for rule in ("relative_variance", "uniform"):
+        path = tmp_path / f"{rule}.cfg"
+        path.write_text(UNREAD_RULE_CFG.replace("relative_variance", rule))
+        csv = tmp_path / f"{rule}.csv"
+        assert main(["compare", str(path), "--csv", str(csv)]) == 0
+        outputs.append((capsys.readouterr().out, csv.read_text()))
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_analyze_reads_the_rule_for_all_four_strategies(tmp_path, capsys):
+    # analyze reports every strategy, so the rule's matrix is built and can refuse
+    path = tmp_path / "unread.cfg"
+    path.write_text(UNREAD_RULE_CFG)
+    assert main(["analyze", str(path)]) == 2
+    assert capsys.readouterr().err == ("ConfigError: relative_variance needs positive "
+                                       "noise variance, node 0 has 0.0\n")
+    # and on a valid rule it reports the same as a config that selects all four
+    prints = []
+    for extra in ("strategies = non_cooperative\n", ""):
+        path.write_text(STABLE_CFG + "rule = metropolis\n" + extra)
+        assert main(["analyze", str(path)]) == 0
+        prints.append(capsys.readouterr().out)
+    assert prints[0] == prints[1]
+    assert "consensus       : (needs" not in prints[0]
+
+
+def test_cli_compare_ordering_names_a_rule_that_refuses(tmp_path, capsys):
+    path = tmp_path / "unread.cfg"
+    path.write_text(UNREAD_RULE_CFG)
+    assert main(["compare", str(path), "--ordering"]) == 0
+    assert ("ordering not checked: relative_variance needs positive noise variance"
+            in capsys.readouterr().out)
+
+
+def test_config_rejects_an_unknown_rule_without_a_cooperative_strategy():
+    with pytest.raises(ConfigError, match="unknown combination rule 'mystery'"):
+        build_experiment(parse_pairs(UNREAD_RULE_CFG.replace("relative_variance",
+                                                            "mystery")))
+
+
 def test_cli_compare_refuses_when_nothing_stable(unstable_cfg, capsys):
     assert main(["compare", unstable_cfg]) == 3
     err = capsys.readouterr().err

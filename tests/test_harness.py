@@ -123,6 +123,12 @@ def test_run_experiment_rejects_node_count_mismatch():
         ExperimentConfig(profiles=base.profiles + [base.profiles[0]],
                          truth=base.truth, topology=complete_topology(2),
                          rule="metropolis")
+    # also where no selected strategy reads A and the rule's matrix is not built
+    with pytest.raises(ConfigError, match="2-node, profiles give 3"):
+        ExperimentConfig(profiles=base.profiles + [base.profiles[0]],
+                         truth=base.truth, topology=complete_topology(2),
+                         rule="relative_variance",
+                         strategies=(StrategyKind.NON_COOPERATIVE,))
 
 
 def test_same_seed_bit_identical(rng):

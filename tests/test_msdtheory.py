@@ -2,14 +2,16 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, StabilityError,
-                      StrategyKind, UnsupportedInputError,
+from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, NumericalError,
+                      StabilityError, StrategyKind, UnsupportedInputError,
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
                       msd_eigenform, msd_series,
                       ordering_checks, spectral_radius, strict_gap_holds,
                       strict_ordering_step_threshold)
-from adaptnet.msdtheory import _component_matrix, _doubling_sum
+import adaptnet.msdtheory as msdtheory
+from adaptnet.msdtheory import _component_matrix, _doubling_sum, series_reports
+from adaptnet.spectra import build_error_recursions
 
 from conftest import (full_map, random_left_stochastic, random_spd,
                       random_symmetric_stochastic, stable_profiles)
@@ -53,6 +55,20 @@ def test_hot_weights_consensus_divergence_verdict():
     assert rep.diverged
     assert rep.spectral_radius >= 1.0
     assert np.all(np.isinf(rep.per_node))
+
+
+def test_series_that_cannot_settle_raises_from_the_stacked_loop(monkeypatch):
+    # the four strategies stop at different steps; with the cap one step short
+    # of the last stop, the ones that settle are dropped and the rest raise
+    rng = np.random.default_rng(3)
+    a = random_left_stochastic(4, rng)
+    profiles = stable_profiles(4, 2, rng, diagonal=True)
+    stack = build_error_recursions(ALL, a, profiles)
+    steps = [int(rep.terms).bit_length() - 1 for rep in series_reports(stack).values()]
+    assert min(steps) < max(steps)
+    monkeypatch.setattr(msdtheory, "SERIES_MAX_STEPS", max(steps) - 1)
+    with pytest.raises(NumericalError, match=f"did not settle in {max(steps) - 1} "):
+        series_reports(stack)
 
 
 def test_kronecker_mode_reconstruction():
@@ -191,8 +207,8 @@ def test_component_series_matches_eigen_route():
                     if spectral_radius(rec.transition) >= 1.0:
                         continue
                     stable_consensus += kind is StrategyKind.CONSENSUS
-                    x, _ = _doubling_sum(rec.transition, rec.noise_gram)
-                    series = x.diagonal(axis1=1, axis2=2).T
+                    x, _ = _doubling_sum(rec.transition[None], rec.noise_gram[None])
+                    series = x[0].diagonal(axis1=1, axis2=2).T
                     npt.assert_allclose(_component_matrix(st, mu, noise, kind), series,
                                         rtol=1e-12)
     assert stable_consensus > 0

@@ -14,8 +14,8 @@ from adaptnet import (CombinationMatrix, ConfigError, ErrorRecursion, Experiment
                       parse_pairs, spectral_radius)
 from adaptnet.strategies import combination_stack, recursion_step
 
-from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
-                      reference_recursion)
+from conftest import (full_map, random_left_stochastic, random_spd,
+                      random_symmetric_stochastic, reference_recursion)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -144,6 +144,54 @@ def test_blocks_match_the_dense_kronecker_recursion(network):
                           <= 1e-12 * want.per_node), strategy
         else:
             assert np.array_equal(got.per_node, want.per_node)
+
+
+@st.composite
+def theory_networks(draw):
+    """N 2-6 nodes, M 1-3, diagonal covariances (M blocks) or full ones (one
+    dense block for M > 1), and each node's step up to 0.99 of its own
+    stability bound, where consensus can diverge.  The entries come from a
+    drawn seed, as in ``covariance_networks``."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    full = draw(st.booleans())
+    symmetric = draw(st.booleans())
+    reach = draw(st.floats(0.05, 0.99))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_symmetric_stochastic(n, rng) if symmetric else random_left_stochastic(n, rng)
+    covs = [random_spd(m, rng) if full else np.diag(rng.uniform(0.5, 3.0, m))
+            for _ in range(n)]
+    return a, [NodeProfile(covariance=cov, noise_variance=float(rng.uniform(0.01, 0.5)),
+                           step_size=float(rng.uniform(0.01, reach) * 2.0
+                                           / np.linalg.eigvalsh(cov)[-1]))
+               for cov in covs]
+
+
+HOT_PAIR = (np.array([[0.15, 0.85], [0.85, 0.15]]),
+            [NodeProfile(covariance=np.array([[1.0]]), step_size=mu, noise_variance=0.1)
+             for mu in (0.4, 0.6)])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(theory_networks())
+@example(HOT_PAIR)
+def test_one_theory_pass_equals_each_strategy_alone(network):
+    # the stacked pass (one basis, one eigvals call, one doubling loop) gives
+    # every strategy the bits of its own one-strategy series, also where the
+    # strategies stop at different terms or one of them diverges
+    a, profiles = network
+    cfg = ExperimentConfig(profiles=profiles, truth=GroundTruth(np.ones(profiles[0].dim)),
+                           combination=CombinationMatrix(a, complete_topology(len(a))))
+    reports = harness.theory_reports(cfg)
+    assert tuple(reports) == cfg.strategies
+    for kind, rep in reports.items():
+        alone = msd_series(build_error_recursion(kind, a, profiles))
+        assert rep.strategy is alone.strategy is kind
+        assert np.array_equal(rep.per_node, alone.per_node)
+        assert rep.network == alone.network
+        assert rep.spectral_radius == alone.spectral_radius
+        assert rep.terms == alone.terms and rep.blocks == alone.blocks
+        assert (rep.terms == 0) == (rep.spectral_radius >= 1.0)
 
 
 # Consensus diverges in every trial (mixing too strong for these steps);

@@ -243,3 +243,25 @@ def test_analyze_network_report():
     # the bound is a threshold on one common mu: none for per-node step sizes
     mixed = analyze_network(np.full((3, 3), 1.0 / 3.0), _scalar_profiles([0.1, 0.5, 0.9]))
     assert mixed.equality_bound is None
+
+
+def test_analyze_network_radii_are_each_strategy_alone():
+    # one eigvals call over the stacked blocks of all four strategies gives
+    # each the verdict of its own recursion: M blocks, one dense block, and
+    # the hot pair where consensus is unstable
+    rng = np.random.default_rng(11)
+    cases = [(np.array([[0.15, 0.85], [0.85, 0.15]]), _scalar_profiles([0.4, 0.6]))]
+    for diagonal in (True, False):
+        for _ in range(10):
+            n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+            cases.append((random_left_stochastic(n, rng),
+                          stable_profiles(n, m, rng, diagonal=diagonal)))
+    for a, profiles in cases:
+        report = analyze_network(a, profiles)
+        for kind in ALL:
+            alone = stability_verdict(build_error_recursion(kind, a, profiles).transition)
+            assert report.verdicts[kind] == alone
+        # the per-node bounds take every lambda_max from one eigvalsh call
+        lam_max = [np.linalg.eigvalsh(p.covariance)[-1] for p in profiles]
+        assert np.array_equal(report.noncoop_bounds, [2.0 / lam for lam in lam_max])
+    assert not analyze_network(*cases[0]).verdicts[StrategyKind.CONSENSUS].stable
