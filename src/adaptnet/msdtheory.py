@@ -23,8 +23,8 @@ kept deliberately separate so they can cross-validate each other:
   leaves unchanged, and ``MsdReport.blocks`` records K.  ``series_reports``
   sums the series of every stable strategy of a ``RecursionStack`` in one
   doubling loop with a leading strategy axis, each strategy stopping at its
-  own step and then leaving the loop; ``msd_series`` is its one-strategy
-  case;
+  own step and then leaving the loop; ``msd_series`` reads the one report
+  of an S = 1 stack;
 
 * eigen route, valid under homogeneity (common step-size mu and covariance
   R_u) for diagonalizable A: with A^T r_l = lambda_l r_l, s_l^* A^T =
@@ -69,7 +69,7 @@ import numpy as np
 from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
 from .network import as_weights, is_primitive, perron_pair
-from .spectra import ErrorRecursion, RecursionStack, spectral_radii
+from .spectra import RecursionStack, spectral_radii
 from .strategies import StrategyKind, uses_a
 
 ORTHONORMAL_TOL = 1e-8
@@ -128,7 +128,6 @@ def _doubling_sum(f, y):
     over its blocks of an increment is at most SERIES_RTOL of its running
     total; a stopped series is dropped, and only the ones still running
     are multiplied on.  Returns (X, (S,) terms covered)."""
-    # C order: the per-node sums read X's layout, so it must not follow Y's
     out = np.empty(y.shape)
     terms = np.zeros(len(y), dtype=int)
     live = np.arange(len(y))
@@ -153,7 +152,7 @@ def series_reports(stack: RecursionStack) -> dict:
     sum_j B^j Y B^jT: every radius from one eigvals call, and the series of
     every stable strategy summed in one doubling loop.  A strategy with
     rho(B) >= 1 gets a diverged report with ``terms`` = 0."""
-    n, k = stack.n_nodes, stack.transition.shape[1]
+    n, k = stack.n_nodes, stack.blocks
     radii = spectral_radii(stack.transition)
     stable = np.flatnonzero(radii < 1.0)
     settled = {}
@@ -165,22 +164,22 @@ def series_reports(stack: RecursionStack) -> dict:
     reports = {}
     for s, (kind, rho) in enumerate(zip(stack.strategies, radii.tolist())):
         xs, terms = settled.get(s, (None, 0))
-        # each block's rows run node by node, so (K, N, rows per node) sums to nodes
+        # each block's rows run node by node, so (K, N, rows per node) sums
+        # to nodes; the contiguous copy fixes the order of the additions
         per_node = (np.full(n, np.inf) if xs is None else
-                    xs.diagonal(axis1=1, axis2=2).reshape(k, n, -1).sum(axis=(0, 2)))
+                    np.ascontiguousarray(xs.diagonal(axis1=1, axis2=2))
+                    .reshape(k, n, -1).sum(axis=2).sum(axis=0))
         reports[kind] = MsdReport(strategy=kind, per_node=per_node,
                                   network=float(per_node.mean()), spectral_radius=rho,
                                   terms=terms, blocks=k)
     return reports
 
 
-def msd_series(recursion: ErrorRecursion) -> MsdReport:
-    """Per-node MSD from the series sum_j B^j Y B^jT of one strategy: the
-    one-strategy case of ``series_reports``."""
-    stack = RecursionStack((recursion.strategy,), recursion.transition[None],
-                           recursion.noise_gram[None], recursion.n_nodes,
-                           recursion.dim, recursion.basis)
-    return series_reports(stack)[recursion.strategy]
+def msd_series(stack: RecursionStack) -> MsdReport:
+    """Per-node MSD from the series sum_j B^j Y B^jT of the one strategy of
+    an S = 1 stack (``build_error_recursion``): ``series_reports`` of it."""
+    (report,) = series_reports(stack).values()
+    return report
 
 
 @dataclass(frozen=True, eq=False)

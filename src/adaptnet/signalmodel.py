@@ -58,7 +58,8 @@ class NodeProfile:
         cov = np.array(self.covariance, dtype=float)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
             raise ConfigError(f"covariance must be square and nonempty, got shape {cov.shape}")
-        if not np.all(np.isfinite(cov)) or not np.allclose(cov, cov.T, atol=1e-12):
+        if (not np.all(np.isfinite(cov))
+                or np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max()):
             raise ConfigError("covariance must be finite and symmetric")
         if not np.linalg.eigvalsh(cov).min() > 0:
             raise ConfigError("covariance must be positive definite")

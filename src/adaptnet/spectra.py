@@ -28,20 +28,21 @@ diagonal to BASIS_TOL relative to its largest entry.  That covers diagonal
 covariances and one covariance shared by all nodes, so every input the
 config format can express.  Any other input (and M = 1, where the dense
 form already is one N x N block) keeps the dense Kronecker form above as a
-single block.  ``ErrorRecursion`` therefore holds B and Y as stacks of K
-diagonal blocks of shape (K, n, n): K = M, n = N with the basis Q, or
-K = 1, n = NM in node order with no basis.  Both come from the one table
+single block.  Each strategy's B and Y are therefore stacks of K diagonal
+blocks of shape (K, n, n): K = M, n = N with the basis Q, or K = 1,
+n = NM in node order with no basis.  Both come from the one table
 formula; only calA, M R and M S M are formed differently.  rho(B) is the
 largest radius over the blocks, and a trace of any series in B and Y is the
 sum of the block traces.
 
 One pass per network.  ``build_error_recursions`` computes mu, the noise,
 the covariance stack and the basis once and then applies each requested
-strategy's table row, giving a ``RecursionStack`` of (S, K, n, n) stacks;
-``spectral_radii`` takes every strategy's radius from one eigvals call on
-it, and ``analyze_network`` is one such pass over all four strategies.
-``build_error_recursion`` is the one-strategy case.  Batched matmul and
-eigvals work block by block, so each strategy gets the bits it gets alone.
+strategy's table row, giving a ``RecursionStack`` of (S, K, n, n) stacks,
+the one recursion type; ``spectral_radii`` takes every strategy's radius
+from one eigvals call on it, and ``analyze_network`` is one such pass over
+all four strategies.  ``build_error_recursion`` returns the S = 1 stack.
+Batched matmul and eigvals work block by block, so each strategy gets the
+bits it gets alone.
 
 Mean stability is rho(B) < 1.  ATC and CTA share a spectrum (products taken
 in either order), and both are never less stable than the non-cooperative
@@ -64,24 +65,6 @@ from .strategies import StrategyKind, uses_a
 BASIS_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorRecursion:
-    """B and Y driving the mean-square error dynamics, each a (K, n, n) stack
-    of diagonal blocks: K = M blocks of n = N in the shared eigenbasis
-    ``basis`` = Q, or K = 1 block of n = NM in node order (``basis`` None)."""
-
-    transition: np.ndarray
-    noise_gram: np.ndarray
-    n_nodes: int
-    dim: int
-    strategy: StrategyKind
-    basis: np.ndarray | None = None
-
-    @property
-    def blocks(self) -> int:
-        return self.transition.shape[0]
-
-
 def _shared_basis(covs: np.ndarray):
     """(Q, d) with Q^T R_k Q = diag(d[k]) at every node to BASIS_TOL, Q from
     eigh(sum_k R_k); (None, None) when M = 1 or no such basis exists."""
@@ -99,9 +82,10 @@ def _shared_basis(covs: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class RecursionStack:
-    """B and Y of several strategies on one network, built on one shared
-    basis: (S, K, n, n) stacks whose entry s holds the blocks of
-    ``strategies[s]``."""
+    """B and Y of S strategies on one network, built on one shared basis:
+    (S, K, n, n) stacks whose entry s holds the diagonal blocks of
+    ``strategies[s]``, K = M blocks of n = N in the shared eigenbasis
+    ``basis`` = Q, or K = 1 block of n = NM in node order (``basis`` None)."""
 
     strategies: tuple
     transition: np.ndarray
@@ -109,6 +93,10 @@ class RecursionStack:
     n_nodes: int
     dim: int
     basis: np.ndarray | None = None
+
+    @property
+    def blocks(self) -> int:
+        return self.transition.shape[1]
 
 
 def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
@@ -159,12 +147,9 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     return RecursionStack(tuple(strategies), b, y, n, m, basis)
 
 
-def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> ErrorRecursion:
-    """B and Y for one strategy: the one-strategy case of
-    ``build_error_recursions``."""
-    stack = build_error_recursions((strategy,), matrix, profiles)
-    return ErrorRecursion(stack.transition[0], stack.noise_gram[0], stack.n_nodes,
-                          stack.dim, strategy, stack.basis)
+def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> RecursionStack:
+    """B and Y for one strategy: the S = 1 stack of ``build_error_recursions``."""
+    return build_error_recursions((strategy,), matrix, profiles)
 
 
 def spectral_radius(matrix) -> float:
@@ -186,14 +171,6 @@ class StabilityVerdict:
     margin: float
 
 
-def _verdict(rho: float) -> StabilityVerdict:
-    return StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
-
-
-def stability_verdict(matrix) -> StabilityVerdict:
-    return _verdict(spectral_radius(matrix))
-
-
 def _lambda_max(profiles) -> np.ndarray:
     """Largest eigenvalue of every node's covariance, one eigvalsh call."""
     return np.linalg.eigvalsh(np.array([p.covariance for p in profiles]))[:, -1]
@@ -210,7 +187,7 @@ def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
     The interval is empty (bound 0) when lambda_min(A) = -1.
     """
     a = as_weights(matrix)
-    if not np.allclose(a, a.T, atol=1e-12):
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
     lam_min = np.linalg.eigvalsh(a)[0]
     return (1.0 + lam_min) / _lambda_max(profiles)
@@ -254,7 +231,8 @@ def analyze_network(matrix, profiles) -> StabilityReport:
     bound."""
     stack = build_error_recursions(tuple(StrategyKind), matrix, profiles)
     radii = spectral_radii(stack.transition).tolist()
-    verdicts = {kind: _verdict(rho) for kind, rho in zip(stack.strategies, radii)}
+    verdicts = {kind: StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
+                for kind, rho in zip(stack.strategies, radii)}
     a = as_weights(matrix)
     try:
         cons_bounds = consensus_symmetric_bound(matrix, profiles)

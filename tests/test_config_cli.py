@@ -310,6 +310,27 @@ def test_cli_compare_builds_the_combination_matrix_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["compare", "--ordering"]])
+def test_cli_command_takes_one_eigvals_on_the_stack(tmp_path, monkeypatch, argv):
+    # every strategy's radius comes from one eigvals call on the
+    # (S, K, n, n) stack; other calls (the equality bound's on A) are 2-D
+    shapes = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    path = tmp_path / "ru.cfg"
+    path.write_text("nodes = 4\ndim = 2\nmu = 0.05\nru_matrix = 2, 0.5, 0.5, 1\n"
+                    "noise_db = -20\ntopology = full\nrule = metropolis\n"
+                    "iterations = 40\ntrials = 2\nseed = 1\n")
+    assert main([argv[0], str(path)] + argv[1:]) == 0
+    assert [len(shape) for shape in shapes].count(4) == 1, shapes
+    assert all(len(shape) <= 2 for shape in shapes if len(shape) != 4), shapes
+
+
 def test_cli_compare_ordering_on_a_defective_matrix(tmp_path, capsys):
     # left-stochastic but not diagonalizable: the table comes from the block
     # series, while the ordering verdict needs the eigen route and is skipped

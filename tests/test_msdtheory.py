@@ -4,6 +4,7 @@ import pytest
 
 from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, NumericalError,
                       StabilityError, StrategyKind, UnsupportedInputError,
+                      benchmark_profile, build_combination_matrix,
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
                       msd_eigenform, msd_series,
@@ -71,6 +72,24 @@ def test_series_that_cannot_settle_raises_from_the_stacked_loop(monkeypatch):
         series_reports(stack)
 
 
+def test_per_node_sum_does_not_read_the_layout_of_the_series(monkeypatch):
+    # the same series values in Fortran order give the same per-node bits:
+    # M = 10 blocks of 20 nodes, where a strided sum rounds differently
+    topo, profiles, _ = benchmark_profile(n_nodes=20, dim=10, seed=20)
+    a = build_combination_matrix(topo, "metropolis")
+    stack = build_error_recursions(ALL, a, profiles)
+    want = series_reports(stack)
+    doubling_sum = msdtheory._doubling_sum
+
+    def fortran_ordered(f, y):
+        x, terms = doubling_sum(f, y)
+        return np.asfortranarray(x), terms
+
+    monkeypatch.setattr(msdtheory, "_doubling_sum", fortran_ordered)
+    for kind, rep in series_reports(stack).items():
+        assert np.array_equal(rep.per_node, want[kind].per_node), kind
+
+
 def test_kronecker_mode_reconstruction():
     rng = np.random.default_rng(0)
     n, m = 4, 3
@@ -88,7 +107,7 @@ def test_kronecker_mode_reconstruction():
     profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=0.1)
                 for _ in range(n)]
     rec = build_error_recursion(StrategyKind.ATC, a, profiles)
-    npt.assert_allclose(rebuilt.real, full_map(rec.transition, rec.basis), atol=1e-8)
+    npt.assert_allclose(rebuilt.real, full_map(rec.transition[0], rec.basis), atol=1e-8)
     npt.assert_allclose(rebuilt.imag, 0.0, atol=1e-8)
 
 
@@ -207,7 +226,7 @@ def test_component_series_matches_eigen_route():
                     if spectral_radius(rec.transition) >= 1.0:
                         continue
                     stable_consensus += kind is StrategyKind.CONSENSUS
-                    x, _ = _doubling_sum(rec.transition[None], rec.noise_gram[None])
+                    x, _ = _doubling_sum(rec.transition, rec.noise_gram)
                     series = x[0].diagonal(axis1=1, axis2=2).T
                     npt.assert_allclose(_component_matrix(st, mu, noise, kind), series,
                                         rtol=1e-12)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import adaptnet.harness as harness
-from adaptnet import (CombinationMatrix, ConfigError, ErrorRecursion, ExperimentConfig,
-                      GroundTruth, NodeProfile, StrategyKind, build_error_recursion,
-                      build_experiment, complete_topology, msd_series,
-                      parse_pairs, spectral_radius)
+from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
+                      GroundTruth, NodeProfile, RecursionStack, StrategyKind,
+                      build_error_recursion, build_experiment, complete_topology,
+                      msd_series, parse_pairs, spectral_radius)
 from adaptnet.strategies import combination_stack, recursion_step
 
 from conftest import (full_map, random_left_stochastic, random_spd,
@@ -84,7 +84,7 @@ def test_one_recursion_step_maps_the_error_through_b(network, w0, start):
     for kind in StrategyKind:
         stack = combination_stack((kind,), a, n)
         stepped = recursion_step(W, u, d, mu, *(x[0] for x in stack))
-        b = build_error_recursion(kind, a, profiles).transition[0]
+        b = build_error_recursion(kind, a, profiles).transition[0, 0]
         assert np.allclose(w0 - stepped, b @ (w0 - W), rtol=0.0, atol=1e-12), kind
 
 
@@ -126,17 +126,18 @@ def test_blocks_match_the_dense_kronecker_recursion(network):
         ref_b, ref_y = reference_recursion(strategy, a, profiles)
         if kind == "non_commuting":
             assert rec.blocks == 1 and rec.basis is None
-            assert np.array_equal(rec.transition[0], ref_b)
-            assert np.array_equal(rec.noise_gram[0], ref_y)
+            assert np.array_equal(rec.transition[0, 0], ref_b)
+            assert np.array_equal(rec.noise_gram[0, 0], ref_y)
         elif m > 1:
             # the generic draws give eigh(sum_k R_k) distinct eigenvalues
             assert rec.blocks == m
-        for stack, ref in ((rec.transition, ref_b), (rec.noise_gram, ref_y)):
+        for stack, ref in ((rec.transition[0], ref_b), (rec.noise_gram[0], ref_y)):
             err = np.abs(full_map(stack, rec.basis) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max(), (strategy, err)
         assert abs(spectral_radius(rec.transition) - spectral_radius(ref_b)) <= 1e-12
         got = msd_series(rec)
-        want = msd_series(ErrorRecursion(ref_b[None], ref_y[None], n, m, strategy))
+        want = msd_series(RecursionStack((strategy,), ref_b[None, None], ref_y[None, None],
+                                         n, m))
         assert got.terms == want.terms
         assert got.blocks == rec.blocks
         if np.all(np.isfinite(want.per_node)):

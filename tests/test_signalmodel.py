@@ -30,9 +30,10 @@ def test_ground_truth_flattens_and_checks():
 
 
 def test_node_profile_validation():
-    with pytest.raises(ConfigError):
-        NodeProfile(covariance=np.array([[1.0, 0.2], [0.3, 1.0]]),
-                    step_size=0.1, noise_variance=0.1)
+    # the second is off by 4e-6, inside allclose's default relative tolerance
+    for cov in ([[1.0, 0.2], [0.3, 1.0]], [[2.0, 0.5], [0.500004, 1.0]]):
+        with pytest.raises(ConfigError, match="symmetric"):
+            NodeProfile(covariance=np.array(cov), step_size=0.1, noise_variance=0.1)
     with pytest.raises(ConfigError):
         NodeProfile(covariance=np.eye(2), step_size=0.0, noise_variance=0.1)
     for mu, noise in ((0.1, -0.1), (np.inf, 0.1), (np.nan, 0.1), (0.1, np.nan),

@@ -2,10 +2,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, NodeProfile, StrategyKind, UnsupportedInputError,
-                      analyze_network, build_error_recursion,
+from adaptnet import (ConfigError, NodeProfile, StabilityVerdict, StrategyKind,
+                      UnsupportedInputError, analyze_network, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,
-                      noncoop_step_bounds, spectral_radius, stability_verdict)
+                      noncoop_step_bounds, spectral_radius)
 
 from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
                       stable_profiles)
@@ -37,11 +37,11 @@ def test_noncoop_transition_is_shrink_and_gram_is_msm():
     blocks = [np.eye(2) - p.step_size * p.covariance for p in profiles]
     expected_b = np.block([[blocks[0], np.zeros((2, 2))],
                            [np.zeros((2, 2)), blocks[1]]])
-    npt.assert_allclose(full_map(rec.transition, rec.basis), expected_b, atol=1e-14)
+    npt.assert_allclose(full_map(rec.transition[0], rec.basis), expected_b, atol=1e-14)
     grams = [p.step_size ** 2 * p.noise_variance * p.covariance for p in profiles]
     expected_y = np.block([[grams[0], np.zeros((2, 2))],
                            [np.zeros((2, 2)), grams[1]]])
-    npt.assert_allclose(full_map(rec.noise_gram, rec.basis), expected_y, atol=1e-14)
+    npt.assert_allclose(full_map(rec.noise_gram[0], rec.basis), expected_y, atol=1e-14)
 
 
 def test_atc_two_node_scalar_entrywise():
@@ -49,7 +49,7 @@ def test_atc_two_node_scalar_entrywise():
     profiles = _scalar_profiles([0.4, 0.6])
     a = np.array([[0.15, 0.85], [0.85, 0.15]])
     rec = build_error_recursion(StrategyKind.ATC, a, profiles)
-    npt.assert_allclose(rec.transition[0], [[0.09, 0.34], [0.51, 0.06]], atol=1e-14)
+    npt.assert_allclose(rec.transition[0, 0], [[0.09, 0.34], [0.51, 0.06]], atol=1e-14)
 
 
 def test_consensus_two_node_scalar_entrywise():
@@ -57,7 +57,7 @@ def test_consensus_two_node_scalar_entrywise():
     a_w, b_w = 0.85, 0.85
     a = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
     rec = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
-    npt.assert_allclose(rec.transition[0], [[-0.25, 0.85], [0.85, -0.45]], atol=1e-14)
+    npt.assert_allclose(rec.transition[0, 0], [[-0.25, 0.85], [0.85, -0.45]], atol=1e-14)
 
 
 def test_noise_grams_entrywise():
@@ -66,10 +66,10 @@ def test_noise_grams_entrywise():
     a = np.array([[0.15, 0.3], [0.85, 0.7]])   # not symmetric: A^T D A != A D A^T
     msm = [[0.016, 0.0], [0.0, 0.036]]
     for kind in (StrategyKind.CTA, StrategyKind.CONSENSUS):
-        npt.assert_allclose(build_error_recursion(kind, a, profiles).noise_gram[0],
+        npt.assert_allclose(build_error_recursion(kind, a, profiles).noise_gram[0, 0],
                             msm, rtol=0.0, atol=1e-15)
     # calA^T M S M calA, entry (i, j) = sum_k a_ki msm_kk a_kj
-    atc = build_error_recursion(StrategyKind.ATC, a, profiles).noise_gram[0]
+    atc = build_error_recursion(StrategyKind.ATC, a, profiles).noise_gram[0, 0]
     npt.assert_allclose(atc, [[0.02637, 0.02214], [0.02214, 0.01908]],
                         rtol=0.0, atol=1e-15)
 
@@ -86,8 +86,8 @@ def test_cta_is_shrink_then_combine():
     atc = build_error_recursion(StrategyKind.ATC, a, profiles)
     cta = build_error_recursion(StrategyKind.CTA, a, profiles)
     cal_a = np.kron(a, np.eye(2))
-    shrink = np.linalg.solve(cal_a.T, full_map(atc.transition, atc.basis))   # I - MR
-    npt.assert_allclose(full_map(cta.transition, cta.basis), shrink @ cal_a.T, atol=1e-12)
+    shrink = np.linalg.solve(cal_a.T, full_map(atc.transition[0], atc.basis))   # I - MR
+    npt.assert_allclose(full_map(cta.transition[0], cta.basis), shrink @ cal_a.T, atol=1e-12)
 
 
 def test_spectral_radius_basics():
@@ -102,7 +102,7 @@ def test_hot_weights_consensus_unstable_diffusion_stable():
     assert spectral_radius(cons.transition) >= 1.0
     atc = build_error_recursion(StrategyKind.ATC, a, profiles)
     assert spectral_radius(atc.transition) < 1.0
-    verdict = stability_verdict(cons.transition)
+    verdict = analyze_network(a, profiles).verdicts[StrategyKind.CONSENSUS]
     assert not verdict.stable
     assert verdict.margin < 0
 
@@ -118,8 +118,7 @@ def test_noncoop_bounds():
 def test_exact_bound_is_marginally_unstable():
     cov = np.diag([2.0, 4.0])
     profiles = [NodeProfile(covariance=cov, step_size=0.5, noise_variance=0.1)]
-    rec = build_error_recursion(StrategyKind.NON_COOPERATIVE, np.eye(1), profiles)
-    verdict = stability_verdict(rec.transition)
+    verdict = analyze_network(np.eye(1), profiles).verdicts[StrategyKind.NON_COOPERATIVE]
     assert verdict.spectral_radius == pytest.approx(1.0, abs=1e-12)
     assert not verdict.stable
 
@@ -149,9 +148,11 @@ def test_consensus_bound_degenerate_empty_interval():
 
 def test_consensus_bound_rejects_asymmetric():
     profiles = _scalar_profiles([0.1, 0.1])
-    a = np.array([[0.8, 0.4], [0.2, 0.6]])
-    with pytest.raises(UnsupportedInputError):
-        consensus_symmetric_bound(a, profiles)
+    # the second is off by 4e-6, inside allclose's default relative tolerance
+    for a in ([[0.8, 0.4], [0.2, 0.6]], [[0.5, 0.500004], [0.5, 0.499996]]):
+        with pytest.raises(UnsupportedInputError):
+            consensus_symmetric_bound(np.array(a), profiles)
+        assert analyze_network(np.array(a), profiles).consensus_bounds is None
 
 
 def test_equality_bound_cases():
@@ -198,9 +199,9 @@ def test_symmetric_sorted_eigenvalue_dominance():
         a = random_symmetric_stochastic(n, rng)
         cons = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
         ncop = build_error_recursion(StrategyKind.NON_COOPERATIVE, a, profiles)
-        cons_map = full_map(cons.transition, cons.basis)
+        cons_map = full_map(cons.transition[0], cons.basis)
         ev_c = np.sort(np.linalg.eigvalsh(0.5 * (cons_map + cons_map.T)))[::-1]
-        ev_n = np.sort(np.linalg.eigvals(full_map(ncop.transition, ncop.basis)).real)[::-1]
+        ev_n = np.sort(np.linalg.eigvals(full_map(ncop.transition[0], ncop.basis)).real)[::-1]
         assert np.all(ev_c <= ev_n + 1e-9)
 
 
@@ -259,8 +260,8 @@ def test_analyze_network_radii_are_each_strategy_alone():
     for a, profiles in cases:
         report = analyze_network(a, profiles)
         for kind in ALL:
-            alone = stability_verdict(build_error_recursion(kind, a, profiles).transition)
-            assert report.verdicts[kind] == alone
+            rho = spectral_radius(build_error_recursion(kind, a, profiles).transition)
+            assert report.verdicts[kind] == StabilityVerdict(rho, rho < 1.0, 1.0 - rho)
         # the per-node bounds take every lambda_max from one eigvalsh call
         lam_max = [np.linalg.eigvalsh(p.covariance)[-1] for p in profiles]
         assert np.array_equal(report.noncoop_bounds, [2.0 / lam for lam in lam_max])
