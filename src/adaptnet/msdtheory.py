@@ -53,7 +53,7 @@ Mode eigenvalues (homogeneous case), from the table:
     non-cooperative         1 - mu lambda_m
 
 The eigen route's stability is this grid's radius, max |lambda_{l,m}| < 1,
-for every strategy; ``_component_matrix`` is the one place that decides it.
+for every strategy; ``msd_eigenform`` alone decides it, into a diverged report.
 
 Every report the harness prints comes from the series route; the eigen
 route is the closed-form check on it and the source of the paper's
@@ -68,7 +68,8 @@ import numpy as np
 
 from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
-from .network import as_weights, is_primitive, perron_pair
+from .network import as_combination, is_primitive, perron_pair
+from .signalmodel import check_covariance
 from .spectra import RecursionStack, spectral_radii
 from .strategies import StrategyKind, uses_a
 
@@ -106,6 +107,7 @@ class MsdReport:
     blocks: int | None = None         # series blocks K; 1 = one dense NM block
     network_orthonormal: float | None = None
     orthonormality_defect: float | None = None
+    per_mode: np.ndarray | None = None  # eigen route's (N, M) MSD_k(m); rows sum to per_node
 
     @property
     def per_node_db(self):
@@ -208,8 +210,8 @@ class EigenStructure:
 def eigenstructure(matrix, covariance) -> EigenStructure:
     """Eigen decomposition of A^T with the unit eigenvalue ordered first and
     vectors normalized to ||r_l|| = 1, s_l^* r_l = 1."""
-    a = as_weights(matrix)
-    r_u = np.asarray(covariance, dtype=float)
+    a = as_combination(matrix).weights
+    r_u = check_covariance(covariance)
     if np.array_equal(a, a.T):
         # symmetric case: eigh keeps repeated eigenspaces orthonormal, which
         # a general eigensolver does not guarantee
@@ -236,8 +238,6 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
             "matrix treated as not diagonalizable")
     left = np.linalg.inv(u).conj().T  # column l = s_l with s_l^* r_l = 1
     cov_vals, cov_vecs = np.linalg.eigh(r_u)
-    if cov_vals.min() <= 0:
-        raise ConfigError("covariance must be positive definite")
     return EigenStructure(matrix=a, eigenvalues=eigs,
                           right_vectors=u, left_vectors=left,
                           cov_eigenvalues=cov_vals, cov_vectors=cov_vecs,
@@ -261,68 +261,60 @@ def mode_eigenvalues(structure: EigenStructure, mu: float,
                            ).astype(complex)
 
 
-def _mode_noise(structure: EigenStructure, noise_variances,
+def _mode_noise(structure: EigenStructure, var: np.ndarray,
                 strategy: StrategyKind) -> np.ndarray:
     """G[l1, l2] = g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2}: nu without
     its mu^2 lambda_m, with the A2 slot gain g2."""
-    var = np.asarray(noise_variances, dtype=float)
     s = structure.left_vectors
     g2 = _gains(structure, strategy)[2]
     return g2 * np.conj(g2).T * (s.conj().T @ (var[:, None] * s))
 
 
-def _mode_terms(structure: EigenStructure, modes: np.ndarray, mu: float,
-               noise_variances, strategy: StrategyKind) -> np.ndarray:
-    """The eigen route's per-mode loop: the (N, M) contributions MSD_k(m),
-    with denominators from the strategy's mode grid ``modes``."""
-    noise = _mode_noise(structure, noise_variances, strategy)
-    scale = mu ** 2 * structure.cov_eigenvalues
+def _mode_terms(structure: EigenStructure, modes: np.ndarray, mu: float, var: np.ndarray,
+                noise: np.ndarray, strategy: StrategyKind) -> np.ndarray | None:
+    """The (N, M) MSD_k(m) of a strategy with mode grid ``modes`` and mode
+    noise ``noise``, or None on a near-singular denominator; non-coop takes
+    its node-wise closed form, which needs no eigenvectors."""
+    lam_r = structure.cov_eigenvalues
+    if strategy is StrategyKind.NON_COOPERATIVE:
+        denom = 1.0 - (1.0 - mu * lam_r) ** 2
+        if np.any(denom < DENOM_GUARD):
+            return None
+        return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
+    scale = mu ** 2 * lam_r
     u = structure.right_vectors
     comp = np.empty(modes.shape)
     for m in range(modes.shape[1]):
         denom = 1.0 - modes[:, m, None] * modes[None, :, m].conj()
-        small = np.abs(denom) < DENOM_GUARD
-        if small.any():
-            l1, l2 = np.argwhere(small)[0]
-            raise StabilityError(
-                f"mode pair (l1={l1}, l2={l2}, m={m}) has near-singular "
-                f"denominator |1 - lam lam*| = {np.abs(denom[l1, l2]):.3g}")
+        if np.any(np.abs(denom) < DENOM_GUARD):
+            return None
         t = scale[m] * noise / denom
         comp[:, m] = np.einsum("kl,lj,kj->k", u, t, u.conj()).real
     return comp
 
 
-def _component_matrix(structure: EigenStructure, mu: float, noise_variances,
-                      strategy: StrategyKind) -> np.ndarray:
-    """Per-(node, covariance-mode) MSD contributions MSD_k(m), eigen route,
-    for any strategy.  The one stability decision of the eigen route: a
-    StabilityError unless every error mode of the strategy's grid lies
-    inside the unit circle.  The non-cooperative strategy takes its
-    node-wise closed form, which needs no eigenvectors."""
-    modes = mode_eigenvalues(structure, mu, strategy)
-    radius = float(np.max(np.abs(modes)))
-    if radius >= 1.0:
-        raise StabilityError(f"{strategy.value} error modes reach radius "
-                             f"{radius:.6g} >= 1 at mu = {mu}")
+def _noise_vector(noise_variances, n: int) -> np.ndarray:
+    """The N noise variances as floats, checked finite and >= 0."""
     var = np.asarray(noise_variances, dtype=float)
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        lam_r = structure.cov_eigenvalues
-        denom = 1.0 - (1.0 - mu * lam_r) ** 2
-        if np.any(denom < DENOM_GUARD):
-            raise StabilityError(f"non-cooperative modes near-singular at mu = {mu}")
-        return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
-    return _mode_terms(structure, modes, mu, var, strategy)
+    if var.shape != (n,) or not np.all((var >= 0) & (var < np.inf)):
+        raise ConfigError(f"expected {n} finite noise variances >= 0, got {var}")
+    return var
 
 
-def _eigenform_report(structure: EigenStructure, mu: float, noise_variances,
-                      strategy: StrategyKind, comp: np.ndarray | None) -> MsdReport:
-    """The eigen-route MSD report built on the strategy's component matrix
-    ``comp``, or a diverged report where it is None (refused)."""
-    var = np.asarray(noise_variances, dtype=float)
+def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
+                  strategy: StrategyKind) -> MsdReport:
+    """Closed eigen-route MSD report for one strategy and the route's one
+    refusal decision: a diverged report, ``per_mode`` None, where a mode
+    reaches the unit circle or a denominator is near-singular."""
     n = structure.n_nodes
+    var = _noise_vector(noise_variances, n)
+    if not 0 < mu < np.inf:
+        raise ConfigError(f"step size must be positive and finite, got {mu}")
     modes = mode_eigenvalues(structure, mu, strategy)
     radius = float(np.max(np.abs(modes)))
     defect = structure.orthonormality_defect
+    noise = _mode_noise(structure, var, strategy)
+    comp = _mode_terms(structure, modes, mu, var, noise, strategy) if radius < 1.0 else None
     if comp is None:
         return MsdReport(strategy=strategy, per_node=np.full(n, np.inf),
                          network=np.inf, spectral_radius=radius,
@@ -330,25 +322,13 @@ def _eigenform_report(structure: EigenStructure, mu: float, noise_variances,
     per_node = comp.sum(axis=1)
     # every collapsed value is taken in the A eigenbasis, so the strategies
     # compare like for like
-    diag_noise = np.diag(_mode_noise(structure, var, strategy)).real
-    ortho = float(np.sum(mu ** 2 * structure.cov_eigenvalues * diag_noise[:, None]
+    ortho = float(np.sum(mu ** 2 * structure.cov_eigenvalues * np.diag(noise).real[:, None]
                          / (1.0 - np.abs(modes) ** 2))) / n
     exact = float(per_node.mean())
     network = ortho if defect <= ORTHONORMAL_TOL else exact
     return MsdReport(strategy=strategy, per_node=per_node, network=network,
                      spectral_radius=radius, network_orthonormal=ortho,
-                     orthonormality_defect=defect)
-
-
-def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
-                  strategy: StrategyKind) -> MsdReport:
-    """Closed eigen-route MSD report for one strategy: the row sums of
-    ``_component_matrix``, or a diverged report where it refuses."""
-    try:
-        comp = _component_matrix(structure, mu, noise_variances, strategy)
-    except StabilityError:
-        comp = None
-    return _eigenform_report(structure, mu, noise_variances, strategy, comp)
+                     orthonormality_defect=defect, per_mode=comp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,13 +356,18 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingR
     """Evaluate the cross-strategy MSD ordering claims on one homogeneous
     stable instance; violations are reported, never raised."""
     structure = eigenstructure(matrix, covariance)
-    var = np.asarray(noise_variances, dtype=float)
+    reports = {kind: msd_eigenform(structure, mu, noise_variances, kind)
+               for kind in StrategyKind}
     # the per-mode identities need ATC, CTA and the non-cooperative strategy
     # stable, so their refusal is raised; consensus may diverge
-    comp = {kind: _component_matrix(structure, mu, var, kind)
+    comp = {kind: reports[kind].per_mode
             for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
-    reports = {kind: _eigenform_report(structure, mu, var, kind, comp[kind]) if kind in comp
-               else msd_eigenform(structure, mu, var, kind) for kind in StrategyKind}
+    for kind, per_mode in comp.items():
+        if per_mode is None:
+            rho = reports[kind].spectral_radius
+            reason = ">= 1" if rho >= 1.0 else "with a near-singular denominator"
+            raise StabilityError(f"{kind.value} error modes reach radius {rho:.6g} "
+                                 f"{reason} at mu = {mu}")
     network = {kind: rep.network for kind, rep in reports.items()}
     per_node = {kind: rep.per_node for kind, rep in reports.items()}
     atc, cta = network[StrategyKind.ATC], network[StrategyKind.CTA]
@@ -448,8 +433,8 @@ def individual_ordering_conditions(matrix, noise_variances) -> NoiseConditionRep
     """Check (i) Sigma_v - A^T Sigma_v A >= 0 and (ii) for primitive A the
     strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node.
     Serves acceptance 7, the per-node benefit conditions."""
-    a = as_weights(matrix)
-    var = np.asarray(noise_variances, dtype=float)
+    a = as_combination(matrix).weights
+    var = _noise_vector(noise_variances, a.shape[0])
     sigma = np.diag(var)
     shrink = sigma - a.T @ sigma @ a
     min_eig = float(np.linalg.eigvalsh(shrink)[0])
@@ -482,11 +467,9 @@ def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> b
     """True when every (node, mode) component satisfies the strict gap
     MSD_ncop,k(m) - MSD_cta,k(m) > 0 with a small relative margin.
     Acceptance 7 re-checks each certified mu* with it."""
-    try:
-        cta = _component_matrix(structure, mu, noise_variances, StrategyKind.CTA)
-        ncop = _component_matrix(structure, mu, noise_variances,
-                                 StrategyKind.NON_COOPERATIVE)
-    except StabilityError:
+    cta, ncop = (msd_eigenform(structure, mu, noise_variances, kind).per_mode
+                 for kind in (StrategyKind.CTA, StrategyKind.NON_COOPERATIVE))
+    if cta is None or ncop is None:
         return False
     return bool(np.all(ncop - cta > GAP_REL_MARGIN * np.abs(ncop)))
 

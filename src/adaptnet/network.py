@@ -138,7 +138,7 @@ class CombinationMatrix:
         bad = np.flatnonzero(np.abs(sums - 1.0) > COLUMN_SUM_TOL)
         if bad.size:
             k = bad[0]
-            raise ConfigError(f"column {k} sums to {sums[k]!r}, expected 1")
+            raise ConfigError(f"column {k} sums to {sums[k]}, expected 1")
         off = ~self.topology.adjacency & (w != 0.0)
         if off.any():
             l, k = np.argwhere(off)[0]
@@ -202,11 +202,17 @@ def check_rule(rule: str) -> None:
         raise ConfigError(f"unknown combination rule {rule!r}; choose from {RULES}")
 
 
-def as_weights(matrix) -> np.ndarray:
-    """The weights of a ``CombinationMatrix``, or any array-like A as floats."""
+def as_combination(matrix) -> CombinationMatrix:
+    """A ``CombinationMatrix`` as it is, or a raw square array validated as
+    one on its own support: l and k neighbor where a_{l,k} or a_{k,l} > 0."""
     if isinstance(matrix, CombinationMatrix):
-        return matrix.weights
-    return np.asarray(matrix, dtype=float)
+        return matrix
+    w = np.asarray(matrix, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ConfigError(f"expected a square matrix, got shape {w.shape}")
+    support = (w > 0) | (w > 0).T
+    np.fill_diagonal(support, True)
+    return CombinationMatrix(w, NetworkTopology(w.shape[0], support))
 
 
 def is_primitive(matrix) -> bool:
@@ -214,9 +220,11 @@ def is_primitive(matrix) -> bool:
 
     Boolean repeated squaring of the support matrix.  Positivity of powers is
     absorbing because a left-stochastic matrix has no zero column, so checking
-    the first squared power past the Wielandt bound suffices.
+    the first squared power past the Wielandt bound suffices.  Only the
+    support is read, so a raw array is not validated as a combination matrix.
     """
-    s = as_weights(matrix) > 0
+    s = (matrix.weights if isinstance(matrix, CombinationMatrix)
+         else np.asarray(matrix, dtype=float)) > 0
     n = s.shape[0]
     if np.any(~s.any(axis=0)):
         raise ConfigError("support has a zero column; matrix is not left-stochastic")
@@ -243,7 +251,7 @@ def perron_pair(matrix) -> PerronPair:
     A; its s1 weighs the noise in acceptance 7's strict per-node condition."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
-    a = as_weights(matrix)
+    a = as_combination(matrix).weights
 
     def unit_vector(op):
         vals, vecs = np.linalg.eig(op)
@@ -257,7 +265,7 @@ def perron_pair(matrix) -> PerronPair:
 
 
 def load_combination_csv(path) -> CombinationMatrix:
-    """Read a matrix CSV (row l, column k = a_{l,k}); topology from the support."""
+    """Read a matrix CSV (row l, column k = a_{l,k}) by ``as_combination``."""
     rows = []
     with open(path) as fh:
         for ln in fh:
@@ -265,10 +273,5 @@ def load_combination_csv(path) -> CombinationMatrix:
             if not ln or ln.startswith("#"):
                 continue
             rows.append([float(tok) for tok in ln.split(",")])
-    w = np.asarray(rows, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ConfigError(f"{path}: expected a square matrix, got shape {w.shape}")
-    support = (w > 0) | (w > 0).T
-    np.fill_diagonal(support, True)
-    return CombinationMatrix(w, NetworkTopology(w.shape[0], support))
+    return as_combination(rows)
 

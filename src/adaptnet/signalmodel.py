@@ -42,6 +42,20 @@ class GroundTruth:
         return self.vector.size
 
 
+def check_covariance(covariance) -> np.ndarray:
+    """A copy of the covariance as floats; a ConfigError unless it is square,
+    nonempty, finite, symmetric to 1e-12 relative and positive definite."""
+    cov = np.array(covariance, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+        raise ConfigError(f"covariance must be square and nonempty, got shape {cov.shape}")
+    if (not np.all(np.isfinite(cov))
+            or np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max()):
+        raise ConfigError("covariance must be finite and symmetric")
+    if not np.linalg.eigvalsh(cov).min() > 0:
+        raise ConfigError("covariance must be positive definite")
+    return cov
+
+
 @dataclass(frozen=True, eq=False)
 class NodeProfile:
     """Per-node statistics: step-size, regressor covariance, noise variance.
@@ -55,14 +69,7 @@ class NodeProfile:
     noise_variance: float
 
     def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
-            raise ConfigError(f"covariance must be square and nonempty, got shape {cov.shape}")
-        if (not np.all(np.isfinite(cov))
-                or np.abs(cov - cov.T).max() > 1e-12 * np.abs(cov).max()):
-            raise ConfigError("covariance must be finite and symmetric")
-        if not np.linalg.eigvalsh(cov).min() > 0:
-            raise ConfigError("covariance must be positive definite")
+        cov = check_covariance(self.covariance)
         if not 0 < self.step_size < np.inf:
             raise ConfigError(f"step size must be positive and finite, got {self.step_size}")
         if not 0 <= self.noise_variance < np.inf:

@@ -56,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnsupportedInputError
-from .network import as_weights
-from .signalmodel import is_homogeneous
+from .network import as_combination
+from .signalmodel import check_covariance, is_homogeneous
 from .strategies import StrategyKind, uses_a
 
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
@@ -104,7 +104,7 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     the covariance stack and the shared basis once, then one row of the
     (A1, A0, A2) table per strategy.  M blocks when the covariances share an
     eigenbasis, one dense Kronecker block otherwise."""
-    a = as_weights(matrix)
+    a = as_combination(matrix).weights
     n = len(profiles)
     if a.shape != (n, n):
         raise ConfigError(f"combination matrix {a.shape} does not match {n} profiles")
@@ -186,7 +186,7 @@ def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
 
     The interval is empty (bound 0) when lambda_min(A) = -1.
     """
-    a = as_weights(matrix)
+    a = as_combination(matrix).weights
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
     lam_min = np.linalg.eigvalsh(a)[0]
@@ -199,13 +199,13 @@ def diffusion_equality_bound(matrix, covariance) -> float:
 
     A = I has no constraining mode; returns +inf.
     """
-    a = as_weights(matrix)
+    a = as_combination(matrix).weights
+    r_eigs = np.linalg.eigvalsh(check_covariance(covariance))
     if np.array_equal(a, np.eye(a.shape[0])):
         return float("inf")
     eigs = np.linalg.eigvals(a)
     drop = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, drop)
-    r_eigs = np.linalg.eigvalsh(np.asarray(covariance, dtype=float))
     denom = r_eigs[0] + r_eigs[-1]
     return float(np.min(1.0 - np.abs(rest)) / denom)
 
@@ -228,17 +228,17 @@ class StabilityReport:
 def analyze_network(matrix, profiles) -> StabilityReport:
     """Spectral verdicts for all four strategies, from one pass of
     ``build_error_recursions`` and one eigvals call, plus every applicable
-    bound."""
+    bound.  A raw A is validated once, by ``as_combination``, and passed on."""
+    matrix = as_combination(matrix)
     stack = build_error_recursions(tuple(StrategyKind), matrix, profiles)
     radii = spectral_radii(stack.transition).tolist()
     verdicts = {kind: StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
                 for kind, rho in zip(stack.strategies, radii)}
-    a = as_weights(matrix)
     try:
         cons_bounds = consensus_symmetric_bound(matrix, profiles)
     except UnsupportedInputError:
         cons_bounds = None
-    equality = (diffusion_equality_bound(a, profiles[0].covariance)
+    equality = (diffusion_equality_bound(matrix, profiles[0].covariance)
                 if is_homogeneous(profiles) else None)
     return StabilityReport(verdicts=verdicts,
                            noncoop_bounds=noncoop_step_bounds(profiles),

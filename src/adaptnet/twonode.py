@@ -31,6 +31,11 @@ def _check_noise_ratio(t: float) -> None:
         raise ConfigError(f"noise ratio must be positive and finite, got {t}")
 
 
+def _check_weights(a: float, b: float) -> None:
+    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
+        raise ConfigError(f"a, b must lie in [0, 1], got a={a}, b={b}")
+
+
 @dataclass(frozen=True)
 class TwoNodeConfig:
     """a, b: combination weights; mu_sigma_k: step-size times regressor power;
@@ -43,8 +48,7 @@ class TwoNodeConfig:
     t: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.a <= 1.0 and 0.0 <= self.b <= 1.0):
-            raise ConfigError(f"a, b must lie in [0, 1], got a={self.a}, b={self.b}")
+        _check_weights(self.a, self.b)
         if not (0 < self.mu_sigma1 < np.inf and 0 < self.mu_sigma2 < np.inf):
             raise ConfigError("mu*sigma^2 products must be positive and finite, got "
                               f"{self.mu_sigma1}, {self.mu_sigma2}")
@@ -135,8 +139,10 @@ def msd_region_classify(a: float, b: float, mu_sigma: float) -> str:
                non-cooperative baseline.
     Points within ``REGION_BOUNDARY_TOL`` of a threshold are labeled "boundary"
     (the defining inequalities are non-strict on both sides there).  A point
-    at or past the consensus stability limit raises ``StabilityError``.
+    at or past the consensus stability limit raises ``StabilityError``, and
+    a or b outside [0, 1] a ``ConfigError``.
     """
+    _check_weights(a, b)
     thresholds = region_thresholds(mu_sigma)
     s = a + b
     label = str(_region_labels(np.asarray(s), thresholds))
@@ -194,8 +200,7 @@ def _noise_conditions(a, b, t: float):
 
 def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionReport:
     _check_noise_ratio(t)
-    if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0):
-        raise ConfigError(f"a, b must lie in [0, 1], got a={a}, b={b}")
+    _check_weights(a, b)
     shrink, det, min_eig, psd, lhs1, lhs2, strict = _noise_conditions(a, b, t)
     return TwoNodeConditionReport(
         shrink_matrix=shrink,

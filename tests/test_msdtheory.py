@@ -11,7 +11,7 @@ from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, Numerica
                       ordering_checks, spectral_radius, strict_gap_holds,
                       strict_ordering_step_threshold)
 import adaptnet.msdtheory as msdtheory
-from adaptnet.msdtheory import _component_matrix, _doubling_sum, series_reports
+from adaptnet.msdtheory import _doubling_sum, series_reports
 from adaptnet.spectra import build_error_recursions
 
 from conftest import (full_map, random_left_stochastic, random_spd,
@@ -185,7 +185,7 @@ def test_noncoop_component_closed_form():
     st = eigenstructure(a, cov)
     mu = 0.2
     noise = np.array([0.3, 0.1, 0.05])
-    comp = _component_matrix(st, mu, noise, StrategyKind.NON_COOPERATIVE)
+    comp = msd_eigenform(st, mu, noise, StrategyKind.NON_COOPERATIVE).per_mode
     for k in range(3):
         for m, lam in enumerate([1.0, 2.5]):
             expected = mu ** 2 * lam * noise[k] / (1.0 - (1.0 - mu * lam) ** 2)
@@ -195,7 +195,7 @@ def test_noncoop_component_closed_form():
 def test_identity_matrix_components_equal():
     st = eigenstructure(np.eye(3), np.diag([1.0, 2.0]))
     noise = np.array([0.2, 0.1, 0.3])
-    comps = [_component_matrix(st, 0.15, noise, kind)
+    comps = [msd_eigenform(st, 0.15, noise, kind).per_mode
              for kind in (StrategyKind.ATC, StrategyKind.CTA,
                           StrategyKind.NON_COOPERATIVE)]
     npt.assert_allclose(comps[0], comps[2], atol=1e-12)
@@ -228,7 +228,7 @@ def test_component_series_matches_eigen_route():
                     stable_consensus += kind is StrategyKind.CONSENSUS
                     x, _ = _doubling_sum(rec.transition, rec.noise_gram)
                     series = x[0].diagonal(axis1=1, axis2=2).T
-                    npt.assert_allclose(_component_matrix(st, mu, noise, kind), series,
+                    npt.assert_allclose(msd_eigenform(st, mu, noise, kind).per_mode, series,
                                         rtol=1e-12)
     assert stable_consensus > 0
 
@@ -242,9 +242,8 @@ def test_components_sum_to_per_node_msd():
     st = eigenstructure(a, cov)
     for kind in (StrategyKind.ATC, StrategyKind.CTA,
                  StrategyKind.NON_COOPERATIVE):
-        comp = _component_matrix(st, mu, noise, kind)
         rep = msd_eigenform(st, mu, noise, kind)
-        npt.assert_allclose(comp.sum(axis=1), rep.per_node, atol=1e-10)
+        npt.assert_array_equal(rep.per_mode.sum(axis=1), rep.per_node)
 
 
 def test_unknown_strategy_is_config_error():
@@ -257,8 +256,8 @@ def test_unstable_modes_reported_or_raised():
     st = eigenstructure(np.eye(2), np.array([[1.0]]))
     rep = msd_eigenform(st, 2.5, [0.1, 0.1], StrategyKind.ATC)
     assert rep.diverged
-    with pytest.raises(StabilityError):
-        _component_matrix(st, 2.5, np.array([0.1, 0.1]), StrategyKind.ATC)
+    assert rep.per_mode is None
+    assert rep.spectral_radius == pytest.approx(1.5)
 
 
 def test_unstable_consensus_modes_raised():
@@ -266,10 +265,58 @@ def test_unstable_consensus_modes_raised():
     # the consensus mode lambda_2(A) - mu = -0.7 - 0.6 leaves it
     st = eigenstructure(_two_node_matrix(0.85, 0.85), np.array([[1.0]]))
     noise = np.array([0.1, 0.1])
-    _component_matrix(st, 0.6, noise, StrategyKind.CTA)
-    with pytest.raises(StabilityError, match="radius 1.3"):
-        _component_matrix(st, 0.6, noise, StrategyKind.CONSENSUS)
-    assert msd_eigenform(st, 0.6, noise, StrategyKind.CONSENSUS).diverged
+    assert msd_eigenform(st, 0.6, noise, StrategyKind.CTA).per_mode is not None
+    rep = msd_eigenform(st, 0.6, noise, StrategyKind.CONSENSUS)
+    assert rep.diverged
+    assert rep.per_mode is None
+    assert rep.spectral_radius == pytest.approx(1.3)
+
+
+def test_eigenform_refusal_is_a_report_across_the_stability_limit():
+    # diffusion and non-coop leave the unit circle at mu = 2, consensus at
+    # mu = 0.3 (|-0.7 - mu| = 1); the grid keeps clear of both limits, where
+    # a near-singular denominator refuses a radius a hair below 1
+    st = eigenstructure(_two_node_matrix(0.85, 0.85), np.array([[1.0]]))
+    noise = np.array([0.1, 0.2])
+    seen = set()
+    for mu in np.linspace(0.05, 2.6, 52):
+        for kind in ALL:
+            rep = msd_eigenform(st, mu, noise, kind)
+            assert rep.diverged == (rep.spectral_radius >= 1.0)
+            assert (rep.per_mode is None) == rep.diverged
+            seen.add((kind, rep.diverged))
+    assert len(seen) == 2 * len(ALL)
+
+
+def test_ordering_checks_raises_a_refused_diffusion_strategy():
+    # ATC modes (1 - 2.5) lambda_l(A) reach radius 1.5; the per-mode
+    # identities need ATC, so the refusal is raised, not reported
+    with pytest.raises(StabilityError, match="atc error modes reach radius 1.5 >= 1 at mu = 2.5"):
+        ordering_checks(_two_node_matrix(0.3, 0.4), np.array([[1.0]]), 2.5, [0.1, 0.1])
+
+
+_A2 = _two_node_matrix(0.3, 0.4)
+
+
+@pytest.mark.parametrize("call, fragment", [
+    (lambda: eigenstructure(_A2, np.array([[np.nan]])), "finite and symmetric"),
+    (lambda: eigenstructure(_A2, np.array([[2.0, 1.0], [0.0, 1.0]])), "finite and symmetric"),
+    (lambda: eigenstructure(_A2, np.diag([1.0, -1.0])), "positive definite"),
+    (lambda: ordering_checks(_A2, np.eye(1), 0.1, [-0.1, 0.1]), "noise variances"),
+    (lambda: ordering_checks(_A2, np.eye(1), 0.1, [np.nan, 0.1]), "noise variances"),
+    (lambda: ordering_checks(_A2, np.eye(1), np.nan, [0.1, 0.1]), "step size"),
+    (lambda: ordering_checks(_A2, np.eye(1), -0.1, [0.1, 0.1]), "step size"),
+    (lambda: msd_eigenform(eigenstructure(_A2, np.eye(1)), 0.1, [0.1, 0.1, 0.1],
+                           StrategyKind.ATC), "expected 2 finite noise"),
+    (lambda: strict_gap_holds(eigenstructure(_A2, np.eye(1)), 0.1, [0.1, np.inf]),
+     "noise variances"),
+    (lambda: individual_ordering_conditions(_A2, [-0.1, 0.1]), "noise variances"),
+], ids=["nan-covariance", "asymmetric-covariance", "indefinite-covariance",
+        "negative-noise", "nan-noise", "nan-step", "negative-step", "noise-length",
+        "infinite-noise-gap", "negative-noise-conditions"])
+def test_eigen_route_rejects_invalid_inputs(call, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        call()
 
 
 def test_msd_orderings_random_symmetric():
@@ -319,9 +366,9 @@ def test_trichotomy_per_component():
         mu = float(rng.uniform(0.05, 0.95) * 2.0 / np.linalg.eigvalsh(cov)[-1])
         noise = rng.uniform(0.02, 0.4, size=n)
         st = eigenstructure(a, cov)
-        atc = _component_matrix(st, mu, noise, StrategyKind.ATC)
-        cta = _component_matrix(st, mu, noise, StrategyKind.CTA)
-        ncop = _component_matrix(st, mu, noise, StrategyKind.NON_COOPERATIVE)
+        atc = msd_eigenform(st, mu, noise, StrategyKind.ATC).per_mode
+        cta = msd_eigenform(st, mu, noise, StrategyKind.CTA).per_mode
+        ncop = msd_eigenform(st, mu, noise, StrategyKind.NON_COOPERATIVE).per_mode
         tol = 1e-12 * np.abs(ncop).max()
         forward = (atc <= cta + tol) & (cta <= ncop + tol)
         reverse = (ncop <= cta + tol) & (cta <= atc + tol)
@@ -345,7 +392,7 @@ def _reference_ratio_checks(matrix, covariance, mu, noise):
     """ordering_checks' (ratio_max_error, ratio_skipped) as a scalar loop
     over (node, mode): the same skip floor, a NaN ratio error ignored."""
     st = eigenstructure(matrix, covariance)
-    comp = {kind: _component_matrix(st, mu, noise, kind)
+    comp = {kind: msd_eigenform(st, mu, noise, kind).per_mode
             for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
     gap_nc = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.CTA]
     gap_na = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.ATC]

@@ -246,6 +246,24 @@ def test_analyze_network_report():
     assert mixed.equality_bound is None
 
 
+@pytest.mark.parametrize("matrix, fragment", [
+    (2.0 * np.eye(2), "column 0 sums to 2.0, expected 1"),
+    (np.full((2, 2), np.nan), "non-finite weight"),
+    (np.array([[1.5, 0.0], [-0.5, 1.0]]), "negative weight"),
+    (np.ones(2), "square matrix"),
+])
+def test_analyze_network_validates_a_raw_matrix(matrix, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        analyze_network(matrix, _scalar_profiles([0.9, 0.9]))
+
+
+@pytest.mark.parametrize("cov", [np.array([[np.nan]]), np.array([[2.0, 1.0], [0.0, 1.0]]),
+                                 -np.eye(2)])
+def test_equality_bound_validates_the_covariance(cov):
+    with pytest.raises(ConfigError, match="covariance"):
+        diffusion_equality_bound(np.array([[0.6, 0.4], [0.4, 0.6]]), cov)
+
+
 def test_analyze_network_radii_are_each_strategy_alone():
     # one eigvals call over the stacked blocks of all four strategies gives
     # each the verdict of its own recursion: M blocks, one dense block, and

@@ -176,6 +176,12 @@ def test_region_classification_examples():
         msd_region_classify(0.85, 0.85, 0.4)
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 0.2), (-0.5, 0.2), (1.3, 0.0), (0.2, 1.01)])
+def test_region_classify_rejects_weights_outside_unit_interval(a, b):
+    with pytest.raises(ConfigError, match=r"a, b must lie in \[0, 1\]"):
+        msd_region_classify(a, b, 0.5)
+
+
 def test_region_verdicts_match_eigenform():
     # independent eigen-route confirmation of the closed-form region labels
     sigma = 1.0
