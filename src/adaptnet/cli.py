@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
             curve = curves[kind]
             db = curve.normalized_db() if args.normalize else curve.msd_db
             for i, value in enumerate(db):
-                rows.append((i, kind.value, f"{value:.12g}" if np.isfinite(value) else "inf"))
+                rows.append((i, kind.value, f"{value:.12g}"))  # -inf: exact 0, inf: diverged
         _write_csv(args.out, ("iteration", "strategy", "msd_db"), rows, seed=cfg.seed)
     for kind in cfg.strategies:
         curve = curves[kind]
@@ -161,7 +161,7 @@ def _compare(args, cfg) -> int:
         th_nodes = rep.per_node_db
         print(f"{kind.value:<16} {_fmt_db(rep.network_db)} "
               f"{_fmt_db(curve.network_steady_db)} "
-              f"{curve.network_steady_db - rep.network_db:8.3f}   "
+              f"{result.network_gap(kind):8.3f}   "
               f"{_fmt_db(float(np.min(th_nodes)))} {_fmt_db(float(np.median(th_nodes)))} "
               f"{_fmt_db(float(np.max(th_nodes)))}")
     finite = {k: result.theory[k].network for k in cfg.strategies

@@ -256,6 +256,11 @@ class TheoryComparison:
         raise KeyError(kind)
 
 
+def _gap_db(simulated, theory) -> float:
+    """Simulated minus theoretical dB; two exactly-zero MSDs (-inf dB) agree."""
+    return 0.0 if simulated == theory == -np.inf else float(simulated - theory)
+
+
 def steady_state_vs_theory(cfg: ExperimentConfig) -> TheoryComparison:
     """Compare simulated steady-state MSD against the theoretical prediction,
     per node and for the network; strategies whose theory says unstable are
@@ -275,9 +280,9 @@ def steady_state_vs_theory(cfg: ExperimentConfig) -> TheoryComparison:
         th_nodes = _db(rep.per_node)
         for k in range(len(cfg.profiles)):
             rows.append(ComparisonRow(kind, k, float(sim_nodes[k]), float(th_nodes[k]),
-                                      float(sim_nodes[k] - th_nodes[k])))
+                                      _gap_db(sim_nodes[k], th_nodes[k])))
         sim_net = curve.network_steady_db
         th_net = rep.network_db
-        rows.append(ComparisonRow(kind, None, sim_net, th_net, sim_net - th_net))
+        rows.append(ComparisonRow(kind, None, sim_net, th_net, _gap_db(sim_net, th_net)))
     return TheoryComparison(rows=tuple(rows), theory=theory, curves=curves,
                             refused=refused)

@@ -195,16 +195,12 @@ class EigenStructure:
     cov_eigenvalues: np.ndarray
     cov_vectors: np.ndarray
     condition: float
+    # largest off-diagonal entry of the Gram matrix of the right vectors
+    orthonormality_defect: float
 
     @property
     def n_nodes(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def orthonormality_defect(self) -> float:
-        gram = self.right_vectors.conj().T @ self.right_vectors
-        off = gram - np.diag(np.diag(gram))
-        return float(np.max(np.abs(off))) if gram.shape[0] > 1 else 0.0
 
 
 def eigenstructure(matrix, covariance) -> EigenStructure:
@@ -238,10 +234,12 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
             "matrix treated as not diagonalizable")
     left = np.linalg.inv(u).conj().T  # column l = s_l with s_l^* r_l = 1
     cov_vals, cov_vecs = np.linalg.eigh(r_u)
+    gram = u.conj().T @ u
+    defect = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if u.shape[0] > 1 else 0.0
     return EigenStructure(matrix=a, eigenvalues=eigs,
                           right_vectors=u, left_vectors=left,
                           cov_eigenvalues=cov_vals, cov_vectors=cov_vecs,
-                          condition=cond)
+                          condition=cond, orthonormality_defect=defect)
 
 
 def _gains(structure: EigenStructure, strategy: StrategyKind) -> tuple:

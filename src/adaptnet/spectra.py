@@ -36,11 +36,14 @@ largest radius over the blocks, and a trace of any series in B and Y is the
 sum of the block traces.
 
 One pass per network.  ``build_error_recursions`` computes mu, the noise,
-the covariance stack and the basis once and then applies each requested
-strategy's table row, giving a ``RecursionStack`` of (S, K, n, n) stacks,
-the one recursion type; ``spectral_radii`` takes every strategy's radius
-from one eigvals call on it, and ``analyze_network`` is one such pass over
-all four strategies.  ``build_error_recursion`` returns the S = 1 stack.
+the covariance stack, the basis, M R and M S M once, then every strategy's
+B and Y as batched products of ``strategies.combination_stack``, the stacks
+the simulator steps with, I slots included (an identity factor is exact):
+the table is applied in that one place.  The result is a ``RecursionStack``
+of (S, K, n, n) stacks, the one recursion type; ``spectral_radii`` takes
+every strategy's radius from one eigvals call on it, and
+``analyze_network`` is one such pass over all four strategies.
+``build_error_recursion`` returns the S = 1 stack.
 Batched matmul and eigvals work block by block, so each strategy gets the
 bits it gets alone.
 
@@ -58,7 +61,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedInputError
 from .network import as_combination
 from .signalmodel import check_covariance, is_homogeneous
-from .strategies import StrategyKind, uses_a
+from .strategies import StrategyKind, combination_stack
 
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
 # which the covariances count as sharing the eigenbasis Q
@@ -100,10 +103,9 @@ class RecursionStack:
 
 
 def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
-    """Assemble B and Y for every listed strategy in one pass: mu, the noise,
-    the covariance stack and the shared basis once, then one row of the
-    (A1, A0, A2) table per strategy.  M blocks when the covariances share an
-    eigenbasis, one dense Kronecker block otherwise."""
+    """B = A2^T (A0^T - M R) A1^T and Y = A2^T M S M A2 of every listed
+    strategy in one pass, as batched products of ``combination_stack``.  M
+    blocks when the covariances share an eigenbasis, one dense block otherwise."""
     a = as_combination(matrix).weights
     n = len(profiles)
     if a.shape != (n, n):
@@ -111,39 +113,28 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     m = profiles[0].dim
     if any(p.dim != m for p in profiles):
         raise ConfigError("all nodes must share the regressor dimension")
-    rows = [uses_a(kind) for kind in strategies]
     mu = np.array([p.step_size for p in profiles])
     noise = np.array([p.noise_variance for p in profiles])
     covs = np.array([p.covariance for p in profiles])
     basis, d = _shared_basis(covs)
     if basis is None:
-        nm = n * m
-        mstep = np.diag(np.repeat(mu, m))
-        r_blk = np.zeros((nm, nm))
-        s_blk = np.zeros((nm, nm))
-        for k in range(n):
-            sl = slice(k * m, (k + 1) * m)
-            r_blk[sl, sl] = covs[k]
-            s_blk[sl, sl] = noise[k] * covs[k]
-        cal_at = np.kron(a, np.eye(m)).T
-        mr = (mstep @ r_blk)[None]
-        msm = (mstep @ s_blk @ mstep)[None]
+        # one dense block: calA = A (x) I_M, M R and M S M as row and column
+        # scalings of the block-diagonal R
+        weights, size = np.kron(a, np.eye(m)), n * m
+        r_blk = np.zeros((n, m, n, m))
+        r_blk[np.arange(n), :, np.arange(n), :] = covs
+        r_blk = r_blk.reshape(size, size)
+        mu_rep = np.repeat(mu, m)[:, None]
+        mr = (mu_rep * r_blk)[None]
+        msm = (mu_rep * (np.repeat(noise, m)[:, None] * r_blk) * mu_rep.T)[None]
     else:
         # block m of M R and of M S M: diag_k(g_k d_{k,m}), g = mu and mu^2 s2
-        cal_at = a.T
+        weights, size = a, n
         mr, msm = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
-    eye = np.eye(cal_at.shape[0])
-    b = np.empty((len(rows),) + mr.shape)
-    y = np.empty_like(b)
-    for s, (a1, a0, a2) in enumerate(rows):
-        # an I slot is skipped, not multiplied, so no product rounds B or Y
-        b[s] = (cal_at if a0 else eye) - mr
-        y[s] = msm
-        if a1:
-            b[s] = b[s] @ cal_at
-        if a2:
-            b[s] = cal_at @ b[s]
-            y[s] = cal_at @ msm @ cal_at.T
+    # the simulator's transposed (A1, A0, A2), broadcast over the K blocks
+    a1t, a0t, a2t = (x[:, None] for x in combination_stack(strategies, weights, size))
+    b = a2t @ (a0t - mr) @ a1t
+    y = a2t @ msm @ a2t.swapaxes(-1, -2)
     return RecursionStack(tuple(strategies), b, y, n, m, basis)
 
 

@@ -18,8 +18,8 @@ left-stochastic matrix A and the others to I:
 Consensus combines in A0, beside the adaptation, so its error signal uses
 the node's own previous iterate, not the combined one; that single
 difference drives all the stability gaps studied here.  The table is the
-one definition of a strategy: the simulator stacks its matrices, and the
-theory (``spectra``, ``msdtheory``) builds B, Y and the mode grids from it.
+one definition of a strategy; ``combination_stack`` turns it into the
+stacks the simulator steps with and ``spectra`` multiplies into B and Y.
 Every formula reads the previous iteration's estimates only.  Leading axes
 of W, u and d are a batch of independent networks (trials) sharing step
 sizes and weights; a leading strategy axis on the matrices advances several
@@ -51,8 +51,6 @@ class StrategyKind(Enum):
                           f"{[k.value for k in cls]}")
 
 
-COOPERATIVE = (StrategyKind.CONSENSUS, StrategyKind.ATC, StrategyKind.CTA)
-
 # the table above: which of (A1, A0, A2) is A rather than I
 _USES_A = {
     StrategyKind.NON_COOPERATIVE: (False, False, False),
@@ -60,6 +58,9 @@ _USES_A = {
     StrategyKind.ATC: (False, False, True),
     StrategyKind.CTA: (True, False, False),
 }
+
+# a strategy is cooperative exactly when its row puts A in some slot
+COOPERATIVE = tuple(kind for kind, row in _USES_A.items() if any(row))
 
 
 def uses_a(kind) -> tuple:

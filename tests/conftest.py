@@ -67,6 +67,27 @@ def reference_recursion(strategy, a, profiles):
     return b, y
 
 
+def reference_blocks(strategy, a, profiles, basis):
+    """(B_m, Y_m) as (M, N, N) stacks in the shared eigenbasis ``basis``, by
+    the table formula with each I slot skipped rather than multiplied."""
+    n = len(profiles)
+    mu = np.array([p.step_size for p in profiles])
+    noise = np.array([p.noise_variance for p in profiles])
+    covs = np.array([p.covariance for p in profiles])
+    d = (basis.T @ covs @ basis).diagonal(axis1=1, axis2=2)
+    mr, msm = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
+    a1, a0, a2 = uses_a(strategy)
+    cal_at = a.T
+    b = (cal_at if a0 else np.eye(n)) - mr
+    if a1:
+        b = b @ cal_at
+    y = msm
+    if a2:
+        b = cal_at @ b
+        y = cal_at @ msm @ cal_at.T
+    return b, y
+
+
 def full_map(stack, basis):
     """The NM x NM matrix in node order from a (K, n, n) stack of diagonal
     blocks: the one block when basis is None, else the M blocks placed on

@@ -260,6 +260,48 @@ def test_cli_simulate_zero_truth_not_diverged(tmp_path, capsys):
     assert "diverged" not in capsys.readouterr().err
 
 
+# a zero truth seen by noiseless nodes: every estimate stays exactly at w0,
+# so every MSD, simulated and theoretical, is exactly 0, i.e. -inf dB
+ZERO_CFG = """nodes = 2
+dim = 2
+mu = 0.1
+ru_diag = 1, 2
+noise_db = -inf
+w0 = 0, 0
+topology = full
+rule = uniform
+iterations = 50
+trials = 2
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]])
+def test_cli_simulate_writes_an_exactly_zero_msd_as_minus_inf(tmp_path, flags):
+    path = tmp_path / "zero.cfg"
+    path.write_text(ZERO_CFG)
+    out = tmp_path / "zero.csv"
+    assert main(["simulate", str(path), "--out", str(out)] + flags) == 0
+    _, rows = _read_csv(out)
+    assert len(rows) == 50 * 4
+    assert {r[2] for r in rows} == {"-inf"}
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_compare_gap_of_two_exactly_zero_msds_is_zero(tmp_path, capsys):
+    path = tmp_path / "zero.cfg"
+    path.write_text(ZERO_CFG)
+    csv = tmp_path / "zero.csv"
+    assert main(["compare", str(path), "--csv", str(csv)]) == 0
+    names = {k.value for k in StrategyKind}
+    table = [row for row in map(str.split, capsys.readouterr().out.splitlines())
+             if row[:1] and row[0] in names]
+    assert len(table) == 4
+    assert all(row[1:4] == ["-inf", "-inf", "0.000"] for row in table)
+    _, rows = _read_csv(csv)
+    assert len(rows) == 3 * 4
+    assert all(r[2:] == ["-inf", "-inf", "0"] for r in rows)
+
+
 def test_cli_compare(stable_cfg, tmp_path, capsys):
     csv = tmp_path / "cmp.csv"
     assert main(["compare", stable_cfg, "--csv", str(csv)]) == 0
@@ -354,11 +396,16 @@ def test_cli_compare_prints_noiseless_node_as_minus_inf(tmp_path, capsys):
     path = tmp_path / "noiseless.cfg"
     path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -inf, -20, -20\n"
                     "ru_diag = 1\niterations = 80\ntrials = 3\n")
-    assert main(["compare", str(path)]) == 0
+    csv = tmp_path / "noiseless.csv"
+    assert main(["compare", str(path), "--csv", str(csv)]) == 0
     out = capsys.readouterr().out
     row = next(ln for ln in out.splitlines() if ln.startswith("non_cooperative"))
     assert row.split()[4] == "-inf"
     assert "+inf" not in out
+    # the simulated node-0 MSD is not 0, so only one side is -inf: the gap is inf
+    _, rows = _read_csv(csv)
+    assert rows[0][:3] == ["non_cooperative", "0", "-inf"]
+    assert float(rows[0][3]) > -np.inf and rows[0][4] == "inf"
 
 
 def test_cli_compare_names_no_winner_on_a_tie(tmp_path, capsys):

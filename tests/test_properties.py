@@ -12,10 +12,11 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       GroundTruth, NodeProfile, RecursionStack, StrategyKind,
                       build_error_recursion, build_experiment, complete_topology,
                       msd_series, parse_pairs, spectral_radius)
+from adaptnet.spectra import build_error_recursions
 from adaptnet.strategies import combination_stack, recursion_step
 
 from conftest import (full_map, random_left_stochastic, random_spd,
-                      random_symmetric_stochastic, reference_recursion)
+                      random_symmetric_stochastic, reference_blocks, reference_recursion)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -89,15 +90,15 @@ def test_one_recursion_step_maps_the_error_through_b(network, w0, start):
 
 
 @st.composite
-def covariance_networks(draw):
+def covariance_networks(draw, kinds=("diagonal", "rotated", "non_commuting")):
     """A network whose covariances are diagonal, share one random rotation
     (so they commute) or each have their own rotation (so, for M > 1, they
     do not commute), over a left-stochastic or a symmetric A.  Hypothesis
-    draws the sizes and classes; the entries come from a drawn seed, so the
-    matrices are generic."""
+    draws the sizes and classes (from ``kinds``); the entries come from a
+    drawn seed, so the matrices are generic."""
     n = draw(st.integers(2, 7))
     m = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(("diagonal", "rotated", "non_commuting")))
+    kind = draw(st.sampled_from(kinds))
     symmetric = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = random_symmetric_stochastic(n, rng) if symmetric else random_left_stochastic(n, rng)
@@ -145,6 +146,21 @@ def test_blocks_match_the_dense_kronecker_recursion(network):
                           <= 1e-12 * want.per_node), strategy
         else:
             assert np.array_equal(got.per_node, want.per_node)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(covariance_networks(kinds=("diagonal", "rotated")))
+def test_blocks_are_the_table_formula_bit_for_bit(network):
+    # B_m and Y_m come from products with the I slots multiplied; an
+    # identity factor is exact, so they equal the formula with them skipped
+    _, a, profiles = network
+    rec = build_error_recursions(tuple(StrategyKind), a, profiles)
+    # M = 1, or a near-repeated eigenvalue of sum_k R_k, keeps the dense form
+    assume(rec.basis is not None)
+    for s, strategy in enumerate(rec.strategies):
+        ref_b, ref_y = reference_blocks(strategy, a, profiles, rec.basis)
+        assert np.array_equal(rec.transition[s], ref_b), strategy
+        assert np.array_equal(rec.noise_gram[s], ref_y), strategy
 
 
 @st.composite
