@@ -18,7 +18,7 @@ from .strategies import StrategyKind
 from .spectra import (RecursionStack, StabilityReport, StabilityVerdict,
                       analyze_network, build_error_recursion,
                       consensus_symmetric_bound, diffusion_equality_bound,
-                      noncoop_step_bounds, spectral_radius)
+                      noncoop_step_bounds)
 from .msdtheory import (EigenStructure, MsdReport, NoiseConditionReport,
                         OrderingReport, StepThresholdReport, eigenstructure,
                         individual_ordering_conditions, mode_eigenvalues,

@@ -41,9 +41,10 @@ kept deliberately separate so they can cross-validate each other:
   where nu = mu^2 lambda_m(R_u) g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2};
   the g2 factor, from Y, is lambda_{l1} conj(lambda_{l2}) for ATC and 1
   otherwise.  When the right eigenvectors are orthonormal (symmetric A)
-  the network MSD collapses to the diagonal l1 = l2 sum divided by N; for
-  nonsymmetric A that collapsed value is an approximation, so reports carry
-  both it and the exact per-node average, plus the orthonormality defect
+  the network MSD collapses to the diagonal l1 = l2 sum divided by N, the
+  paper's value, reported as ``network_orthonormal``; for nonsymmetric A it
+  is an approximation.  ``network`` is the per-node mean, as in the series
+  route, and reports carry the orthonormality defect
   max_{l1 != l2} |r_{l2}^* r_{l1}|.
 
 Mode eigenvalues (homogeneous case), from the table:
@@ -53,7 +54,13 @@ Mode eigenvalues (homogeneous case), from the table:
     non-cooperative         1 - mu lambda_m
 
 The eigen route's stability is this grid's radius, max |lambda_{l,m}| < 1,
-for every strategy; ``msd_eigenform`` alone decides it, into a diverged report.
+for every strategy.  ``msd_eigenform`` runs the route as one pass over a
+tuple of strategies, as ``series_reports`` does: the (S, N, M) grid and the
+(S, N, N) mode noise from one broadcast of the table rows, every per-mode
+term from one einsum over (S, M), and each strategy's refusal, into a
+diverged report, decided by its own mask, so a strategy gets the bits it
+gets alone.  Non-coop keeps its node-wise closed form, which reads no
+eigenvectors.
 
 Every report the harness prints comes from the series route; the eigen
 route is the closed-form check on it and the source of the paper's
@@ -73,7 +80,6 @@ from .signalmodel import check_covariance
 from .spectra import RecursionStack, spectral_radii
 from .strategies import StrategyKind, uses_a
 
-ORTHONORMAL_TOL = 1e-8
 DENOM_GUARD = 1e-12
 SERIES_RTOL = 1e-12
 SERIES_MAX_STEPS = 64
@@ -222,11 +228,10 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
     eigs = eigs[order]
     u = vecs[:, order]
     u = u / np.linalg.norm(u, axis=0, keepdims=True)
-    # canonical phase: make the largest-magnitude entry of each column real positive
-    for l in range(u.shape[1]):
-        pivot = u[np.argmax(np.abs(u[:, l])), l]
-        if pivot != 0:
-            u[:, l] = u[:, l] * (abs(pivot) / pivot)
+    # canonical phase: make the largest-magnitude entry of each column real
+    # positive; that entry of a unit column is at least 1/sqrt(N), never 0
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    u = u * (np.abs(pivot) / pivot)
     cond = float(np.linalg.cond(u))
     if cond > COND_LIMIT:
         raise NotDiagonalizableError(
@@ -242,53 +247,18 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
                           condition=cond, orthonormality_defect=defect)
 
 
-def _gains(structure: EigenStructure, strategy: StrategyKind) -> tuple:
-    """Slot gains (g1, g0, g2): the column lambda_l(A) where the strategy's
-    table row puts A, 1 where it puts I."""
-    lam_a = structure.eigenvalues[:, None]
-    return tuple(lam_a if uses else 1.0 for uses in uses_a(strategy))
+def _slot_gains(structure: EigenStructure, strategies) -> np.ndarray:
+    """(3, S, N, 1) slot gains (g1, g0, g2) of the listed strategies: the
+    column lambda_l(A) where a strategy's table row puts A, 1 where it puts I."""
+    uses = np.array([uses_a(kind) for kind in strategies], dtype=bool).reshape(-1, 3)
+    return np.where(uses.T[:, :, None, None], structure.eigenvalues[:, None], 1.0 + 0j)
 
 
-def mode_eigenvalues(structure: EigenStructure, mu: float,
-                     strategy: StrategyKind) -> np.ndarray:
-    """(N, M) grid of error-mode eigenvalues
-    lambda_{l,m} = g2 (g0 - mu lambda_m) g1 for the strategy."""
-    g1, g0, g2 = _gains(structure, strategy)
-    grid = g2 * (g0 - mu * structure.cov_eigenvalues[None, :]) * g1
-    return np.broadcast_to(grid, (structure.n_nodes, structure.cov_eigenvalues.size)
-                           ).astype(complex)
-
-
-def _mode_noise(structure: EigenStructure, var: np.ndarray,
-                strategy: StrategyKind) -> np.ndarray:
-    """G[l1, l2] = g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2}: nu without
-    its mu^2 lambda_m, with the A2 slot gain g2."""
-    s = structure.left_vectors
-    g2 = _gains(structure, strategy)[2]
-    return g2 * np.conj(g2).T * (s.conj().T @ (var[:, None] * s))
-
-
-def _mode_terms(structure: EigenStructure, modes: np.ndarray, mu: float, var: np.ndarray,
-                noise: np.ndarray, strategy: StrategyKind) -> np.ndarray | None:
-    """The (N, M) MSD_k(m) of a strategy with mode grid ``modes`` and mode
-    noise ``noise``, or None on a near-singular denominator; non-coop takes
-    its node-wise closed form, which needs no eigenvectors."""
-    lam_r = structure.cov_eigenvalues
-    if strategy is StrategyKind.NON_COOPERATIVE:
-        denom = 1.0 - (1.0 - mu * lam_r) ** 2
-        if np.any(denom < DENOM_GUARD):
-            return None
-        return var[:, None] * (mu ** 2 * lam_r / denom)[None, :]
-    scale = mu ** 2 * lam_r
-    u = structure.right_vectors
-    comp = np.empty(modes.shape)
-    for m in range(modes.shape[1]):
-        denom = 1.0 - modes[:, m, None] * modes[None, :, m].conj()
-        if np.any(np.abs(denom) < DENOM_GUARD):
-            return None
-        t = scale[m] * noise / denom
-        comp[:, m] = np.einsum("kl,lj,kj->k", u, t, u.conj()).real
-    return comp
+def mode_eigenvalues(structure: EigenStructure, mu: float, strategies) -> np.ndarray:
+    """(S, N, M) grid of error-mode eigenvalues
+    lambda_{l,m} = g2 (g0 - mu lambda_m) g1 of the listed strategies."""
+    g1, g0, g2 = _slot_gains(structure, strategies)
+    return g2 * (g0 - mu * structure.cov_eigenvalues) * g1
 
 
 def _noise_vector(noise_variances, n: int) -> np.ndarray:
@@ -300,33 +270,58 @@ def _noise_vector(noise_variances, n: int) -> np.ndarray:
 
 
 def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
-                  strategy: StrategyKind) -> MsdReport:
-    """Closed eigen-route MSD report for one strategy and the route's one
-    refusal decision: a diverged report, ``per_mode`` None, where a mode
-    reaches the unit circle or a denominator is near-singular."""
+                  strategies) -> dict:
+    """Closed eigen-route MSD reports of the listed strategies, {kind:
+    MsdReport}, all from one (S, M, N, N) tensor of per-mode terms, and the
+    route's one refusal decision: a diverged report, ``per_mode`` None,
+    where a strategy's mode reaches the unit circle or one of its
+    denominators is near-singular.  Non-coop takes its node-wise closed
+    form, which needs no eigenvectors."""
     n = structure.n_nodes
     var = _noise_vector(noise_variances, n)
     if not 0 < mu < np.inf:
         raise ConfigError(f"step size must be positive and finite, got {mu}")
-    modes = mode_eigenvalues(structure, mu, strategy)
-    radius = float(np.max(np.abs(modes)))
+    strategies = tuple(strategies)
+    ncop = np.array([kind is StrategyKind.NON_COOPERATIVE for kind in strategies], dtype=bool)
+    lam_r = structure.cov_eigenvalues
+    scale = mu ** 2 * lam_r
+    modes = mode_eigenvalues(structure, mu, strategies)
+    radii = np.abs(modes).max(axis=(1, 2))
+    # G[s, l1, l2] = g2(l1) conj(g2(l2)) s_{l1}^* Sigma_v s_{l2}: nu without
+    # its mu^2 lambda_m, with strategy s's A2 slot gain g2
+    g2 = _slot_gains(structure, strategies)[2]
+    s = structure.left_vectors
+    noise = g2 * g2.conj().swapaxes(-1, -2) * (s.conj().T @ (var[:, None] * s))
+    u = structure.right_vectors
+    col = modes.swapaxes(1, 2)[..., None]  # (S, M, N, 1): mode m's lambda_{l,m}
+    # a refused strategy's terms may overflow; the masks below drop them
+    with np.errstate(all="ignore"):
+        denom = 1.0 - col * col.swapaxes(-1, -2).conj()
+        terms = np.einsum("kl,smlj,kj->smk", u, scale[:, None, None] * noise[:, None] / denom,
+                          u.conj()).real.swapaxes(1, 2)
+        ncop_denom = 1.0 - (1.0 - mu * lam_r) ** 2
+        comp = np.where(ncop[:, None, None], var[:, None] * (scale / ncop_denom), terms)
+        # every collapsed value is taken in the A eigenbasis, so the
+        # strategies compare like for like
+        ortho = (scale * np.diagonal(noise, axis1=1, axis2=2).real[..., None]
+                 / (1.0 - np.abs(modes) ** 2)).sum(axis=(1, 2)) / n
+    singular = np.where(ncop, np.any(ncop_denom < DENOM_GUARD),
+                        (np.abs(denom) < DENOM_GUARD).any(axis=(1, 2, 3)))
+    stable = (radii < 1.0) & ~singular
+    per_node = comp.sum(axis=2)
     defect = structure.orthonormality_defect
-    noise = _mode_noise(structure, var, strategy)
-    comp = _mode_terms(structure, modes, mu, var, noise, strategy) if radius < 1.0 else None
-    if comp is None:
-        return MsdReport(strategy=strategy, per_node=np.full(n, np.inf),
-                         network=np.inf, spectral_radius=radius,
-                         orthonormality_defect=defect)
-    per_node = comp.sum(axis=1)
-    # every collapsed value is taken in the A eigenbasis, so the strategies
-    # compare like for like
-    ortho = float(np.sum(mu ** 2 * structure.cov_eigenvalues * np.diag(noise).real[:, None]
-                         / (1.0 - np.abs(modes) ** 2))) / n
-    exact = float(per_node.mean())
-    network = ortho if defect <= ORTHONORMAL_TOL else exact
-    return MsdReport(strategy=strategy, per_node=per_node, network=network,
-                     spectral_radius=radius, network_orthonormal=ortho,
-                     orthonormality_defect=defect, per_mode=comp)
+    reports = {}
+    for i, (kind, rho) in enumerate(zip(strategies, radii.tolist())):
+        if stable[i]:
+            reports[kind] = MsdReport(strategy=kind, per_node=per_node[i],
+                                      network=float(per_node[i].mean()), spectral_radius=rho,
+                                      network_orthonormal=float(ortho[i]),
+                                      orthonormality_defect=defect, per_mode=comp[i])
+        else:
+            reports[kind] = MsdReport(strategy=kind, per_node=np.full(n, np.inf),
+                                      network=np.inf, spectral_radius=rho,
+                                      orthonormality_defect=defect)
+    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,8 +349,7 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingR
     """Evaluate the cross-strategy MSD ordering claims on one homogeneous
     stable instance; violations are reported, never raised."""
     structure = eigenstructure(matrix, covariance)
-    reports = {kind: msd_eigenform(structure, mu, noise_variances, kind)
-               for kind in StrategyKind}
+    reports = msd_eigenform(structure, mu, noise_variances, tuple(StrategyKind))
     # the per-mode identities need ATC, CTA and the non-cooperative strategy
     # stable, so their refusal is raised; consensus may diverge
     comp = {kind: reports[kind].per_mode
@@ -389,8 +383,8 @@ def ordering_checks(matrix, covariance, mu: float, noise_variances) -> OrderingR
     ratio_err = float(np.max(errs, where=~np.isnan(errs), initial=0.0))
     skipped = int(np.count_nonzero(skip))
 
-    cta_modes = mode_eigenvalues(structure, mu, StrategyKind.CTA)
-    cons_modes = mode_eigenvalues(structure, mu, StrategyKind.CONSENSUS)
+    cta_modes, cons_modes = mode_eigenvalues(structure, mu,
+                                             (StrategyKind.CTA, StrategyKind.CONSENSUS))
     predicted = np.outer(1.0 - structure.eigenvalues,
                          mu * structure.cov_eigenvalues)
     shift_err = float(np.max(np.abs((cta_modes - cons_modes) - predicted)))
@@ -465,8 +459,9 @@ def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> b
     """True when every (node, mode) component satisfies the strict gap
     MSD_ncop,k(m) - MSD_cta,k(m) > 0 with a small relative margin.
     Acceptance 7 re-checks each certified mu* with it."""
-    cta, ncop = (msd_eigenform(structure, mu, noise_variances, kind).per_mode
-                 for kind in (StrategyKind.CTA, StrategyKind.NON_COOPERATIVE))
+    reports = msd_eigenform(structure, mu, noise_variances,
+                            (StrategyKind.CTA, StrategyKind.NON_COOPERATIVE))
+    cta, ncop = (rep.per_mode for rep in reports.values())
     if cta is None or ncop is None:
         return False
     return bool(np.all(ncop - cta > GAP_REL_MARGIN * np.abs(ncop)))

@@ -143,12 +143,6 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> Recursion
     return build_error_recursions((strategy,), matrix, profiles)
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue magnitude of a square matrix or of a (K, n, n)
-    stack of diagonal blocks, the largest over the blocks."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix)))))
-
-
 def spectral_radii(transitions: np.ndarray) -> np.ndarray:
     """rho(B) of every strategy of an (S, K, n, n) stack from one eigvals
     call, each the largest radius over its K blocks."""

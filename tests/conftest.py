@@ -102,6 +102,11 @@ def full_map(stack, basis):
     return rot @ rotated.reshape(n * m, n * m) @ rot.T
 
 
+def dense_radius(matrix):
+    """Largest eigenvalue magnitude of a square matrix."""
+    return np.abs(np.linalg.eigvals(matrix)).max()
+
+
 def unit_truth(m):
     return GroundTruth(np.full(m, 1.0 / np.sqrt(m)))
 

@@ -20,12 +20,14 @@ from adaptnet import (CombinationMatrix, ExperimentConfig, NodeProfile,
                       eigenstructure, individual_msd_conditions,
                       individual_ordering_conditions, msd_eigenform,
                       msd_region_classify, msd_series, ordering_checks,
-                      region_thresholds, run_experiment, spectral_radius,
+                      region_thresholds, run_experiment,
                       steady_state_vs_theory, strict_gap_holds,
                       strict_ordering_step_threshold)
 
-from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
-                      stable_profiles, unit_truth)
+from adaptnet.spectra import spectral_radii
+
+from conftest import (dense_radius, full_map, random_left_stochastic,
+                      random_symmetric_stochastic, stable_profiles, unit_truth)
 
 NCOP = StrategyKind.NON_COOPERATIVE
 CONS = StrategyKind.CONSENSUS
@@ -141,9 +143,9 @@ def test_radius_orderings_over_random_draws():
             recs = {kind: build_error_recursion(kind, weights, profiles)
                     for kind in (NCOP, CONS, ATC, CTA)}
             b = {kind: full_map(rec.transition[0], rec.basis) for kind, rec in recs.items()}
-            r_atc = spectral_radius(b[ATC])
-            r_cta = spectral_radius(b[CTA])
-            r_ncop = spectral_radius(b[NCOP])
+            r_atc = dense_radius(b[ATC])
+            r_cta = dense_radius(b[CTA])
+            r_ncop = dense_radius(b[NCOP])
             assert abs(r_atc - r_cta) <= 1e-9, (i, r_atc, r_cta)
             assert r_atc <= r_ncop + 1e-9, (i, r_atc, r_ncop)
             if symmetric:
@@ -180,7 +182,7 @@ def _stable_homogeneous_instances(count, seed):
                                    diagonal=bool(rng.integers(2)))
         recs = {kind: build_error_recursion(kind, weights, profiles)
                 for kind in ALL_KINDS}
-        if any(spectral_radius(r.transition) >= 1.0 - 1e-9 for r in recs.values()):
+        if any(spectral_radii(r.transition)[0] >= 1.0 - 1e-9 for r in recs.values()):
             continue
         out.append((weights, symmetric, profiles, recs))
     return out
@@ -194,9 +196,10 @@ def test_series_and_eigenform_msd_agree():
             structure = eigenstructure(weights, profiles[0].covariance)
             mu = profiles[0].step_size
             noise = np.array([p.noise_variance for p in profiles])
+            eigen_reports = msd_eigenform(structure, mu, noise, ALL_KINDS)
             for kind in ALL_KINDS:
                 series = msd_series(recs[kind])
-                eigen = msd_eigenform(structure, mu, noise, kind)
+                eigen = eigen_reports[kind]
                 np.testing.assert_allclose(eigen.per_node, series.per_node,
                                            rtol=1e-6)
                 checks += len(series.per_node)
@@ -256,7 +259,7 @@ def test_region_map_thresholds_and_grid():
                 s = a_w + b_w
                 weights = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
                 cons_map = weights.T - np.diag([mu_sigma, mu_sigma])
-                rho = spectral_radius(cons_map)
+                rho = dense_radius(cons_map)
                 if abs(s - stab) <= band:
                     skipped += 1
                     continue
@@ -268,9 +271,9 @@ def test_region_map_thresholds_and_grid():
                     continue
                 region = msd_region_classify(float(a_w), float(b_w), mu_sigma)
                 structure = eigenstructure(weights, cov)
-                net = {kind: msd_eigenform(structure, mu_sigma / sigma, noise,
-                                           kind).network_orthonormal
-                       for kind in (CONS, CTA, NCOP)}
+                net = {kind: rep.network_orthonormal
+                       for kind, rep in msd_eigenform(structure, mu_sigma / sigma, noise,
+                                                      (CONS, CTA, NCOP)).items()}
                 if region == "I":
                     assert net[CONS] <= net[CTA] + 1e-12
                 elif region == "II":
@@ -310,9 +313,8 @@ def test_per_node_benefit_conditions_on_grid():
                     structure = eigenstructure(weights, cov)
                     for mu in (found.mu_star, 0.5 * found.mu_star):
                         assert strict_gap_holds(structure, mu, noise)
-                        per = {kind: msd_eigenform(structure, mu, noise,
-                                                   kind).per_node
-                               for kind in (ATC, CTA, NCOP)}
+                        per = {kind: rep.per_node for kind, rep in
+                               msd_eigenform(structure, mu, noise, (ATC, CTA, NCOP)).items()}
                         assert np.all(per[ATC] < per[CTA])
                         assert np.all(per[CTA] < per[NCOP])
                     certified_points += 1
@@ -328,8 +330,8 @@ def test_per_node_benefit_conditions_on_grid():
                 structure = eigenstructure(
                     np.array([[1 - a_w, b_w], [a_w, 1 - b_w]]), cov)
                 for mu in mus:
-                    per = {kind: msd_eigenform(structure, mu, noise, kind).per_node
-                           for kind in (ATC, CTA, NCOP)}
+                    per = {kind: rep.per_node for kind, rep in
+                           msd_eigenform(structure, mu, noise, (ATC, CTA, NCOP)).items()}
                     assert np.all(per[ATC] <= per[CTA] + 1e-12), (a_w, b_w, t, mu)
                     assert np.all(per[CTA] <= per[NCOP] + 1e-12), (a_w, b_w, t, mu)
                     ordered_points += 1

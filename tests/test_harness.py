@@ -340,8 +340,9 @@ def test_theory_reports_pick_eigenform_for_homogeneous(rng):
     # on a homogeneous instance the closed eigen form lands on the same values
     structure = eigenstructure(cfg.resolve_combination(), cfg.profiles[0].covariance)
     noise = [p.noise_variance for p in cfg.profiles]
+    eigen_reports = msd_eigenform(structure, cfg.profiles[0].step_size, noise, tuple(reports))
     for kind, rep in reports.items():
-        eigen = msd_eigenform(structure, cfg.profiles[0].step_size, noise, kind)
+        eigen = eigen_reports[kind]
         npt.assert_allclose(rep.per_node, eigen.per_node, rtol=1e-12)
         assert rep.network == pytest.approx(eigen.network, rel=1e-12)
 

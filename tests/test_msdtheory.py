@@ -8,17 +8,20 @@ from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, Numerica
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
                       msd_eigenform, msd_series,
-                      ordering_checks, spectral_radius, strict_gap_holds,
+                      ordering_checks, strict_gap_holds,
                       strict_ordering_step_threshold)
 import adaptnet.msdtheory as msdtheory
 from adaptnet.msdtheory import _doubling_sum, series_reports
-from adaptnet.spectra import build_error_recursions
+from adaptnet.spectra import build_error_recursions, spectral_radii
+from adaptnet.strategies import uses_a
 
 from conftest import (full_map, random_left_stochastic, random_spd,
                       random_symmetric_stochastic, stable_profiles)
 
 ALL = tuple(StrategyKind)
 DIFF = (StrategyKind.ATC, StrategyKind.CTA)
+# the three strategies of the per-mode gap and ratio identities
+GAP = (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)
 
 
 def _scalar_profiles(mu_sigma, sigma=1.0, noise=0.1):
@@ -97,7 +100,7 @@ def test_kronecker_mode_reconstruction():
     cov = np.diag(rng.uniform(0.5, 3.0, size=m))
     mu = 0.9 * 2.0 / np.linalg.eigvalsh(cov)[-1] * 0.4
     st = eigenstructure(a, cov)
-    modes = mode_eigenvalues(st, mu, StrategyKind.ATC)
+    (modes,) = mode_eigenvalues(st, mu, (StrategyKind.ATC,))
     rebuilt = np.zeros((n * m, n * m), dtype=complex)
     for l in range(n):
         for j in range(m):
@@ -113,7 +116,7 @@ def test_kronecker_mode_reconstruction():
 
 def test_identity_matrix_modes_equal_across_strategies():
     st = eigenstructure(np.eye(3), np.diag([1.0, 2.0]))
-    grids = [mode_eigenvalues(st, 0.1, kind) for kind in ALL]
+    grids = mode_eigenvalues(st, 0.1, ALL)
     for grid in grids[1:]:
         npt.assert_allclose(np.sort_complex(grid.ravel()),
                             np.sort_complex(grids[0].ravel()), atol=1e-12)
@@ -145,11 +148,12 @@ def test_series_vs_eigenform_random_instances():
         profiles = stable_profiles(n, m, rng, homogeneous=True, mu_hi=0.7)
         noise = np.array([p.noise_variance for p in profiles])
         st = eigenstructure(a, profiles[0].covariance)
+        eigen_reports = msd_eigenform(st, profiles[0].step_size, noise, ALL)
         for kind in ALL:
             series = msd_series(build_error_recursion(kind, a, profiles))
             if series.diverged:
                 continue
-            eigen = msd_eigenform(st, profiles[0].step_size, noise, kind)
+            eigen = eigen_reports[kind]
             npt.assert_allclose(eigen.per_node, series.per_node, rtol=1e-6)
             checked += 1
     assert checked >= 100
@@ -161,8 +165,8 @@ def test_region_boundary_consensus_equals_cta():
     noise = np.array([0.05, 0.02])
     for a_w, b_w in [(0.375, 0.375), (0.3, 0.45), (0.6, 0.15)]:
         st = eigenstructure(_two_node_matrix(a_w, b_w), np.array([[sigma]]))
-        cons = msd_eigenform(st, p / sigma, noise, StrategyKind.CONSENSUS)
-        cta = msd_eigenform(st, p / sigma, noise, StrategyKind.CTA)
+        cons, cta = msd_eigenform(st, p / sigma, noise,
+                                  (StrategyKind.CONSENSUS, StrategyKind.CTA)).values()
         assert cons.network_orthonormal == pytest.approx(
             cta.network_orthonormal, abs=1e-9)
 
@@ -172,8 +176,9 @@ def test_region_boundary_consensus_equals_noncooperative():
     noise = np.array([0.05, 0.02])
     for a_w, b_w in [(0.6, 0.6), (0.8, 0.4), (0.25, 0.95)]:
         st = eigenstructure(_two_node_matrix(a_w, b_w), np.array([[sigma]]))
-        cons = msd_eigenform(st, p / sigma, noise, StrategyKind.CONSENSUS)
-        ncop = msd_eigenform(st, p / sigma, noise, StrategyKind.NON_COOPERATIVE)
+        cons, ncop = msd_eigenform(st, p / sigma, noise,
+                                   (StrategyKind.CONSENSUS, StrategyKind.NON_COOPERATIVE)
+                                   ).values()
         assert cons.network_orthonormal == pytest.approx(
             ncop.network_orthonormal, abs=1e-9)
 
@@ -185,7 +190,8 @@ def test_noncoop_component_closed_form():
     st = eigenstructure(a, cov)
     mu = 0.2
     noise = np.array([0.3, 0.1, 0.05])
-    comp = msd_eigenform(st, mu, noise, StrategyKind.NON_COOPERATIVE).per_mode
+    ncop = StrategyKind.NON_COOPERATIVE
+    comp = msd_eigenform(st, mu, noise, (ncop,))[ncop].per_mode
     for k in range(3):
         for m, lam in enumerate([1.0, 2.5]):
             expected = mu ** 2 * lam * noise[k] / (1.0 - (1.0 - mu * lam) ** 2)
@@ -195,9 +201,7 @@ def test_noncoop_component_closed_form():
 def test_identity_matrix_components_equal():
     st = eigenstructure(np.eye(3), np.diag([1.0, 2.0]))
     noise = np.array([0.2, 0.1, 0.3])
-    comps = [msd_eigenform(st, 0.15, noise, kind).per_mode
-             for kind in (StrategyKind.ATC, StrategyKind.CTA,
-                          StrategyKind.NON_COOPERATIVE)]
+    comps = [rep.per_mode for rep in msd_eigenform(st, 0.15, noise, GAP).values()]
     npt.assert_allclose(comps[0], comps[2], atol=1e-12)
     npt.assert_allclose(comps[1], comps[2], atol=1e-12)
 
@@ -220,17 +224,54 @@ def test_component_series_matches_eigen_route():
                 profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=v)
                             for v in noise]
                 st = eigenstructure(a, cov)
+                eigen = msd_eigenform(st, mu, noise, ALL)
                 for kind in ALL:
                     rec = build_error_recursion(kind, a, profiles)
                     assert rec.blocks == m
-                    if spectral_radius(rec.transition) >= 1.0:
+                    if spectral_radii(rec.transition)[0] >= 1.0:
                         continue
                     stable_consensus += kind is StrategyKind.CONSENSUS
                     x, _ = _doubling_sum(rec.transition, rec.noise_gram)
                     series = x[0].diagonal(axis1=1, axis2=2).T
-                    npt.assert_allclose(msd_eigenform(st, mu, noise, kind).per_mode, series,
-                                        rtol=1e-12)
+                    npt.assert_allclose(eigen[kind].per_mode, series, rtol=1e-12)
     assert stable_consensus > 0
+
+
+def _reference_per_mode(st, mu, noise, kind):
+    """A cooperative strategy's (N, M) MSD_k(m) as a loop over the modes m,
+    with the slot gains of its own table row."""
+    lam = st.eigenvalues[:, None]
+    g1, g0, g2 = (lam if uses else 1.0 for uses in uses_a(kind))
+    modes = np.broadcast_to(g2 * (g0 - mu * st.cov_eigenvalues) * g1,
+                            (st.n_nodes, st.cov_eigenvalues.size)).astype(complex)
+    s, u = st.left_vectors, st.right_vectors
+    gram = g2 * np.conj(g2).T * (s.conj().T @ (noise[:, None] * s))
+    comp = np.empty(modes.shape)
+    for m, lam_m in enumerate(st.cov_eigenvalues):
+        t = mu ** 2 * lam_m * gram / (1.0 - modes[:, m, None] * modes[None, :, m].conj())
+        comp[:, m] = np.einsum("kl,lj,kj->k", u, t, u.conj()).real
+    return comp
+
+
+def test_per_mode_terms_are_the_loop_over_modes_bit_for_bit():
+    # the one einsum over (strategy, mode) sums every term in the order of
+    # the loop over modes, so each cooperative per_mode keeps its bits
+    rng = np.random.default_rng(13)
+    checked = 0
+    for _ in range(30):
+        n, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+        a = (random_symmetric_stochastic(n, rng) if rng.random() < 0.5
+             else random_left_stochastic(n, rng))
+        cov = random_spd(m, rng)
+        mu = float(rng.uniform(0.05, 0.9) * 2.0 / np.linalg.eigvalsh(cov)[-1])
+        noise = rng.uniform(0.0, 0.4, size=n)
+        st = eigenstructure(a, cov)
+        for kind, rep in msd_eigenform(st, mu, noise, ALL).items():
+            if kind is StrategyKind.NON_COOPERATIVE or rep.diverged:
+                continue
+            assert np.array_equal(rep.per_mode, _reference_per_mode(st, mu, noise, kind)), kind
+            checked += 1
+    assert checked >= 60
 
 
 def test_components_sum_to_per_node_msd():
@@ -240,21 +281,19 @@ def test_components_sum_to_per_node_msd():
     mu = 0.25
     noise = rng.uniform(0.05, 0.3, size=4)
     st = eigenstructure(a, cov)
-    for kind in (StrategyKind.ATC, StrategyKind.CTA,
-                 StrategyKind.NON_COOPERATIVE):
-        rep = msd_eigenform(st, mu, noise, kind)
+    for rep in msd_eigenform(st, mu, noise, GAP).values():
         npt.assert_array_equal(rep.per_mode.sum(axis=1), rep.per_node)
 
 
 def test_unknown_strategy_is_config_error():
     st = eigenstructure(np.eye(2), np.eye(1))
     with pytest.raises(ConfigError, match="unknown strategy"):
-        mode_eigenvalues(st, 0.1, "atc")
+        mode_eigenvalues(st, 0.1, ("atc",))
 
 
 def test_unstable_modes_reported_or_raised():
     st = eigenstructure(np.eye(2), np.array([[1.0]]))
-    rep = msd_eigenform(st, 2.5, [0.1, 0.1], StrategyKind.ATC)
+    rep = msd_eigenform(st, 2.5, [0.1, 0.1], (StrategyKind.ATC,))[StrategyKind.ATC]
     assert rep.diverged
     assert rep.per_mode is None
     assert rep.spectral_radius == pytest.approx(1.5)
@@ -265,8 +304,9 @@ def test_unstable_consensus_modes_raised():
     # the consensus mode lambda_2(A) - mu = -0.7 - 0.6 leaves it
     st = eigenstructure(_two_node_matrix(0.85, 0.85), np.array([[1.0]]))
     noise = np.array([0.1, 0.1])
-    assert msd_eigenform(st, 0.6, noise, StrategyKind.CTA).per_mode is not None
-    rep = msd_eigenform(st, 0.6, noise, StrategyKind.CONSENSUS)
+    cta, rep = msd_eigenform(st, 0.6, noise, (StrategyKind.CTA, StrategyKind.CONSENSUS)
+                             ).values()
+    assert cta.per_mode is not None
     assert rep.diverged
     assert rep.per_mode is None
     assert rep.spectral_radius == pytest.approx(1.3)
@@ -275,13 +315,13 @@ def test_unstable_consensus_modes_raised():
 def test_eigenform_refusal_is_a_report_across_the_stability_limit():
     # diffusion and non-coop leave the unit circle at mu = 2, consensus at
     # mu = 0.3 (|-0.7 - mu| = 1); the grid keeps clear of both limits, where
-    # a near-singular denominator refuses a radius a hair below 1
+    # a near-singular denominator refuses a radius a hair below 1; one pass
+    # per mu, so a diverged consensus shares its pass with a stable ATC
     st = eigenstructure(_two_node_matrix(0.85, 0.85), np.array([[1.0]]))
     noise = np.array([0.1, 0.2])
     seen = set()
     for mu in np.linspace(0.05, 2.6, 52):
-        for kind in ALL:
-            rep = msd_eigenform(st, mu, noise, kind)
+        for kind, rep in msd_eigenform(st, mu, noise, ALL).items():
             assert rep.diverged == (rep.spectral_radius >= 1.0)
             assert (rep.per_mode is None) == rep.diverged
             seen.add((kind, rep.diverged))
@@ -307,7 +347,7 @@ _A2 = _two_node_matrix(0.3, 0.4)
     (lambda: ordering_checks(_A2, np.eye(1), np.nan, [0.1, 0.1]), "step size"),
     (lambda: ordering_checks(_A2, np.eye(1), -0.1, [0.1, 0.1]), "step size"),
     (lambda: msd_eigenform(eigenstructure(_A2, np.eye(1)), 0.1, [0.1, 0.1, 0.1],
-                           StrategyKind.ATC), "expected 2 finite noise"),
+                           (StrategyKind.ATC,)), "expected 2 finite noise"),
     (lambda: strict_gap_holds(eigenstructure(_A2, np.eye(1)), 0.1, [0.1, np.inf]),
      "noise variances"),
     (lambda: individual_ordering_conditions(_A2, [-0.1, 0.1]), "noise variances"),
@@ -350,7 +390,7 @@ def test_consensus_worst_when_step_exceeds_inverse_lambda_min():
 def test_identity_matrix_all_strategies_equal_msd():
     st = eigenstructure(np.eye(3), np.diag([1.0, 2.0]))
     noise = np.array([0.2, 0.1, 0.3])
-    reps = {kind: msd_eigenform(st, 0.2, noise, kind) for kind in ALL}
+    reps = msd_eigenform(st, 0.2, noise, ALL)
     base = reps[StrategyKind.NON_COOPERATIVE].per_node
     for kind in ALL:
         npt.assert_allclose(reps[kind].per_node, base, atol=1e-12)
@@ -366,9 +406,7 @@ def test_trichotomy_per_component():
         mu = float(rng.uniform(0.05, 0.95) * 2.0 / np.linalg.eigvalsh(cov)[-1])
         noise = rng.uniform(0.02, 0.4, size=n)
         st = eigenstructure(a, cov)
-        atc = msd_eigenform(st, mu, noise, StrategyKind.ATC).per_mode
-        cta = msd_eigenform(st, mu, noise, StrategyKind.CTA).per_mode
-        ncop = msd_eigenform(st, mu, noise, StrategyKind.NON_COOPERATIVE).per_mode
+        atc, cta, ncop = (rep.per_mode for rep in msd_eigenform(st, mu, noise, GAP).values())
         tol = 1e-12 * np.abs(ncop).max()
         forward = (atc <= cta + tol) & (cta <= ncop + tol)
         reverse = (ncop <= cta + tol) & (cta <= atc + tol)
@@ -392,8 +430,7 @@ def _reference_ratio_checks(matrix, covariance, mu, noise):
     """ordering_checks' (ratio_max_error, ratio_skipped) as a scalar loop
     over (node, mode): the same skip floor, a NaN ratio error ignored."""
     st = eigenstructure(matrix, covariance)
-    comp = {kind: msd_eigenform(st, mu, noise, kind).per_mode
-            for kind in (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.NON_COOPERATIVE)}
+    comp = {kind: rep.per_mode for kind, rep in msd_eigenform(st, mu, noise, GAP).items()}
     gap_nc = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.CTA]
     gap_na = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.ATC]
     gap_ca = comp[StrategyKind.CTA] - comp[StrategyKind.ATC]
@@ -456,9 +493,7 @@ def test_psd_noise_shrinkage_implies_per_node_ordering():
     cov = np.array([[1.0]])
     st = eigenstructure(a, cov)
     for mu in (0.05, 0.3, 0.9, 1.5):
-        reps = {kind: msd_eigenform(st, mu, noise, kind)
-                for kind in (StrategyKind.ATC, StrategyKind.CTA,
-                             StrategyKind.NON_COOPERATIVE)}
+        reps = msd_eigenform(st, mu, noise, GAP)
         atc = reps[StrategyKind.ATC].per_node
         cta = reps[StrategyKind.CTA].per_node
         ncop = reps[StrategyKind.NON_COOPERATIVE].per_node
@@ -502,9 +537,7 @@ def test_strict_ordering_threshold_found_and_certified():
     st = eigenstructure(a, cov)
     for mu in (report.mu_star, 0.5 * report.mu_star, 0.1 * report.mu_star):
         assert strict_gap_holds(st, mu, noise)
-        atc = msd_eigenform(st, mu, noise, StrategyKind.ATC).per_node
-        cta = msd_eigenform(st, mu, noise, StrategyKind.CTA).per_node
-        ncop = msd_eigenform(st, mu, noise, StrategyKind.NON_COOPERATIVE).per_node
+        atc, cta, ncop = (rep.per_node for rep in msd_eigenform(st, mu, noise, GAP).values())
         assert np.all(atc < cta) and np.all(cta < ncop)
     assert all(isinstance(p, tuple) and len(p) == 2 for p in report.probes)
 

@@ -11,14 +11,15 @@ import adaptnet.harness as harness
 from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       GroundTruth, NodeProfile, RecursionStack, StrategyKind,
                       build_error_recursion, build_experiment, complete_topology,
-                      msd_series, parse_pairs, spectral_radius)
-from adaptnet.spectra import build_error_recursions
+                      eigenstructure, msd_eigenform, msd_series, parse_pairs)
+from adaptnet.spectra import build_error_recursions, spectral_radii
 from adaptnet.strategies import combination_stack, recursion_step
 
-from conftest import (full_map, random_left_stochastic, random_spd,
+from conftest import (dense_radius, full_map, random_left_stochastic, random_spd,
                       random_symmetric_stochastic, reference_blocks, reference_recursion)
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+ALL = tuple(StrategyKind)
 
 # 1 - mu sigma_u^2 carries a rounding error of about eps / (mu sigma_u^2)
 # relative to the distance from either end, so the range stops 1e-6 short.
@@ -61,7 +62,7 @@ def heterogeneous_networks(draw, max_dim=3):
 @given(heterogeneous_networks())
 def test_diffusion_radius_shared_and_never_above_noncooperative(network):
     a, profiles = network
-    radii = {kind: spectral_radius(build_error_recursion(kind, a, profiles).transition)
+    radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles).transition)[0]
              for kind in (StrategyKind.ATC, StrategyKind.CTA,
                           StrategyKind.NON_COOPERATIVE)}
     # a defective eigenvalue is computed only to about sqrt(eps)
@@ -135,7 +136,7 @@ def test_blocks_match_the_dense_kronecker_recursion(network):
         for stack, ref in ((rec.transition[0], ref_b), (rec.noise_gram[0], ref_y)):
             err = np.abs(full_map(stack, rec.basis) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max(), (strategy, err)
-        assert abs(spectral_radius(rec.transition) - spectral_radius(ref_b)) <= 1e-12
+        assert abs(spectral_radii(rec.transition)[0] - dense_radius(ref_b)) <= 1e-12
         got = msd_series(rec)
         want = msd_series(RecursionStack((strategy,), ref_b[None, None], ref_y[None, None],
                                          n, m))
@@ -209,6 +210,49 @@ def test_one_theory_pass_equals_each_strategy_alone(network):
         assert rep.spectral_radius == alone.spectral_radius
         assert rep.terms == alone.terms and rep.blocks == alone.blocks
         assert (rep.terms == 0) == (rep.spectral_radius >= 1.0)
+
+
+@st.composite
+def homogeneous_instances(draw):
+    """Eigen-route inputs: N 1-6 nodes, M 1-3, a symmetric or left-stochastic
+    A, a diagonal or full covariance shared by every node, noise variances
+    from 0, and a step up to 1.3 times the node stability bound, so that
+    some strategies diverge.  The entries come from a drawn seed."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 3))
+    full = draw(st.booleans())
+    symmetric = draw(st.booleans())
+    reach = draw(st.floats(0.05, 1.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = random_symmetric_stochastic(n, rng) if symmetric else random_left_stochastic(n, rng)
+    cov = random_spd(m, rng) if full else np.diag(rng.uniform(0.5, 3.0, m))
+    mu = float(rng.uniform(0.01, reach) * 2.0 / np.linalg.eigvalsh(cov)[-1])
+    return eigenstructure(a, cov), mu, rng.uniform(0.0, 0.5, n)
+
+
+REPORT_FIELDS = ("per_node", "per_mode", "network", "spectral_radius",
+                 "network_orthonormal", "orthonormality_defect", "diverged")
+
+
+@settings(PROPERTY, max_examples=60)
+@given(homogeneous_instances())
+@example((eigenstructure(HOT_PAIR[0], np.eye(1)), 0.6, np.array([0.1, 0.2])))
+def test_one_eigen_pass_equals_each_strategy_alone(instance):
+    # the one (S, M, N, N) pass gives every strategy the bits of its own
+    # one-strategy pass, in either order of the strategies, also where some
+    # of them diverge (consensus alone at the example's step)
+    structure, mu, noise = instance
+    together = msd_eigenform(structure, mu, noise, ALL)
+    backwards = msd_eigenform(structure, mu, noise, ALL[::-1])
+    assert tuple(together) == ALL
+    for kind, rep in together.items():
+        alone = msd_eigenform(structure, mu, noise, (kind,))[kind]
+        for other in (alone, backwards[kind]):
+            assert other.strategy is kind
+            for field in REPORT_FIELDS:
+                assert np.array_equal(getattr(rep, field), getattr(other, field)), (kind, field)
+        if not rep.diverged:
+            assert rep.network == rep.per_node.mean()
 
 
 # Consensus diverges in every trial (mixing too strong for these steps);

@@ -3,9 +3,10 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, NodeProfile, StabilityVerdict, StrategyKind,
-                      UnsupportedInputError, analyze_network, build_error_recursion,
-                      consensus_symmetric_bound, diffusion_equality_bound,
-                      noncoop_step_bounds, spectral_radius)
+                      UnsupportedInputError, analyze_network, build_combination_matrix,
+                      build_error_recursion, complete_topology, consensus_symmetric_bound,
+                      diffusion_equality_bound, msd_series, noncoop_step_bounds)
+from adaptnet.spectra import spectral_radii
 
 from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
                       stable_profiles)
@@ -91,17 +92,17 @@ def test_cta_is_shrink_then_combine():
 
 
 def test_spectral_radius_basics():
-    assert spectral_radius(np.eye(3)) == pytest.approx(1.0)
-    assert spectral_radius(np.diag([0.3, -0.9])) == pytest.approx(0.9)
+    assert spectral_radii(np.eye(3)[None, None])[0] == pytest.approx(1.0)
+    assert spectral_radii(np.diag([0.3, -0.9])[None, None])[0] == pytest.approx(0.9)
 
 
 def test_hot_weights_consensus_unstable_diffusion_stable():
     profiles = _scalar_profiles([0.4, 0.6])
     a = np.array([[0.15, 0.85], [0.85, 0.15]])
     cons = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
-    assert spectral_radius(cons.transition) >= 1.0
+    assert spectral_radii(cons.transition)[0] >= 1.0
     atc = build_error_recursion(StrategyKind.ATC, a, profiles)
-    assert spectral_radius(atc.transition) < 1.0
+    assert spectral_radii(atc.transition)[0] < 1.0
     verdict = analyze_network(a, profiles).verdicts[StrategyKind.CONSENSUS]
     assert not verdict.stable
     assert verdict.margin < 0
@@ -174,7 +175,7 @@ def test_diffusion_radii_equal_and_dominated():
         radii = {}
         for kind in ALL:
             rec = build_error_recursion(kind, a, profiles)
-            radii[kind] = spectral_radius(rec.transition)
+            radii[kind] = spectral_radii(rec.transition)[0]
         assert abs(radii[StrategyKind.ATC] - radii[StrategyKind.CTA]) <= 1e-9
         assert radii[StrategyKind.ATC] <= radii[StrategyKind.NON_COOPERATIVE] + 1e-9
 
@@ -219,7 +220,7 @@ def test_homogeneous_diffusion_equals_noncoop_below_bound():
             continue
         profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=0.1)
                     for _ in range(n)]
-        radii = {kind: spectral_radius(build_error_recursion(kind, a, profiles).transition)
+        radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles).transition)[0]
                  for kind in ALL}
         assert radii[StrategyKind.ATC] == pytest.approx(
             radii[StrategyKind.NON_COOPERATIVE], abs=1e-9)
@@ -278,9 +279,32 @@ def test_analyze_network_radii_are_each_strategy_alone():
     for a, profiles in cases:
         report = analyze_network(a, profiles)
         for kind in ALL:
-            rho = spectral_radius(build_error_recursion(kind, a, profiles).transition)
+            rho = float(spectral_radii(build_error_recursion(kind, a, profiles).transition)[0])
             assert report.verdicts[kind] == StabilityVerdict(rho, rho < 1.0, 1.0 - rho)
         # the per-node bounds take every lambda_max from one eigvalsh call
         lam_max = [np.linalg.eigvalsh(p.covariance)[-1] for p in profiles]
         assert np.array_equal(report.noncoop_bounds, [2.0 / lam for lam in lam_max])
     assert not analyze_network(*cases[0]).verdicts[StrategyKind.CONSENSUS].stable
+
+
+def test_near_repeated_sum_eigenvalue_takes_the_exact_dense_form():
+    # the covariances commute (one rotation Q by 0.3 rad), but their sum
+    # Q diag(4.5, 4.5 + 1e-5) Q^T has a near-repeated eigenvalue, so eigh of
+    # it returns a basis that leaves each Q^T R_k Q off-diagonal by more than
+    # BASIS_TOL; the dense NM form then gives the diagonal copy's per-node MSD
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    d = ((1.0, 2.0), (2.0, 1.0 + 1e-5), (1.5, 1.5))
+    a = build_combination_matrix(complete_topology(3), "uniform")
+
+    def profiles(q):
+        return [NodeProfile(covariance=q @ np.diag(dk) @ q.T, step_size=0.1,
+                            noise_variance=v) for dk, v in zip(d, (0.1, 0.2, 0.3))]
+
+    for kind in (StrategyKind.ATC, StrategyKind.CONSENSUS):
+        dense = build_error_recursion(kind, a, profiles(rotation))
+        split = build_error_recursion(kind, a, profiles(np.eye(2)))
+        assert dense.blocks == 1 and dense.basis is None
+        assert split.blocks == 2
+        want = msd_series(split).per_node
+        npt.assert_allclose(msd_series(dense).per_node, want, rtol=1e-12, atol=0.0)

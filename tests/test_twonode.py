@@ -12,8 +12,11 @@ from adaptnet import (CombinationMatrix, ConfigError, NodeProfile, StabilityErro
                       diffusion_stabilization_range, eigenstructure,
                       individual_msd_conditions, is_primitive,
                       msd_eigenform, msd_region_classify, region_grid,
-                      region_thresholds, spectral_radius)
+                      region_thresholds)
+from adaptnet.spectra import spectral_radii
 from adaptnet.twonode import REGION_BOUNDARY_TOL
+
+from conftest import dense_radius
 
 
 def _cons_matrix(cfg):
@@ -115,7 +118,7 @@ def test_instability_condition_boundary():
     # a + b exactly 2 - mu_sigma1: marginally unstable, rho >= 1
     cfg = TwoNodeConfig(a=0.8, b=0.8, mu_sigma1=0.4, mu_sigma2=0.6)
     assert consensus_instability_condition(cfg)
-    assert spectral_radius(_cons_matrix(cfg)) >= 1.0 - 1e-12
+    assert dense_radius(_cons_matrix(cfg)) >= 1.0 - 1e-12
 
 
 def test_instability_condition_requires_stable_nodes():
@@ -135,7 +138,7 @@ def test_instability_condition_is_sufficient_on_draws():
                             mu_sigma2=float(rng.uniform(0.01, 1.9)))
         if consensus_instability_condition(cfg):
             fired += 1
-            assert spectral_radius(_cons_matrix(cfg)) >= 1.0 - 1e-12
+            assert dense_radius(_cons_matrix(cfg)) >= 1.0 - 1e-12
     assert fired > 20
 
 
@@ -143,16 +146,16 @@ def test_instability_condition_is_not_necessary():
     # unstable configuration the sufficient test does not catch
     cfg = TwoNodeConfig(a=0.43, b=0.67, mu_sigma1=0.81, mu_sigma2=1.21)
     assert not consensus_instability_condition(cfg)
-    assert spectral_radius(_cons_matrix(cfg)) > 1.0
+    assert dense_radius(_cons_matrix(cfg)) > 1.0
 
 
 def test_diffusion_stabilization_interval():
     cfg = TwoNodeConfig(a=0.2, b=0.8, mu_sigma1=0.4, mu_sigma2=2.4)
     limit = diffusion_stabilization_range(cfg)
     assert limit == pytest.approx(0.8)
-    assert spectral_radius(_atc_matrix(cfg)) < 1.0
+    assert dense_radius(_atc_matrix(cfg)) < 1.0
     at_limit = TwoNodeConfig(a=0.8, b=0.2, mu_sigma1=0.4, mu_sigma2=2.4)
-    assert spectral_radius(_atc_matrix(at_limit)) == pytest.approx(1.0)
+    assert dense_radius(_atc_matrix(at_limit)) == pytest.approx(1.0)
 
 
 def test_region_thresholds_at_point_four():
@@ -194,8 +197,8 @@ def test_region_verdicts_match_eigenform():
         assert msd_region_classify(a_w, b_w, mu) == region
         at = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
         st = eigenstructure(at, cov)
-        net = {kind: msd_eigenform(st, mu, noise, kind).network_orthonormal
-               for kind in StrategyKind}
+        net = {kind: rep.network_orthonormal
+               for kind, rep in msd_eigenform(st, mu, noise, tuple(StrategyKind)).items()}
         cons = net[StrategyKind.CONSENSUS]
         if region == "I":
             assert cons <= net[StrategyKind.CTA] + 1e-12
@@ -222,7 +225,7 @@ def test_closed_forms_match_general_path_on_grid():
             cfg = TwoNodeConfig(a=float(a_w), b=float(b_w),
                                 mu_sigma1=mu_sigma, mu_sigma2=mu_sigma)
             at = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
-            rho = spectral_radius(_cons_matrix(cfg))
+            rho = dense_radius(_cons_matrix(cfg))
             s = a_w + b_w
             if abs(s - stab) <= band:
                 continue
@@ -231,10 +234,10 @@ def test_closed_forms_match_general_path_on_grid():
                 continue
             region = msd_region_classify(float(a_w), float(b_w), mu_sigma)
             st = eigenstructure(at, cov)
-            net = {kind: msd_eigenform(st, mu_sigma / sigma, noise,
-                                       kind).network_orthonormal
-                   for kind in (StrategyKind.CONSENSUS, StrategyKind.CTA,
-                                StrategyKind.NON_COOPERATIVE)}
+            net = {kind: rep.network_orthonormal
+                   for kind, rep in msd_eigenform(st, mu_sigma / sigma, noise,
+                                                  (StrategyKind.CONSENSUS, StrategyKind.CTA,
+                                                   StrategyKind.NON_COOPERATIVE)).items()}
             cons = net[StrategyKind.CONSENSUS]
             if region == "I":
                 assert cons <= net[StrategyKind.CTA] + 1e-12
@@ -329,7 +332,7 @@ def test_general_model_matches_scalar_closed_forms():
                 for p, v in ((cfg.mu_sigma1, cfg.t), (cfg.mu_sigma2, 1.0))]
     matrix = CombinationMatrix(cfg.combination(), complete_topology(2))
     rec = build_error_recursion(StrategyKind.CONSENSUS, matrix, profiles)
-    assert spectral_radius(rec.transition) == pytest.approx(
+    assert spectral_radii(rec.transition)[0] == pytest.approx(
         max(abs(x) for x in np.linalg.eigvals(_cons_matrix(cfg))), abs=1e-12)
     assert np.min(np.linalg.eigvals(rec.transition).real) == pytest.approx(
         consensus_min_eigenvalue(cfg), abs=1e-12)
