@@ -32,6 +32,13 @@ from .twonode import (TwoNodeConfig, condition_grid, consensus_instability_condi
                       region_thresholds)
 
 
+# the exit code of an error is that of the first row it is an instance of; an
+# OSError is an output path that cannot be written, e.g. in a missing directory
+EXIT_CODES = (((ConfigError, UnsupportedInputError, OSError), 2),
+              (StabilityError, 3),
+              (AdaptNetError, 4))
+
+
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
@@ -308,19 +315,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, UnsupportedInputError) as exc:
+    except (AdaptNetError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except StabilityError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except AdaptNetError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        # an output path that cannot be written, e.g. in a missing directory
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,8 @@
 """Key-value experiment config files.
 
-One ``key = value`` pair per line, ``#`` starts a comment, list values are
-comma separated.  Two modes:
+One ``key = value`` pair per line, list values are comma separated.  ``#``
+starts a comment anywhere on a line, as in the edge-list and matrix CSV files
+that ``topology`` and ``a_csv`` name.  Two modes:
 
 * explicit model: ``nodes``, ``dim``, ``mu`` (scalar or per node),
   ``ru_diag`` (dim values shared, or nodes*dim per node) or ``ru_matrix``
@@ -14,7 +15,8 @@ comma separated.  Two modes:
 Network keys: ``topology`` (``full`` | ``line`` | ``random`` | path to an
 edge-list file), ``edge_prob`` (random topology only), ``rule`` (``uniform``
 | ``metropolis`` | ``relative_variance``) or ``a_csv`` (explicit matrix,
-mutually exclusive with ``rule``).
+mutually exclusive with ``rule``).  A relative file path is read from the
+config file's directory, an absolute one as it is.
 
 Run keys: ``strategies`` (default all four), ``iterations``, ``trials``,
 ``seed`` (a nonnegative integer), ``steady_window``.  The retired key
@@ -29,8 +31,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .harness import ALL_STRATEGIES, ExperimentConfig
-from .network import (NetworkTopology, complete_topology, line_topology,
-                      load_combination_csv, load_topology,
+from .network import (NetworkTopology, _content_lines, complete_topology,
+                      line_topology, load_combination_csv, load_topology,
                       random_connected_topology)
 from .signalmodel import GroundTruth, NodeProfile, benchmark_profile
 from .strategies import StrategyKind
@@ -44,12 +46,9 @@ _KNOWN_KEYS = _RUN_KEYS | _MODEL_KEYS | _NETWORK_KEYS | {"profile"}
 def parse_pairs(text: str) -> dict:
     """Raw key -> string-value mapping; later assignments win."""
     pairs = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _content_lines(text.splitlines()):
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = line.split("=", 1)
         key = key.strip().lower()
         value = value.strip()
@@ -66,26 +65,19 @@ def _floats(value: str) -> list:
         raise ConfigError(f"expected numbers, got {value!r}") from exc
 
 
-def _int(pairs, key, default):
+def _number(pairs, key, kind, default):
+    """``pairs[key]`` read as ``kind`` (int or float), or ``default`` if unset."""
     if key not in pairs:
         return default
     try:
-        return int(pairs[key])
+        return kind(pairs[key])
     except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {pairs[key]!r}") from exc
-
-
-def _float(pairs, key, default):
-    if key not in pairs:
-        return default
-    try:
-        return float(pairs[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {pairs[key]!r}") from exc
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} must be {noun}, got {pairs[key]!r}") from exc
 
 
 def _sizes(pairs, nodes, dim):
-    n, m = _int(pairs, "nodes", nodes), _int(pairs, "dim", dim)
+    n, m = _number(pairs, "nodes", int, nodes), _number(pairs, "dim", int, dim)
     if n < 1 or m < 1:
         raise ConfigError("nodes and dim must be positive")
     return n, m
@@ -134,12 +126,12 @@ def _topology(pairs, n, seed, base_dir) -> NetworkTopology:
     choice = pairs.get("topology", "full").strip()
     if choice == "full":
         return complete_topology(n)
-    if choice in ("line", "path"):
+    if choice == "line":
         return line_topology(n)
     if choice == "random":
-        edge_prob = _float(pairs, "edge_prob", 0.3)
+        edge_prob = _number(pairs, "edge_prob", float, 0.3)
         return random_connected_topology(n, edge_prob, np.random.default_rng(seed))
-    path = choice if os.path.isabs(choice) else os.path.join(base_dir, choice)
+    path = os.path.join(base_dir, choice)
     if not os.path.isfile(path):
         raise ConfigError(f"topology {choice!r} is not full/line/random or a readable file")
     return _load(load_topology, path)
@@ -157,14 +149,14 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
     unknown = set(pairs) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = _int(pairs, "seed", 0)
+    seed = _number(pairs, "seed", int, 0)
     if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
     strategies = _strategies(pairs)
-    iterations = _int(pairs, "iterations", 1000)
-    trials = _int(pairs, "trials", 100)
-    steady_window = _float(pairs, "steady_window", 0.1)
-    workers = _int(pairs, "workers", 1)
+    iterations = _number(pairs, "iterations", int, 1000)
+    trials = _number(pairs, "trials", int, 100)
+    steady_window = _number(pairs, "steady_window", float, 0.1)
+    workers = _number(pairs, "workers", int, 1)
 
     if pairs.get("profile") == "benchmark":
         clash = (_MODEL_KEYS - {"nodes", "dim", "mu"}) & set(pairs)
@@ -178,7 +170,7 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
         n, m = _sizes(pairs, 20, 10)
         topology, profiles, truth = benchmark_profile(
             n_nodes=n, dim=m, seed=seed, step_size=mu[0],
-            edge_prob=_float(pairs, "edge_prob", 0.3))
+            edge_prob=_number(pairs, "edge_prob", float, 0.3))
     elif "profile" in pairs:
         raise ConfigError(f"unknown profile {pairs['profile']!r}")
     else:
@@ -208,10 +200,8 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
     if "a_csv" in pairs:
         if "rule" in pairs:
             raise ConfigError("give rule or a_csv, not both")
-        path = pairs["a_csv"]
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        combination = _load(load_combination_csv, path)
+        combination = _load(load_combination_csv,
+                            os.path.join(base_dir, pairs["a_csv"]))
         topology = combination.topology
     else:
         rule = pairs.get("rule", "uniform")

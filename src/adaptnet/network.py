@@ -94,24 +94,35 @@ def random_connected_topology(n_nodes: int, edge_prob: float,
                       f"(n={n_nodes}, p={edge_prob}); raise edge_prob")
 
 
+def _content_lines(lines):
+    """(line number, content) for each of ``lines`` that keeps some content
+    once a ``#`` comment is cut off and the ends are stripped: the one comment
+    rule of config files, edge lists and matrix CSVs."""
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_topology(path) -> NetworkTopology:
-    """Read an edge list: first line ``nodes N``, then 1-based ``i j`` pairs."""
+    """Read an edge list: first line ``nodes N``, then 1-based ``i j`` pairs.
+    ``#`` starts a comment anywhere on a line; errors name ``path:line``."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("nodes"):
-        raise ConfigError(f"{path}: first line must be 'nodes N'")
+        (first, head), *edges = list(_content_lines(fh)) or [(1, "")]
+    if not head.startswith("nodes"):
+        raise ConfigError(f"{path}:{first}: first line must be 'nodes N'")
     try:
-        n = int(lines[0].split()[1])
+        n = int(head.split()[1])
     except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: cannot parse node count from {lines[0]!r}") from exc
+        raise ConfigError(f"{path}:{first}: cannot parse node count from {head!r}") from exc
     adj = np.eye(n, dtype=bool)
-    for ln in lines[1:]:
+    for lineno, ln in edges:
         parts = ln.split()
         if len(parts) != 2:
-            raise ConfigError(f"{path}: bad edge line {ln!r}")
+            raise ConfigError(f"{path}:{lineno}: bad edge line {ln!r}")
         i, j = int(parts[0]), int(parts[1])
         if not (1 <= i <= n and 1 <= j <= n):
-            raise ConfigError(f"{path}: edge {i} {j} outside 1..{n}")
+            raise ConfigError(f"{path}:{lineno}: edge {i} {j} outside 1..{n}")
         adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
     return NetworkTopology(n, adj)
 
@@ -265,13 +276,8 @@ def perron_pair(matrix) -> PerronPair:
 
 
 def load_combination_csv(path) -> CombinationMatrix:
-    """Read a matrix CSV (row l, column k = a_{l,k}) by ``as_combination``."""
-    rows = []
+    """Read a matrix CSV (row l, column k = a_{l,k}) by ``as_combination``;
+    ``#`` starts a comment anywhere on a line."""
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
-            rows.append([float(tok) for tok in ln.split(",")])
-    return as_combination(rows)
-
+        return as_combination([[float(tok) for tok in ln.split(",")]
+                               for _, ln in _content_lines(fh)])

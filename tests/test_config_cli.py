@@ -6,8 +6,8 @@ import adaptnet.cli as cli
 import adaptnet.harness as harness
 from adaptnet import (ConfigError, NumericalError, StrategyKind,
                       build_combination_matrix, build_experiment,
-                      complete_topology, line_topology, parse_pairs,
-                      load_experiment)
+                      complete_topology, line_topology, load_combination_csv,
+                      load_experiment, load_topology, parse_pairs)
 from adaptnet.cli import main
 
 
@@ -158,6 +158,68 @@ def test_load_experiment_round_trip(tmp_path):
     assert len(cfg.profiles) == 2
     with pytest.raises(ConfigError, match="cannot read config"):
         load_experiment(str(tmp_path / "absent.cfg"))
+
+
+def _commented(text):
+    """``text`` with a full-line and an indented ``#`` comment, blank lines,
+    and an inline comment on each line after the first."""
+    first, *rest = text.strip().splitlines()
+    return "\n".join(["# full-line comment", "", first, "    # indented comment", "",
+                      *(f"{ln}  # inline comment" for ln in rest), "", ""])
+
+
+def _loaded(fmt, path):
+    """What a file of one input format loads to: its arrays and its plain values."""
+    if fmt == "edge list":
+        return [load_topology(path).adjacency], []
+    if fmt == "csv":
+        matrix = load_combination_csv(path)
+        return [matrix.weights, matrix.topology.adjacency], []
+    cfg = load_experiment(str(path))
+    arrays = [cfg.resolve_combination().weights, cfg.topology.adjacency,
+              cfg.truth.vector, *(p.covariance for p in cfg.profiles)]
+    return arrays, [[(p.step_size, p.noise_variance) for p in cfg.profiles],
+                    cfg.rule, cfg.strategies, cfg.iterations, cfg.trials,
+                    cfg.seed, cfg.steady_window]
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("config", MINIMAL + "mu = 0.1, 0.2\ntopology = line\nstrategies = atc, cta\n"
+               "seed = 4\nsteady_window = 0.2\n"),
+    ("edge list", "nodes 4\n1 2\n2 3\n3 4\n"),
+    ("csv", "0.5,0.25,0\n0.5,0.5,0.5\n0,0.25,0.5\n"),
+], ids=["config", "edge list", "csv"])
+def test_comments_load_alike_in_all_three_formats(tmp_path, fmt, text):
+    (tmp_path / "plain").write_text(text)
+    (tmp_path / "commented").write_text(_commented(text))
+    plain_arrays, plain_values = _loaded(fmt, tmp_path / "plain")
+    arrays, values = _loaded(fmt, tmp_path / "commented")
+    assert len(arrays) == len(plain_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, plain_arrays))
+    assert values == plain_values
+
+
+def test_files_named_by_absolute_path_from_another_directory(tmp_path):
+    data, home = tmp_path / "data", tmp_path / "configs"
+    data.mkdir()
+    home.mkdir()
+    (data / "isolated.topo").write_text("nodes 2\n")
+    weights = np.array([[0.15, 0.85], [0.85, 0.15]])
+    np.savetxt(data / "a.csv", weights, delimiter=",")
+    (home / "topo.cfg").write_text(MINIMAL + f"topology = {data / 'isolated.topo'}\n")
+    (home / "csv.cfg").write_text(MINIMAL + f"a_csv = {data / 'a.csv'}\n")
+    npt.assert_array_equal(load_experiment(str(home / "topo.cfg")).topology.adjacency,
+                           np.eye(2, dtype=bool))
+    npt.assert_array_equal(
+        load_experiment(str(home / "csv.cfg")).resolve_combination().weights, weights)
+
+
+def test_topology_path_names_a_file(tmp_path):
+    # "path" is a file name like any other, not a second name for "line"
+    (tmp_path / "path").write_text("nodes 2\n")
+    cfg = build_experiment(parse_pairs(MINIMAL + "topology = path\n"),
+                           base_dir=str(tmp_path))
+    npt.assert_array_equal(cfg.topology.adjacency, np.eye(2, dtype=bool))
 
 
 # ---------------------------------------------------------------- CLI level

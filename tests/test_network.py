@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -64,6 +66,19 @@ def test_topology_file_round_trip(tmp_path):
     np.savetxt(path, edges, fmt="%d", header=f"nodes {topo.n_nodes}", comments="")
     back = load_topology(path)
     npt.assert_array_equal(topo.adjacency, back.adjacency)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("# header\nnodes 3\n1 2\n1 2 3\n", ":4: bad edge line '1 2 3'"),
+    ("nodes 3\n\n1 4  # past the end\n", ":3: edge 1 4 outside 1..3"),
+    ("\n  # only a comment\n1 2\n", ":3: first line must be 'nodes N'"),
+    ("", ":1: first line must be 'nodes N'"),
+], ids=["bad edge line", "outside", "comment before the header", "empty"])
+def test_edge_list_errors_name_path_and_line(tmp_path, text, where):
+    path = tmp_path / "edges.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
+        load_topology(path)
 
 
 def test_uniform_two_node_all_half():
