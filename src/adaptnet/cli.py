@@ -81,6 +81,8 @@ def _write_csv(path, header, rows, seed=None) -> None:
 
 
 def _cell(value) -> str:
+    """The one number format of every CSV: a float (NumPy float64 and +-inf
+    included) to 12 significant digits, anything else as str."""
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -117,10 +119,8 @@ def cmd_analyze(args) -> int:
     if report.equality_bound is not None:
         print(f"  consensus=diffusion radius up to mu = {report.equality_bound:.6g}")
     if args.csv:
-        rows = [(name, f"{rho:.12g}", stable, f"{margin:.12g}")
-                for name, rho, stable, margin in report.rows()]
         _write_csv(args.csv, ("strategy", "spectral_radius", "stable", "margin"),
-                   rows, seed=cfg.seed)
+                   report.rows(), seed=cfg.seed)
     return 0
 
 
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
             curve = curves[kind]
             db = curve.normalized_db() if args.normalize else curve.msd_db
             for i, value in enumerate(db):
-                rows.append((i, kind.value, f"{value:.12g}"))  # -inf: exact 0, inf: diverged
+                rows.append((i, kind.value, value))  # -inf: exact 0, inf: diverged
         _write_csv(args.out, ("iteration", "strategy", "msd_db"), rows, seed=cfg.seed)
     for kind in cfg.strategies:
         curve = curves[kind]
@@ -184,7 +184,7 @@ def _compare(args, cfg) -> int:
         print(_ordering_line(cfg))
     if args.csv:
         rows = [(r.strategy.value, "network" if r.node is None else r.node,
-                 f"{r.theory_db:.12g}", f"{r.simulated_db:.12g}", f"{r.gap_db:.12g}")
+                 r.theory_db, r.simulated_db, r.gap_db)
                 for r in result.rows]
         _write_csv(args.csv, ("strategy", "node", "theory_db", "simulated_db", "gap_db"),
                    rows, seed=cfg.seed)
@@ -213,14 +213,11 @@ def cmd_two_node(args) -> int:
         print(f"thresholds at mu*sigma^2 = {args.mu_sigma}: "
               f"region I/II boundary {t1:.6g}, II/III boundary {t2:.6g}, "
               f"stability limit {stab:.6g}", file=sys.stderr)
-        _write_csv(args.out, ("a", "b", "region"),
-                   [(f"{a:.12g}", f"{b:.12g}", label) for a, b, label in grid])
+        _write_csv(args.out, ("a", "b", "region"), grid)
         return 0
     if args.mode == "conditions":
         grid = condition_grid(args.noise_ratio, points=args.points)
-        _write_csv(args.out, ("a", "b", "noise_shrink_psd", "strict_condition"),
-                   [(f"{a:.12g}", f"{b:.12g}", psd, strict)
-                    for a, b, psd, strict in grid])
+        _write_csv(args.out, ("a", "b", "noise_shrink_psd", "strict_condition"), grid)
         return 0
     # single-point report
     cfg = TwoNodeConfig(a=args.a, b=args.b, mu_sigma1=args.mu_sigma1,

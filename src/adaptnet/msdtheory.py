@@ -75,7 +75,7 @@ import numpy as np
 
 from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
                      StabilityError, UnsupportedInputError)
-from .network import as_combination, is_primitive, perron_pair
+from .network import as_combination, is_primitive, is_symmetric, perron_pair
 from .signalmodel import check_covariance
 from .spectra import RecursionStack, spectral_radii
 from .strategies import StrategyKind, uses_a
@@ -214,7 +214,7 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
     vectors normalized to ||r_l|| = 1, s_l^* r_l = 1."""
     a = as_combination(matrix).weights
     r_u = check_covariance(covariance)
-    if np.array_equal(a, a.T):
+    if is_symmetric(a):
         # symmetric case: eigh keeps repeated eigenspaces orthonormal, which
         # a general eigensolver does not guarantee
         sym_vals, sym_vecs = np.linalg.eigh(a.T)
@@ -421,24 +421,29 @@ class NoiseConditionReport:
         return bool(self.strict_condition)
 
 
+def noise_shrinkage(at, var):
+    """(S - A^T S A, its least eigenvalue, PSD at PSD_TOL) of a stack of A^T, S = diag(var)."""
+    sigma = np.diag(var)
+    shrink = sigma - at @ sigma @ at.swapaxes(-1, -2)
+    min_eig = np.linalg.eigvalsh(shrink)[..., 0]
+    return shrink, min_eig, min_eig >= -PSD_TOL
+
+
 def individual_ordering_conditions(matrix, noise_variances) -> NoiseConditionReport:
     """Check (i) Sigma_v - A^T Sigma_v A >= 0 and (ii) for primitive A the
     strict condition s1^T Sigma_v s1 / N < sigma_{v,k}^2 at every node.
     Serves acceptance 7, the per-node benefit conditions."""
     a = as_combination(matrix).weights
     var = _noise_vector(noise_variances, a.shape[0])
-    sigma = np.diag(var)
-    shrink = sigma - a.T @ sigma @ a
-    min_eig = float(np.linalg.eigvalsh(shrink)[0])
-    psd = min_eig >= -PSD_TOL
+    shrink, min_eig, psd = noise_shrinkage(a.T, var)
     primitive = is_primitive(a)
     strict = None
     if primitive:
         pair = perron_pair(a)
         mean = float(pair.s1 @ (var * pair.s1)) / a.shape[0]
         strict = bool(np.all(var > mean))
-    return NoiseConditionReport(shrink_matrix=shrink, min_eigenvalue=min_eig,
-                                noise_shrink_psd=psd, primitive=primitive,
+    return NoiseConditionReport(shrink_matrix=shrink, min_eigenvalue=float(min_eig),
+                                noise_shrink_psd=bool(psd), primitive=primitive,
                                 strict_condition=strict)
 
 

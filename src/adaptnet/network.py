@@ -5,7 +5,7 @@ node k assigns to node l's estimate, columns sum to one, and a_{l,k} = 0
 whenever l is not a neighbor of k.  Every node is its own neighbor.  For a
 primitive A the powers of A^T converge to the rank-one matrix r1 s1^T, where
 r1 and s1 are the right/left eigenvectors of A^T at eigenvalue one under the
-normalization ||r1|| = 1, s1^T r1 = 1.
+normalization ||r1|| = 1, s1^T r1 = 1; as A^T 1 = 1, r1 = 1/sqrt(N) exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class NetworkTopology:
             raise ConfigError("topology needs at least one node")
         if adj.shape != (self.n_nodes, self.n_nodes):
             raise ConfigError(f"adjacency shape {adj.shape} does not match n_nodes={self.n_nodes}")
-        if not np.array_equal(adj, adj.T):
+        if not is_symmetric(adj):
             raise ConfigError("adjacency must be symmetric")
         adj = adj.copy()
         np.fill_diagonal(adj, True)
@@ -105,15 +105,16 @@ def _content_lines(lines):
 
 
 def load_topology(path) -> NetworkTopology:
-    """Read an edge list: first line ``nodes N``, then 1-based ``i j`` pairs.
+    """Read an edge list: first line exactly ``nodes N``, then 1-based ``i j`` pairs.
     ``#`` starts a comment anywhere on a line; errors name ``path:line``."""
     with open(path) as fh:
         (first, head), *edges = list(_content_lines(fh)) or [(1, "")]
-    if not head.startswith("nodes"):
+    parts = head.split()
+    if len(parts) != 2 or parts[0] != "nodes":
         raise ConfigError(f"{path}:{first}: first line must be 'nodes N'")
     try:
-        n = int(head.split()[1])
-    except (IndexError, ValueError) as exc:
+        n = int(parts[1])
+    except ValueError as exc:
         raise ConfigError(f"{path}:{first}: cannot parse node count from {head!r}") from exc
     adj = np.eye(n, dtype=bool)
     for lineno, ln in edges:
@@ -226,6 +227,11 @@ def as_combination(matrix) -> CombinationMatrix:
     return CombinationMatrix(w, NetworkTopology(w.shape[0], support))
 
 
+def is_symmetric(weights) -> bool:
+    """A = A^T exactly: where eigh is exact and the consensus bound is proven."""
+    return np.array_equal(weights, weights.T)
+
+
 def is_primitive(matrix) -> bool:
     """True iff some power A^j, j <= (N-1)^2 + 1, is entrywise positive.
 
@@ -257,21 +263,16 @@ class PerronPair:
 
 
 def perron_pair(matrix) -> PerronPair:
-    """Perron pair of a primitive combination matrix: the eigenvectors of A^T
-    and of A at the eigenvalue nearest one, which is simple for a primitive
-    A; its s1 weighs the noise in acceptance 7's strict per-node condition."""
+    """Perron pair of a primitive A: r1 = 1/sqrt(N), and s1 the eigenvector of A
+    at the eigenvalue nearest one, simple for a primitive A, scaled to s1^T r1 = 1,
+    which fixes its sign; s1 weighs the noise in acceptance 7's strict condition."""
     if not is_primitive(matrix):
         raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
     a = as_combination(matrix).weights
-
-    def unit_vector(op):
-        vals, vecs = np.linalg.eig(op)
-        # LAPACK returns a real vector for a real eigenvalue of a real matrix
-        v = vecs[:, np.argmin(np.abs(vals - 1.0))].real
-        return v / (np.linalg.norm(v) * np.sign(v.sum()))
-
-    r1 = unit_vector(a.T)
-    s1 = unit_vector(a)
+    r1 = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
+    vals, vecs = np.linalg.eig(a)
+    # LAPACK returns a real vector for a real eigenvalue of a real matrix
+    s1 = vecs[:, np.argmin(np.abs(vals - 1.0))].real
     return PerronPair(r1, s1 / (s1 @ r1))
 
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, UnsupportedInputError
-from .network import as_combination
+from .network import as_combination, is_symmetric
 from .signalmodel import check_covariance, is_homogeneous
 from .strategies import StrategyKind, combination_stack
 
@@ -167,12 +167,12 @@ def noncoop_step_bounds(profiles) -> np.ndarray:
 
 
 def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
-    """Per-node bounds (1 + lambda_min(A)) / lambda_max(R_k), valid for symmetric A.
+    """Per-node bounds (1 + lambda_min(A)) / lambda_max(R_k); needs an exactly symmetric A.
 
     The interval is empty (bound 0) when lambda_min(A) = -1.
     """
     a = as_combination(matrix).weights
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
+    if not is_symmetric(a):
         raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
     lam_min = np.linalg.eigvalsh(a)[0]
     return (1.0 + lam_min) / _lambda_max(profiles)
@@ -219,10 +219,8 @@ def analyze_network(matrix, profiles) -> StabilityReport:
     radii = spectral_radii(stack.transition).tolist()
     verdicts = {kind: StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
                 for kind, rho in zip(stack.strategies, radii)}
-    try:
-        cons_bounds = consensus_symmetric_bound(matrix, profiles)
-    except UnsupportedInputError:
-        cons_bounds = None
+    cons_bounds = (consensus_symmetric_bound(matrix, profiles)
+                   if is_symmetric(matrix.weights) else None)
     equality = (diffusion_equality_bound(matrix, profiles[0].covariance)
                 if is_homogeneous(profiles) else None)
     return StabilityReport(verdicts=verdicts,

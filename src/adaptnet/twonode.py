@@ -11,6 +11,8 @@ mu_k sigma_{u,k}^2 and the noise ratio t = sigma_{v,1}^2 / sigma_{v,2}^2.
 
 Everything here has an independent general-path counterpart in the spectra
 and msdtheory modules; the two routes are cross-validated in the tests.
+The PSD half of the noise conditions is msdtheory's ``noise_shrinkage``; the
+determinant and the strict condition stay closed forms, the independent reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, StabilityError
-from .msdtheory import PSD_TOL
+from .msdtheory import noise_shrinkage
 from .network import is_primitive
 
 REGION_BOUNDARY_TOL = 1e-9
@@ -180,21 +182,14 @@ def _transposed_weights(a, b) -> np.ndarray:
 
 
 def _noise_conditions(a, b, t: float):
-    """The noise-shrinkage and strict conditions at every point of the
-    broadcast arrays a, b, for one noise ratio t the caller has checked.
-
-    Returns (shrink, det, min_eig, psd, lhs1, lhs2, strict): the (..., 2, 2)
-    stack of Sigma_v - A^T Sigma_v A, its determinants and smallest
-    eigenvalues, the PSD verdicts, the two strict left-hand sides and the
-    strict verdicts, each of the broadcast shape."""
-    at = _transposed_weights(a, b)
-    sigma = np.diag([t, 1.0])
-    shrink = sigma - at @ sigma @ at.swapaxes(-1, -2)
-    det = np.linalg.det(shrink)
-    min_eig = np.linalg.eigvalsh(shrink)[..., 0]
+    """(shrink, det, min_eig, psd, lhs1, lhs2, strict) at every point of the
+    broadcast arrays a, b, for one noise ratio t the caller has checked:
+    ``noise_shrinkage``'s three with the determinants of its (..., 2, 2)
+    stack, then the two strict left-hand sides and the strict verdicts."""
+    shrink, min_eig, psd = noise_shrinkage(_transposed_weights(a, b), np.array([t, 1.0]))
     lhs1 = (t - 1.0) * a + 2.0 * b * t
     lhs2 = 2.0 * a + (1.0 - t) * b
-    return (shrink, det, min_eig, min_eig >= -PSD_TOL,
+    return (shrink, np.linalg.det(shrink), min_eig, psd,
             lhs1, lhs2, (lhs1 > 0) & (lhs2 > 0))
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -544,6 +546,35 @@ def test_cli_compare_refuses_when_nothing_stable(unstable_cfg, capsys):
     assert main(["compare", unstable_cfg]) == 3
     err = capsys.readouterr().err
     assert "StabilityError" in err and "consensus" in err
+
+
+def test_cli_compare_reports_a_refused_strategy_and_runs_the_rest(unstable_cfg, tmp_path,
+                                                                 capsys):
+    # acceptance 1's two-node instance: consensus is refused, the rest is compared
+    path = tmp_path / "all.cfg"
+    path.write_text((tmp_path / "unstable.cfg").read_text()
+                    .replace("strategies = consensus\n", ""))
+    csv = tmp_path / "all.csv"
+    assert main(["compare", str(path), "--csv", str(csv)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^consensus +unstable \(rho = 1\.\d{6}\), not simulated$", out, re.M)
+    _, rows = _read_csv(csv)
+    assert {row[0] for row in rows} == {"non_cooperative", "atc", "cta"}
+
+
+@pytest.mark.parametrize("weights", [
+    "0.6,0.2,0.1\n0.3,0.5,0.2\n0.1,0.3,0.7\n",
+    "0.5,0.5000000000001\n0.5,0.4999999999999\n",
+], ids=["asymmetric", "asymmetric by 1e-13"])
+def test_cli_analyze_names_the_missing_consensus_bound(tmp_path, capsys, weights):
+    (tmp_path / "a.csv").write_text(weights)
+    path = tmp_path / "asym.cfg"
+    nodes = weights.count("\n")
+    path.write_text(f"nodes = {nodes}\ndim = 1\nmu = 0.05\nnoise_db = -20\nru_diag = 1\n"
+                    "a_csv = a.csv\n")
+    assert main(["analyze", str(path)]) == 0
+    assert ("  consensus       : (needs a symmetric combination matrix)\n"
+            in capsys.readouterr().out)
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

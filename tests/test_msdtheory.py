@@ -542,6 +542,16 @@ def test_strict_ordering_threshold_found_and_certified():
     assert all(isinstance(p, tuple) and len(p) == 2 for p in report.probes)
 
 
+def test_strict_ordering_threshold_not_found_where_the_strict_condition_fails():
+    a = _two_node_matrix(0.5, 0.5)
+    noise = np.array([1.0, 0.1])   # Perron mean (1 + 0.1) / 4 exceeds node 2's 0.1
+    assert not individual_ordering_conditions(a, noise).strict_condition
+    report = strict_ordering_step_threshold(a, np.array([[1.0]]), noise)
+    assert not report.found and report.mu_star is None
+    assert len(report.probes) == msdtheory.MAX_HALVINGS
+    assert not any(ok for _, ok in report.probes)
+
+
 def test_strict_threshold_requires_primitive():
     with pytest.raises(UnsupportedInputError):
         strict_ordering_step_threshold(np.eye(2), np.array([[1.0]]), [0.1, 0.2])

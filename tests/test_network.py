@@ -73,7 +73,11 @@ def test_topology_file_round_trip(tmp_path):
     ("nodes 3\n\n1 4  # past the end\n", ":3: edge 1 4 outside 1..3"),
     ("\n  # only a comment\n1 2\n", ":3: first line must be 'nodes N'"),
     ("", ":1: first line must be 'nodes N'"),
-], ids=["bad edge line", "outside", "comment before the header", "empty"])
+    ("nodesXYZ 3 junk\n1 2\n", ":1: first line must be 'nodes N'"),
+    ("nodes 3 junk\n1 2\n", ":1: first line must be 'nodes N'"),
+    ("nodes three\n1 2\n", ":1: cannot parse node count from 'nodes three'"),
+], ids=["bad edge line", "outside", "comment before the header", "empty",
+        "glued header", "tokens after the count", "count not a number"])
 def test_edge_list_errors_name_path_and_line(tmp_path, text, where):
     path = tmp_path / "edges.txt"
     path.write_text(text)
@@ -182,7 +186,7 @@ def test_perron_doubly_stochastic():
     a = build_combination_matrix(random_connected_topology(6, 0.5, rng),
                                  "metropolis").weights
     pair = perron_pair(a)
-    npt.assert_allclose(pair.r1, np.full(6, 1 / np.sqrt(6)), atol=1e-10)
+    npt.assert_array_equal(pair.r1, np.full(6, 1 / np.sqrt(6)))
     npt.assert_allclose(pair.s1, pair.r1, atol=1e-10)
 
 
@@ -190,6 +194,7 @@ def test_perron_two_node_closed_form():
     a_w, b_w = 0.2, 0.4
     a = np.array([[1 - a_w, b_w], [a_w, 1 - b_w]])
     pair = perron_pair(a)
+    npt.assert_array_equal(pair.r1, np.full(2, 1 / np.sqrt(2)))
     npt.assert_allclose(pair.s1, [0.9428090415820634, 0.4714045207910317],
                         atol=1e-10)
     assert pair.s1 @ pair.r1 == pytest.approx(1.0, abs=1e-12)
@@ -199,6 +204,7 @@ def test_perron_power_convergence_monotone():
     rng = np.random.default_rng(9)
     a = random_left_stochastic(5, rng)
     pair = perron_pair(a)
+    npt.assert_array_equal(pair.r1, np.full(5, 1 / np.sqrt(5)))
     target = np.outer(pair.r1, pair.s1)
     power = a.T.copy()
     errs = []
@@ -217,8 +223,7 @@ def test_perron_pair_with_second_eigenvalue_near_one():
     pair = perron_pair(slow)
     npt.assert_allclose(pair.s1, np.array([2.0, 1.0]) * np.sqrt(2.0) / 3.0,
                         rtol=0, atol=1e-12)
-    npt.assert_allclose(pair.r1, np.array([1.0, 1.0]) / np.sqrt(2.0),
-                        rtol=0, atol=1e-12)
+    npt.assert_array_equal(pair.r1, np.full(2, 1 / np.sqrt(2)))
 
 
 def test_combination_csv_round_trip(tmp_path):

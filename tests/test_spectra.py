@@ -149,8 +149,10 @@ def test_consensus_bound_degenerate_empty_interval():
 
 def test_consensus_bound_rejects_asymmetric():
     profiles = _scalar_profiles([0.1, 0.1])
-    # the second is off by 4e-6, inside allclose's default relative tolerance
-    for a in ([[0.8, 0.4], [0.2, 0.6]], [[0.5, 0.500004], [0.5, 0.499996]]):
+    # the second is off by 4e-6, inside allclose's default relative tolerance;
+    # the third by 1e-13: the bound is proven for an exactly symmetric A only
+    for a in ([[0.8, 0.4], [0.2, 0.6]], [[0.5, 0.500004], [0.5, 0.499996]],
+              [[0.5, 0.5 + 1e-13], [0.5, 0.5 - 1e-13]]):
         with pytest.raises(UnsupportedInputError):
             consensus_symmetric_bound(np.array(a), profiles)
         assert analyze_network(np.array(a), profiles).consensus_bounds is None
@@ -256,6 +258,16 @@ def test_analyze_network_report():
 def test_analyze_network_validates_a_raw_matrix(matrix, fragment):
     with pytest.raises(ConfigError, match=fragment):
         analyze_network(matrix, _scalar_profiles([0.9, 0.9]))
+
+
+@pytest.mark.parametrize("profiles, fragment", [
+    (_scalar_profiles([0.1, 0.1, 0.1]), r"\(2, 2\) does not match 3 profiles"),
+    ([NodeProfile(covariance=np.eye(m), step_size=0.1, noise_variance=0.1) for m in (1, 2)],
+     "share the regressor dimension"),
+], ids=["node count", "mixed dimensions"])
+def test_error_recursions_refuse_mismatched_profiles(profiles, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        build_error_recursion(StrategyKind.ATC, np.full((2, 2), 0.5), profiles)
 
 
 @pytest.mark.parametrize("cov", [np.array([[np.nan]]), np.array([[2.0, 1.0], [0.0, 1.0]]),
