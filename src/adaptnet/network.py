@@ -116,12 +116,17 @@ def load_topology(path) -> NetworkTopology:
         n = int(parts[1])
     except ValueError as exc:
         raise ConfigError(f"{path}:{first}: cannot parse node count from {head!r}") from exc
+    if n < 1:
+        raise ConfigError(f"{path}:{first}: node count must be positive, got {n}")
     adj = np.eye(n, dtype=bool)
     for lineno, ln in edges:
         parts = ln.split()
         if len(parts) != 2:
             raise ConfigError(f"{path}:{lineno}: bad edge line {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: edge ends must be integers, got {ln!r}") from exc
         if not (1 <= i <= n and 1 <= j <= n):
             raise ConfigError(f"{path}:{lineno}: edge {i} {j} outside 1..{n}")
         adj[i - 1, j - 1] = adj[j - 1, i - 1] = True
@@ -266,9 +271,9 @@ def perron_pair(matrix) -> PerronPair:
     """Perron pair of a primitive A: r1 = 1/sqrt(N), and s1 the eigenvector of A
     at the eigenvalue nearest one, simple for a primitive A, scaled to s1^T r1 = 1,
     which fixes its sign; s1 weighs the noise in acceptance 7's strict condition."""
-    if not is_primitive(matrix):
-        raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
     a = as_combination(matrix).weights
+    if not is_primitive(a):
+        raise UnsupportedInputError("Perron pair requires a primitive combination matrix")
     r1 = np.full(a.shape[0], 1.0 / np.sqrt(a.shape[0]))
     vals, vecs = np.linalg.eig(a)
     # LAPACK returns a real vector for a real eigenvalue of a real matrix
@@ -278,7 +283,15 @@ def perron_pair(matrix) -> PerronPair:
 
 def load_combination_csv(path) -> CombinationMatrix:
     """Read a matrix CSV (row l, column k = a_{l,k}) by ``as_combination``;
-    ``#`` starts a comment anywhere on a line."""
+    ``#`` starts a comment anywhere on a line; row errors name ``path:line``."""
+    rows = []
     with open(path) as fh:
-        return as_combination([[float(tok) for tok in ln.split(",")]
-                               for _, ln in _content_lines(fh)])
+        for lineno, ln in _content_lines(fh):
+            try:
+                row = [float(tok) for tok in ln.split(",")]
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: expected numbers, got {ln!r}") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ConfigError(f"{path}:{lineno}: ragged row of {len(row)} entries, not {len(rows[0])}")
+            rows.append(row)
+    return as_combination(rows)

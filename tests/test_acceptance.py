@@ -15,16 +15,17 @@ import pytest
 
 from adaptnet import (CombinationMatrix, ExperimentConfig, NodeProfile,
                       StrategyKind, TwoNodeConfig, analyze_network,
-                      benchmark_profile, build_error_recursion,
-                      complete_topology, diffusion_stabilization_range,
+                      benchmark_profile, complete_topology,
+                      diffusion_stabilization_range,
                       eigenstructure, individual_msd_conditions,
                       individual_ordering_conditions, msd_eigenform,
-                      msd_region_classify, msd_series, ordering_checks,
+                      msd_region_classify, ordering_checks,
                       region_thresholds, run_experiment,
                       steady_state_vs_theory, strict_gap_holds,
                       strict_ordering_step_threshold)
 
-from adaptnet.spectra import spectral_radii
+from adaptnet.msdtheory import series_reports
+from adaptnet.spectra import build_error_recursions, spectral_radii
 
 from conftest import (dense_radius, full_map, random_left_stochastic,
                       random_symmetric_stochastic, stable_profiles, unit_truth)
@@ -33,6 +34,7 @@ NCOP = StrategyKind.NON_COOPERATIVE
 CONS = StrategyKind.CONSENSUS
 ATC = StrategyKind.ATC
 CTA = StrategyKind.CTA
+ALL_KINDS = (NCOP, CONS, ATC, CTA)
 
 
 class _criterion:
@@ -140,9 +142,9 @@ def test_radius_orderings_over_random_draws():
             symmetric = bool(i % 2)
             weights = (random_symmetric_stochastic(n, rng) if symmetric
                        else random_left_stochastic(n, rng))
-            recs = {kind: build_error_recursion(kind, weights, profiles)
-                    for kind in (NCOP, CONS, ATC, CTA)}
-            b = {kind: full_map(rec.transition[0], rec.basis) for kind, rec in recs.items()}
+            stack = build_error_recursions(ALL_KINDS, weights, profiles)
+            b = {kind: full_map(transition, stack.basis)
+                 for kind, transition in zip(ALL_KINDS, stack.transition)}
             r_atc = dense_radius(b[ATC])
             r_cta = dense_radius(b[CTA])
             r_ncop = dense_radius(b[NCOP])
@@ -161,9 +163,6 @@ def test_radius_orderings_over_random_draws():
                        f"{symmetric_draws} symmetric draws; zero violations")
 
 
-ALL_KINDS = (NCOP, CONS, ATC, CTA)
-
-
 def _stable_homogeneous_instances(count, seed):
     """Random homogeneous diagonalizable instances with every strategy's
     error recursion stable (rejection sampled)."""
@@ -180,11 +179,10 @@ def _stable_homogeneous_instances(count, seed):
                    else random_left_stochastic(n, rng))
         profiles = stable_profiles(n, m, rng, homogeneous=True,
                                    diagonal=bool(rng.integers(2)))
-        recs = {kind: build_error_recursion(kind, weights, profiles)
-                for kind in ALL_KINDS}
-        if any(spectral_radii(r.transition)[0] >= 1.0 - 1e-9 for r in recs.values()):
+        stack = build_error_recursions(ALL_KINDS, weights, profiles)
+        if np.any(spectral_radii(stack.transition) >= 1.0 - 1e-9):
             continue
-        out.append((weights, symmetric, profiles, recs))
+        out.append((weights, symmetric, profiles, stack))
     return out
 
 
@@ -192,13 +190,14 @@ def test_series_and_eigenform_msd_agree():
     with _criterion(4) as crit:
         instances = _stable_homogeneous_instances(200, seed=44)
         checks = 0
-        for weights, symmetric, profiles, recs in instances:
+        for weights, symmetric, profiles, stack in instances:
             structure = eigenstructure(weights, profiles[0].covariance)
             mu = profiles[0].step_size
             noise = np.array([p.noise_variance for p in profiles])
             eigen_reports = msd_eigenform(structure, mu, noise, ALL_KINDS)
+            series_by_kind = series_reports(stack)
             for kind in ALL_KINDS:
-                series = msd_series(recs[kind])
+                series = series_by_kind[kind]
                 eigen = eigen_reports[kind]
                 np.testing.assert_allclose(eigen.per_node, series.per_node,
                                            rtol=1e-6)

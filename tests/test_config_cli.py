@@ -92,10 +92,21 @@ def test_full_covariance_matrix_shared():
     ("seed = -1", "seed must be a nonnegative integer"),
     ("ru_diag = -1, 2", "positive definite"),
     ("a_csv = missing.csv", "cannot load"),
+    ("strategies = ,", "strategies list is empty"),
+    ("topology = random\nedge_prob = 1.5", "edge_prob must lie in"),
 ])
 def test_explicit_model_rejections(mutation, fragment):
     with pytest.raises(ConfigError, match=fragment):
         build_experiment(parse_pairs(MINIMAL + mutation + "\n"))
+
+
+@pytest.mark.parametrize("covariance, fragment", [
+    ("ru_matrix = 1, 0, 1", "ru_matrix needs 4 values, got 3"),
+    ("", "the explicit model needs ru_diag or ru_matrix"),
+], ids=["ru_matrix count", "no covariance"])
+def test_explicit_model_covariance_rejections(covariance, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        build_experiment(parse_pairs(MINIMAL.replace("ru_diag = 1, 2", covariance)))
 
 
 def test_missing_required_key():
@@ -721,6 +732,15 @@ def test_cli_two_node_point_applicability_lines(capsys, a, b, p1, p2,
         assert "diffusion stable for a < 0.8000000000 along b = 1 - a" in out
     if region:
         assert "homogeneous MSD region: I\n" in out
+
+
+def test_cli_two_node_point_unstable_homogeneous_region(capsys):
+    # a + b = 1.8 >= 2 - mu sigma^2 = 1.5: consensus is unstable, so the
+    # region line gives the reason instead of a region
+    assert main(["two-node", "point", "--a", "0.9", "--b", "0.9",
+                 "--mu-sigma1", "0.5", "--mu-sigma2", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "homogeneous MSD region: unstable (consensus is unstable for a + b = 1.8" in out
 
 
 def _assert_config_refusal(argv, capsys):

@@ -329,8 +329,8 @@ def test_eigenform_refusal_is_a_report_across_the_stability_limit():
 
 
 def test_ordering_checks_raises_a_refused_diffusion_strategy():
-    # ATC modes (1 - 2.5) lambda_l(A) reach radius 1.5; the per-mode
-    # identities need ATC, so the refusal is raised, not reported
+    # ATC modes (1 - 2.5) lambda_l(A) reach radius 1.5; the verdicts
+    # compare finite MSDs, so the refusal is raised, not reported
     with pytest.raises(StabilityError, match="atc error modes reach radius 1.5 >= 1 at mu = 2.5"):
         ordering_checks(_two_node_matrix(0.3, 0.4), np.array([[1.0]]), 2.5, [0.1, 0.1])
 
@@ -413,22 +413,13 @@ def test_trichotomy_per_component():
         assert np.all(forward | reverse)
 
 
-def test_ratio_identities_hold():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        n = int(rng.integers(2, 6))
-        a = random_symmetric_stochastic(n, rng)
-        cov = np.diag(rng.uniform(0.5, 3.0, size=2))
-        mu = float(rng.uniform(0.05, 0.9) * 2.0 / np.linalg.eigvalsh(cov)[-1])
-        noise = rng.uniform(0.02, 0.4, size=n)
-        rep = ordering_checks(a, cov, mu, noise)
-        assert rep.ratio_max_error < 1e-8
-        assert rep.shift_identity_error < 1e-12
-
-
 def _reference_ratio_checks(matrix, covariance, mu, noise):
-    """ordering_checks' (ratio_max_error, ratio_skipped) as a scalar loop
-    over (node, mode): the same skip floor, a NaN ratio error ignored."""
+    """The eigen route's per-mode ratio identities as a scalar loop over
+    (node, mode): (ncop - atc) / (ncop - cta) = 1 / (1 - mu lambda_m)^2 and
+    (ncop - atc) / (cta - atc) = 1 / (1 - (1 - mu lambda_m)^2), read from
+    ``msd_eigenform(...)[kind].per_mode``.  An entry with a gap below 1e-14
+    of the largest non-cooperative term is skipped, and a NaN ratio error is
+    ignored.  Returns (largest relative error, entries skipped)."""
     st = eigenstructure(matrix, covariance)
     comp = {kind: rep.per_mode for kind, rep in msd_eigenform(st, mu, noise, GAP).items()}
     gap_nc = comp[StrategyKind.NON_COOPERATIVE] - comp[StrategyKind.CTA]
@@ -453,31 +444,55 @@ def _reference_ratio_checks(matrix, covariance, mu, noise):
     return ratio_err, skipped
 
 
-def test_ordering_ratio_checks_match_scalar_loop():
-    rng = np.random.default_rng(12)
-    cases = []
-    for _ in range(6):
-        n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-        a = (random_symmetric_stochastic(n, rng) if rng.random() < 0.5
-             else random_left_stochastic(n, rng))
-        profiles = stable_profiles(n, m, rng, homogeneous=True, mu_hi=0.9)
-        cases.append((a, profiles[0].covariance, profiles[0].step_size,
-                      np.array([p.noise_variance for p in profiles])))
-    # node 0 on its own: its gaps vanish and are skipped, the others are not
+def test_ratio_identities_hold():
+    # the per-mode ratios above, and the CTA/consensus mode shift
+    # lambda_cta - lambda_cons = (1 - lambda_l(A)) mu lambda_m
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n = int(rng.integers(2, 6))
+        a = random_symmetric_stochastic(n, rng)
+        cov = np.diag(rng.uniform(0.5, 3.0, size=2))
+        mu = float(rng.uniform(0.05, 0.9) * 2.0 / np.linalg.eigvalsh(cov)[-1])
+        noise = rng.uniform(0.02, 0.4, size=n)
+        assert _reference_ratio_checks(a, cov, mu, noise)[0] < 1e-8
+        st = eigenstructure(a, cov)
+        cta_modes, cons_modes = mode_eigenvalues(st, mu, (StrategyKind.CTA,
+                                                          StrategyKind.CONSENSUS))
+        predicted = np.outer(1.0 - st.eigenvalues, mu * st.cov_eigenvalues)
+        assert np.max(np.abs((cta_modes - cons_modes) - predicted)) < 1e-12
+    # node 0 on its own: its two gaps vanish and are skipped, the others hold
     isolated = np.zeros((3, 3))
     isolated[0, 0] = 1.0
     isolated[1:, 1:] = _two_node_matrix(0.3, 0.4)
-    cases.append((isolated, np.diag([1.0, 2.0]), 0.3, np.array([0.1, 0.2, 0.3])))
-    # zero noise: every gap is 0, none is below the zero floor, every ratio is NaN
-    cases.append((_two_node_matrix(0.3, 0.4), np.array([[1.0]]), 0.5, np.zeros(2)))
-    skipped = []
-    for a, cov, mu, noise in cases:
-        rep = ordering_checks(a, cov, mu, noise)
-        expected = _reference_ratio_checks(a, cov, mu, noise)
-        assert (rep.ratio_max_error, rep.ratio_skipped) == expected
-        skipped.append(expected[1])
-    assert skipped[-2] == 2 and skipped[-1] == 0
-    assert any(s == 0 for s in skipped[:-2])
+    ratio_err, skipped = _reference_ratio_checks(isolated, np.diag([1.0, 2.0]), 0.3,
+                                                 np.array([0.1, 0.2, 0.3]))
+    assert ratio_err < 1e-8
+    assert skipped == 2
+
+
+def test_ordering_checks_makes_one_eigen_pass(monkeypatch):
+    # one eigenstructure, one four-strategy msd_eigenform, and the one mode
+    # grid that msd_eigenform builds
+    trace = []
+
+    def spy(name):
+        real = getattr(msdtheory, name)
+
+        def wrapped(*args, **kwargs):
+            trace.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                trace.append("end " + name)
+        monkeypatch.setattr(msdtheory, name, wrapped)
+
+    for name in ("eigenstructure", "msd_eigenform", "mode_eigenvalues"):
+        spy(name)
+    rep = ordering_checks(_two_node_matrix(0.3, 0.4), np.diag([1.0, 2.0]), 0.3, [0.1, 0.2])
+    assert rep.diffusion_first
+    assert trace == ["eigenstructure", "end eigenstructure",
+                     "msd_eigenform", "mode_eigenvalues", "end mode_eigenvalues",
+                     "end msd_eigenform"]
 
 
 def test_psd_noise_shrinkage_implies_per_node_ordering():

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (CombinationMatrix, ConfigError,
+from adaptnet import (CombinationMatrix, ConfigError, UnsupportedInputError,
                       build_combination_matrix, complete_topology, is_primitive,
                       line_topology, load_combination_csv, load_topology,
                       perron_pair, random_connected_topology)
@@ -76,13 +76,28 @@ def test_topology_file_round_trip(tmp_path):
     ("nodesXYZ 3 junk\n1 2\n", ":1: first line must be 'nodes N'"),
     ("nodes 3 junk\n1 2\n", ":1: first line must be 'nodes N'"),
     ("nodes three\n1 2\n", ":1: cannot parse node count from 'nodes three'"),
+    ("nodes -2\n", ":1: node count must be positive, got -2"),
+    ("# none\nnodes 0\n", ":2: node count must be positive, got 0"),
+    ("nodes 3\n1 x\n", ":2: edge ends must be integers, got '1 x'"),
 ], ids=["bad edge line", "outside", "comment before the header", "empty",
-        "glued header", "tokens after the count", "count not a number"])
+        "glued header", "tokens after the count", "count not a number",
+        "negative count", "zero count", "edge end not a number"])
 def test_edge_list_errors_name_path_and_line(tmp_path, text, where):
     path = tmp_path / "edges.txt"
     path.write_text(text)
     with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
         load_topology(path)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("0.5,0.5\n0.5,x  # typo\n", ":2: expected numbers, got '0.5,x'"),
+    ("# ragged\n0.5,0.5\n\n0.5\n", ":4: ragged row of 1 entries, not 2"),
+], ids=["token not a number", "ragged rows"])
+def test_matrix_csv_errors_name_path_and_line(tmp_path, text, where):
+    path = tmp_path / "a.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}{where}")):
+        load_combination_csv(path)
 
 
 def test_uniform_two_node_all_half():
@@ -224,6 +239,14 @@ def test_perron_pair_with_second_eigenvalue_near_one():
     npt.assert_allclose(pair.s1, np.array([2.0, 1.0]) * np.sqrt(2.0) / 3.0,
                         rtol=0, atol=1e-12)
     npt.assert_array_equal(pair.r1, np.full(2, 1 / np.sqrt(2)))
+
+
+def test_perron_pair_validates_the_matrix_before_primitivity():
+    # 2 I is no combination matrix, whatever its support; I is one, not primitive
+    with pytest.raises(ConfigError, match="column 0 sums to 2.0, expected 1"):
+        perron_pair(2.0 * np.eye(2))
+    with pytest.raises(UnsupportedInputError, match="requires a primitive"):
+        perron_pair(np.eye(2))
 
 
 def test_combination_csv_round_trip(tmp_path):
