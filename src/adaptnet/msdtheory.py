@@ -92,9 +92,8 @@ ORDERING_SLACK = 1e-10
 PSD_TOL = 1e-10
 # strict per-node gap: ncop - cta must exceed this fraction of ncop
 GAP_REL_MARGIN = 1e-12
-# strict-ordering threshold search: halvings from the bound, then refinements
+# strict-ordering threshold search: halvings of the stability bound
 MAX_HALVINGS = 60
-REFINE_STEPS = 12
 
 
 def _db(x):
@@ -193,14 +192,13 @@ def msd_series(stack: RecursionStack) -> MsdReport:
 
 @dataclass(frozen=True, eq=False)
 class EigenStructure:
-    """Bi-orthogonal eigen decomposition of A^T plus the covariance modes."""
+    """Bi-orthogonal eigen decomposition of A^T plus the covariance eigenvalues."""
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     cov_eigenvalues: np.ndarray
-    cov_vectors: np.ndarray
     condition: float
     # largest off-diagonal entry of the Gram matrix of the right vectors
     orthonormality_defect: float
@@ -211,8 +209,11 @@ class EigenStructure:
 
 
 def eigenstructure(matrix, covariance) -> EigenStructure:
-    """Eigen decomposition of A^T with the unit eigenvalue ordered first and
-    vectors normalized to ||r_l|| = 1, s_l^* r_l = 1."""
+    """Eigen decomposition of A^T with vectors normalized to ||r_l|| = 1,
+    s_l^* r_l = 1, in the eigensolver's order and phases: every eigen-route
+    quantity is a sum over all modes, and the condition number and the
+    orthonormality defect depend on neither the column order nor unit
+    phases."""
     a = as_combination(matrix).weights
     r_u = check_covariance(covariance)
     if is_symmetric(a):
@@ -222,29 +223,19 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
         eigs, vecs = sym_vals.astype(complex), sym_vecs.astype(complex)
     else:
         eigs, vecs = np.linalg.eig(a.T)
-    lead = int(np.argmin(np.abs(eigs - 1.0)))
-    rest = [i for i in range(eigs.size) if i != lead]
-    rest.sort(key=lambda i: (-abs(eigs[i]), -eigs[i].real, -eigs[i].imag))
-    order = [lead] + rest
-    eigs = eigs[order]
-    u = vecs[:, order]
-    u = u / np.linalg.norm(u, axis=0, keepdims=True)
-    # canonical phase: make the largest-magnitude entry of each column real
-    # positive; that entry of a unit column is at least 1/sqrt(N), never 0
-    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    u = u * (np.abs(pivot) / pivot)
+    u = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
     cond = float(np.linalg.cond(u))
     if cond > COND_LIMIT:
         raise NotDiagonalizableError(
             f"eigenvector matrix condition {cond:.3g} exceeds {COND_LIMIT:.0e}; "
             "matrix treated as not diagonalizable")
     left = np.linalg.inv(u).conj().T  # column l = s_l with s_l^* r_l = 1
-    cov_vals, cov_vecs = np.linalg.eigh(r_u)
+    cov_vals, _ = np.linalg.eigh(r_u)
     gram = u.conj().T @ u
     defect = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if u.shape[0] > 1 else 0.0
     return EigenStructure(matrix=a, eigenvalues=eigs,
                           right_vectors=u, left_vectors=left,
-                          cov_eigenvalues=cov_vals, cov_vectors=cov_vecs,
+                          cov_eigenvalues=cov_vals,
                           condition=cond, orthonormality_defect=defect)
 
 
@@ -378,14 +369,6 @@ class NoiseConditionReport:
     primitive: bool
     strict_condition: bool | None
 
-    @property
-    def implication_holds(self) -> bool:
-        # PSD noise shrinkage implies the strict Perron-mean condition
-        # whenever the matrix is primitive
-        if not (self.noise_shrink_psd and self.primitive):
-            return True
-        return bool(self.strict_condition)
-
 
 def noise_shrinkage(at, var):
     """(S - A^T S A, its least eigenvalue, PSD at PSD_TOL) of a stack of A^T, S = diag(var)."""
@@ -419,7 +402,6 @@ class StepThresholdReport:
 
     mu_star: float | None
     stability_bound: float
-    probes: tuple
 
     @property
     def found(self) -> bool:
@@ -440,39 +422,16 @@ def strict_gap_holds(structure: EigenStructure, mu: float, noise_variances) -> b
 
 def strict_ordering_step_threshold(matrix, covariance, noise_variances
                                    ) -> StepThresholdReport:
-    """Locate a step-size mu* > 0 below which the strict per-node ordering
-    MSD_atc < MSD_cta < MSD_ncop is certified, by geometric halving from the
-    stability bound with log-scale refinement.  The reported mu* is a
-    certificate, not a supremum.  Serves acceptance 7's small-step claim."""
+    """Certify a step-size mu* > 0 at which the strict per-node ordering
+    MSD_atc < MSD_cta < MSD_ncop holds: the first halving bound / 2^j,
+    j = 1 ... MAX_HALVINGS, of the stability bound at which
+    ``strict_gap_holds``, or None where none does.  mu* is a certificate,
+    not a supremum.  Serves acceptance 7's small-step claim."""
     structure = eigenstructure(matrix, covariance)
     if not is_primitive(structure.matrix):
         raise UnsupportedInputError("strict-ordering threshold requires a primitive matrix")
     bound = 2.0 / float(structure.cov_eigenvalues[-1])
-    probes = []
-    mu = 0.5 * bound
-    last_fail = None
-    ok_mu = None
-    for _ in range(MAX_HALVINGS):
-        ok = strict_gap_holds(structure, mu, noise_variances)
-        probes.append((mu, ok))
-        if ok:
-            ok_mu = mu
-            break
-        last_fail = mu
-        mu *= 0.5
-    if ok_mu is None:
-        return StepThresholdReport(mu_star=None, stability_bound=bound,
-                                   probes=tuple(probes))
-    if last_fail is not None:
-        lo, hi = ok_mu, last_fail
-        for _ in range(REFINE_STEPS):
-            mid = float(np.sqrt(lo * hi))
-            ok = strict_gap_holds(structure, mid, noise_variances)
-            probes.append((mid, ok))
-            if ok:
-                lo = mid
-            else:
-                hi = mid
-        ok_mu = lo
-    return StepThresholdReport(mu_star=ok_mu, stability_bound=bound,
-                               probes=tuple(probes))
+    halvings = (bound * 0.5 ** j for j in range(1, MAX_HALVINGS + 1))
+    mu_star = next((mu for mu in halvings
+                    if strict_gap_holds(structure, mu, noise_variances)), None)
+    return StepThresholdReport(mu_star=mu_star, stability_bound=bound)

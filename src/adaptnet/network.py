@@ -283,7 +283,8 @@ def perron_pair(matrix) -> PerronPair:
 
 def load_combination_csv(path) -> CombinationMatrix:
     """Read a matrix CSV (row l, column k = a_{l,k}) by ``as_combination``;
-    ``#`` starts a comment anywhere on a line; row errors name ``path:line``."""
+    ``#`` starts a comment anywhere on a line; row errors name ``path:line``
+    and matrix errors ``path``."""
     rows = []
     with open(path) as fh:
         for lineno, ln in _content_lines(fh):
@@ -294,4 +295,7 @@ def load_combination_csv(path) -> CombinationMatrix:
             if rows and len(row) != len(rows[0]):
                 raise ConfigError(f"{path}:{lineno}: ragged row of {len(row)} entries, not {len(rows[0])}")
             rows.append(row)
-    return as_combination(rows)
+    try:
+        return as_combination(rows)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -100,12 +102,13 @@ def test_kronecker_mode_reconstruction():
     cov = np.diag(rng.uniform(0.5, 3.0, size=m))
     mu = 0.9 * 2.0 / np.linalg.eigvalsh(cov)[-1] * 0.4
     st = eigenstructure(a, cov)
+    _, cov_vectors = np.linalg.eigh(cov)
     (modes,) = mode_eigenvalues(st, mu, (StrategyKind.ATC,))
     rebuilt = np.zeros((n * m, n * m), dtype=complex)
     for l in range(n):
         for j in range(m):
-            rv = np.kron(st.right_vectors[:, l], st.cov_vectors[:, j])
-            lv = np.kron(st.left_vectors[:, l], st.cov_vectors[:, j])
+            rv = np.kron(st.right_vectors[:, l], cov_vectors[:, j])
+            lv = np.kron(st.left_vectors[:, l], cov_vectors[:, j])
             rebuilt += modes[l, j] * np.outer(rv, lv.conj())
     profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=0.1)
                 for _ in range(n)]
@@ -470,6 +473,47 @@ def test_ratio_identities_hold():
     assert skipped == 2
 
 
+def test_eigen_route_ignores_eigenpair_order_and_phase(monkeypatch):
+    # every eigen-route quantity is a sum over all modes of A: permuting the
+    # eigenpairs and turning each r_l by a unit phase, and s_l by the same
+    # phase so that s_l^* r_l = 1 still holds, moves per_node only at
+    # rounding and changes no refusal and no ordering verdict
+    rng = np.random.default_rng(14)
+
+    def verdicts(structure, a, cov, mu, noise):
+        monkeypatch.setattr(msdtheory, "eigenstructure", lambda *args: structure)
+        try:
+            rep = ordering_checks(a, cov, mu, noise)
+        except StabilityError as exc:
+            return str(exc)
+        return rep.atc_le_cta, rep.cta_le_ncop, rep.atc_le_cons, rep.consensus_worst
+
+    refused = 0
+    for _ in range(40):
+        n, m = int(rng.integers(2, 8)), int(rng.integers(1, 4))
+        a = (random_symmetric_stochastic(n, rng) if rng.random() < 0.5
+             else random_left_stochastic(n, rng))
+        cov = random_spd(m, rng)
+        mu = float(rng.uniform(0.05, 1.3) * 2.0 / np.linalg.eigvalsh(cov)[-1])
+        noise = rng.uniform(0.0, 0.4, size=n)
+        st = eigenstructure(a, cov)
+        perm = rng.permutation(n)
+        phase = np.exp(2j * np.pi * rng.random(n))
+        turned = replace(st, eigenvalues=st.eigenvalues[perm],
+                         right_vectors=st.right_vectors[:, perm] * phase,
+                         left_vectors=st.left_vectors[:, perm] * phase)
+        assert np.linalg.cond(turned.right_vectors) == pytest.approx(st.condition, rel=1e-12)
+        want = msd_eigenform(st, mu, noise, ALL)
+        for kind, rep in msd_eigenform(turned, mu, noise, ALL).items():
+            assert (rep.per_mode is None) == (want[kind].per_mode is None), kind
+            if rep.per_mode is None:
+                refused += 1
+            else:
+                npt.assert_allclose(rep.per_node, want[kind].per_node, rtol=1e-12, atol=0)
+        assert verdicts(turned, a, cov, mu, noise) == verdicts(st, a, cov, mu, noise)
+    assert refused > 0
+
+
 def test_ordering_checks_makes_one_eigen_pass(monkeypatch):
     # one eigenstructure, one four-strategy msd_eigenform, and the one mode
     # grid that msd_eigenform builds
@@ -525,7 +569,10 @@ def test_noise_conditions_detect_non_psd():
 
 
 def test_psd_implies_strict_condition_for_primitive():
+    # PSD noise shrinkage implies the strict Perron-mean condition whenever
+    # the matrix is primitive
     rng = np.random.default_rng(9)
+    implied = 0
     for _ in range(50):
         b_w = float(rng.uniform(0.05, 0.45))
         t = float(rng.uniform(0.3, 2.0))
@@ -537,7 +584,10 @@ def test_psd_implies_strict_condition_for_primitive():
         floor = float(rng.uniform(0.01, 0.5))
         cond = individual_ordering_conditions(_two_node_matrix(a_w, b_w),
                                               [t * floor, floor])
-        assert cond.implication_holds
+        if cond.noise_shrink_psd and cond.primitive:
+            assert cond.strict_condition
+            implied += 1
+    assert implied > 0
 
 
 def test_strict_ordering_threshold_found_and_certified():
@@ -554,17 +604,46 @@ def test_strict_ordering_threshold_found_and_certified():
         assert strict_gap_holds(st, mu, noise)
         atc, cta, ncop = (rep.per_node for rep in msd_eigenform(st, mu, noise, GAP).values())
         assert np.all(atc < cta) and np.all(cta < ncop)
-    assert all(isinstance(p, tuple) and len(p) == 2 for p in report.probes)
 
 
-def test_strict_ordering_threshold_not_found_where_the_strict_condition_fails():
+def _gap_calls(monkeypatch):
+    """The (mu, verdict) of every strict_gap_holds call, in call order."""
+    calls = []
+    real = msdtheory.strict_gap_holds
+
+    def counted(structure, mu, noise_variances):
+        ok = real(structure, mu, noise_variances)
+        calls.append((mu, ok))
+        return ok
+    monkeypatch.setattr(msdtheory, "strict_gap_holds", counted)
+    return calls
+
+
+@pytest.mark.parametrize("a_w, b_w, noise, halvings", [
+    (0.5, 0.5, [0.2, 0.1], 2),
+    (0.85, 0.45, [0.04, 0.08], 7),
+], ids=["mu* at bound over 4", "mu* at bound over 128"])
+def test_strict_ordering_threshold_is_the_first_halving_that_holds(
+        monkeypatch, a_w, b_w, noise, halvings):
+    # mu* = bound / 2^j takes j calls, and the j - 1 earlier halvings fail
+    calls = _gap_calls(monkeypatch)
+    report = strict_ordering_step_threshold(_two_node_matrix(a_w, b_w), np.array([[1.0]]),
+                                            np.array(noise))
+    bound = report.stability_bound
+    assert [mu for mu, _ in calls] == [bound * 0.5 ** j for j in range(1, halvings + 1)]
+    assert [ok for _, ok in calls] == [False] * (halvings - 1) + [True]
+    assert report.mu_star == calls[-1][0]
+
+
+def test_strict_ordering_threshold_not_found_where_the_strict_condition_fails(monkeypatch):
     a = _two_node_matrix(0.5, 0.5)
     noise = np.array([1.0, 0.1])   # Perron mean (1 + 0.1) / 4 exceeds node 2's 0.1
     assert not individual_ordering_conditions(a, noise).strict_condition
+    calls = _gap_calls(monkeypatch)
     report = strict_ordering_step_threshold(a, np.array([[1.0]]), noise)
     assert not report.found and report.mu_star is None
-    assert len(report.probes) == msdtheory.MAX_HALVINGS
-    assert not any(ok for _, ok in report.probes)
+    assert len(calls) == msdtheory.MAX_HALVINGS
+    assert not any(ok for _, ok in calls)
 
 
 def test_strict_threshold_requires_primitive():

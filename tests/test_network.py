@@ -92,7 +92,9 @@ def test_edge_list_errors_name_path_and_line(tmp_path, text, where):
 @pytest.mark.parametrize("text, where", [
     ("0.5,0.5\n0.5,x  # typo\n", ":2: expected numbers, got '0.5,x'"),
     ("# ragged\n0.5,0.5\n\n0.5\n", ":4: ragged row of 1 entries, not 2"),
-], ids=["token not a number", "ragged rows"])
+    ("0.5,0.5,0\n0.5,0.5,1\n", ": expected a square matrix, got shape (2, 3)"),
+    ("# comments only\n\n", ": expected a square matrix, got shape (0,)"),
+], ids=["token not a number", "ragged rows", "not square", "no rows"])
 def test_matrix_csv_errors_name_path_and_line(tmp_path, text, where):
     path = tmp_path / "a.csv"
     path.write_text(text)
