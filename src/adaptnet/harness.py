@@ -36,7 +36,8 @@ from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
-# trials advanced as one batch; bounds memory at CHUNK * BLOCK snapshots
+# trials advanced as one batch; a chunk holds one block of CHUNK * BLOCK
+# snapshots at a time, plus one trial's draw while the next block is made
 CHUNK = 32
 # a curve has settled once it stays this close above its steady state
 SETTLE_WITHIN_DB = 3.0
@@ -161,7 +162,7 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
     # operation mixes two (strategy, trial) slabs, so the others stay exact
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, iterations, BLOCK):
-            u, _, d = source.block(trials, first // BLOCK)
+            u, v, d = source.block(trials, first // BLOCK)
             size = min(BLOCK, iterations - first)
             for j in range(size):
                 est = recursion_step(est, u[:, j], d[:, j], mu, a1t, a0t, a2t)
@@ -171,6 +172,8 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
             # row by row in iteration order: a summed block would round differently
             for j in range(max(steady_start - first, 0), size):
                 acc += sq[:, :, j]
+            # freed before the next draw, so a chunk holds one block at a time
+            del u, v, d
         bad = ~(np.isfinite(curves) & (curves <= threshold))
     onset = np.where(bad.any(axis=-1), bad.argmax(axis=-1), iterations)
     curves[np.arange(iterations) >= onset[..., None]] = np.inf

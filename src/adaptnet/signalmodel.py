@@ -127,20 +127,38 @@ class SnapshotSource:
 
     def block(self, trials, b: int):
         """Data of time indices [b * BLOCK, (b + 1) * BLOCK) for each listed
-        trial: u of shape (T, BLOCK, N, M), v and d of shape (T, BLOCK, N)."""
+        trial: u of shape (T, BLOCK, N, M), v and d of shape (T, BLOCK, N).
+
+        Trials are drawn one at a time into one reused (BLOCK, N, M + 1)
+        buffer of standard normals, so beyond its outputs a call holds one
+        trial's draw.  Trial and block are integers in [0, 2**64)."""
+        _check_index("block", b)
         n, m = len(self.profiles), self.truth.dim
-        z = np.empty((len(trials), BLOCK, n, m + 1))
+        u = np.empty((len(trials), BLOCK, n, m))
+        v = np.empty((len(trials), BLOCK, n))
+        z = np.empty((BLOCK, n, m + 1))
+        sqrts = self._sqrts.swapaxes(-1, -2)
         for j, trial in enumerate(trials):
-            counter = np.array([0, 0, b, trial], dtype=np.uint64)
+            counter = np.array([0, 0, b, _check_index("trial", trial)], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
-            rng.standard_normal(out=z[j])
-        # one (BLOCK, M) @ (M, M) BLAS product per (node, trial), so a trial's
-        # bits do not depend on its batch; each slab of the (N, T, BLOCK, M)
-        # view has unit column stride, so z is not copied
-        u = np.moveaxis(z[..., :m].transpose(2, 0, 1, 3)
-                        @ self._sqrts.swapaxes(-1, -2)[:, None], 0, 2)
-        v = self._noise_std * z[..., m]
-        return u, v, np.einsum("...km,m->...k", u, self.truth.vector) + v
+            rng.standard_normal(out=z)
+            # one (BLOCK, M) @ (M, M) BLAS product per node, written straight
+            # into this trial's slab of u, so a trial's bits do not depend on
+            # its batch; every slab has unit column stride, so nothing is copied
+            np.matmul(z[..., :m].swapaxes(0, 1), sqrts, out=u[j].swapaxes(0, 1))
+            np.multiply(self._noise_std, z[..., m], out=v[j])
+        d = np.einsum("...km,m->...k", u, self.truth.vector)
+        d += v
+        return u, v, d
+
+
+def _check_index(name: str, index):
+    """``index`` if it is an integer in [0, 2**64), the range of a Philox
+    counter word; a ConfigError naming it otherwise."""
+    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
+            or not 0 <= int(index) < 2 ** 64):
+        raise ConfigError(f"{name} index must be an integer in [0, 2**64), got {index!r}")
+    return index
 
 
 def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,

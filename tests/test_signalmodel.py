@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -190,6 +193,82 @@ def test_batch_invariance_with_per_node_full_covariances():
                 for _ in range(5)]
     _assert_batch_rows_regenerate(
         SnapshotSource(profiles, GroundTruth(rng.standard_normal(4)), 3))
+
+
+def _whole_batch_block(source, trials, b):
+    """The whole-batch draw ``block`` replaced: one (T, BLOCK, N, M + 1)
+    normal array for all trials, coloured by one stacked matmul over the
+    (N, T, BLOCK, M) view, then v and d from the whole batch."""
+    n, m = len(source.profiles), source.truth.dim
+    z = np.empty((len(trials), BLOCK, n, m + 1))
+    for j, trial in enumerate(trials):
+        counter = np.array([0, 0, b, trial], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=source._key, counter=counter))
+        rng.standard_normal(out=z[j])
+    u = np.moveaxis(z[..., :m].transpose(2, 0, 1, 3)
+                    @ source._sqrts.swapaxes(-1, -2)[:, None], 0, 2)
+    v = source._noise_std * z[..., m]
+    return u, v, np.einsum("...km,m->...k", u, source.truth.vector) + v
+
+
+def test_block_equals_the_whole_batch_draw_bit_for_bit():
+    # the per-trial draw keeps the bits of one whole-batch draw and product
+    rng = np.random.default_rng(24)
+    for case in range(36):
+        n, m = int(rng.integers(1, 7)), (1, 2, 5, 11)[case % 4]
+        full, noiseless = case % 3 == 0, case % 3 == 2
+        profiles = [NodeProfile(
+            covariance=random_spd(m, rng) if full else np.diag(rng.uniform(0.5, 4.0, m)),
+            step_size=0.05, noise_variance=0.0 if noiseless else float(rng.uniform(0.01, 1.0)))
+            for _ in range(n)]
+        source = SnapshotSource(profiles, GroundTruth(rng.standard_normal(m)),
+                                int(rng.integers(0, 2 ** 31)))
+        # out of order, with gaps
+        trials = [int(t) for t in rng.permutation(40)[:int(rng.integers(1, 12))]]
+        b = int(rng.integers(0, 9))
+        for got, want in zip(source.block(trials, b), _whole_batch_block(source, trials, b)):
+            assert got.shape == want.shape
+            npt.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("trials, b, name", [
+    ([0.5], 0, "trial"), ([np.float64(1.0)], 0, "trial"), ([-1], 0, "trial"),
+    ([2 ** 64], 0, "trial"), ([True], 0, "trial"), (["3"], 0, "trial"),
+    ([0], -1, "block"), ([0], 2 ** 64, "block"), ([0], 1.0, "block"),
+], ids=["trial 0.5", "trial float64", "trial -1", "trial 2**64", "trial True",
+        "trial str", "block -1", "block 2**64", "block 1.0"])
+def test_block_rejects_an_index_outside_the_counter_range(trials, b, name):
+    # a float counter word would be truncated to another trial's stream
+    source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
+    bad = trials[0] if name == "trial" else b
+    with pytest.raises(ConfigError, match=f"{name} index .* got {re.escape(repr(bad))}$"):
+        source.block(trials, b)
+
+
+def test_block_takes_every_index_of_the_counter_range():
+    source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
+    top = 2 ** 64 - 1
+    for x, y in zip(source.block([np.uint64(top), np.int8(2)], top),
+                    _whole_batch_block(source, [top, 2], top)):
+        npt.assert_array_equal(x, y)
+
+
+def test_block_working_set_is_one_trial_draw():
+    # beyond its outputs a block holds one trial's (BLOCK, N, M + 1) normals,
+    # with one (T, BLOCK, N) array of slack; the whole-batch draw held a
+    # (T, BLOCK, N, M + 1) array and a second copy of u (7.3 MB here)
+    _, profiles, truth = benchmark_profile(n_nodes=20, dim=10, seed=0)
+    source = SnapshotSource(profiles, truth, master_seed=5)
+    n, m, t = 20, 10, 32
+    source.block([0], 0)
+    tracemalloc.start()
+    try:
+        out = source.block(range(t), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowed = 8 * (BLOCK * n * (m + 1) + t * BLOCK * n)
+    assert peak - sum(x.nbytes for x in out) <= allowed
 
 
 def test_benchmark_profile_shape_and_ranges():
