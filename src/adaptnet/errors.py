@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the integer check shared across the package."""
+
+from numbers import Integral
 
 
 class AdaptNetError(Exception):
@@ -23,3 +25,10 @@ class StabilityError(AdaptNetError):
 
 class NumericalError(AdaptNetError):
     """An iterative numerical procedure failed to converge."""
+
+
+def check_integer(name: str, value, low: int = 0):
+    """``value`` if it is an integer (not a bool) of at least ``low``, else a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+        raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+    return value

@@ -2,11 +2,12 @@
 
 Within one trial every selected strategy consumes the identical snapshot
 sequence (paired comparison), so cross-strategy gaps are not polluted by
-independent sampling noise.  The selected strategies and a chunk of
-``CHUNK`` trials on disjoint counter-based streams advance as one
-(S, T, N, M) tensor through the recursion of ``strategies``, with the
-(A1, A0, A2) of its table stacked per strategy.  Trials are reduced in
-trial order, so outputs are bit-identical for any chunk size.
+independent sampling noise.  The selected strategies and a chunk of ``CHUNK``
+trials on disjoint counter-based streams advance as one (S, T, N, M) tensor
+through the recursion of ``strategies``, with the (A1, A0, A2) of its table
+stacked per strategy.  Each iteration's squared errors go straight into the
+curves and steady-state sums: no per-iteration history is kept.  Trials are
+reduced in trial order, so outputs are bit-identical for any chunk size.
 
 A strategy whose network squared error exceeds ``DIVERGENCE_FACTOR`` times
 ||w0||^2 (of 1 when w0 = 0) is flagged diverged for that trial; its curve
@@ -25,7 +26,7 @@ from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .msdtheory import _db, series_reports
 from .network import (CombinationMatrix, NetworkTopology, build_combination_matrix,
                       check_rule)
@@ -36,8 +37,8 @@ from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
-# trials advanced as one batch; a chunk holds one block of CHUNK * BLOCK
-# snapshots at a time, plus one trial's draw while the next block is made
+# trials advanced as one batch; a chunk holds its curves, one block of CHUNK * BLOCK
+# snapshots, one trial's draw and one iteration's temporaries, no error history
 CHUNK = 32
 # a curve has settled once it stays this close above its steady state
 SETTLE_WITHIN_DB = 3.0
@@ -61,14 +62,11 @@ class ExperimentConfig:
     workers: InitVar[int] = 1
 
     def __post_init__(self, workers):
-        for name, low in (("iterations", 1), ("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < low:
-                raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+        for name, value, low in (("iterations", self.iterations, 1), ("trials", self.trials, 1),
+                                 ("seed", self.seed, 0), ("workers", workers, 1)):
+            check_integer(name, value, low)
         if not 0.0 < self.steady_window <= 1.0:
             raise ConfigError(f"steady window fraction must lie in (0, 1], got {self.steady_window}")
-        if workers < 1:
-            raise ConfigError("workers must be at least 1")
         if not self.strategies:
             raise ConfigError("select at least one strategy")
         unknown = [k for k in self.strategies if not isinstance(k, StrategyKind)]
@@ -155,7 +153,6 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
     a1t, a0t, a2t = (a[:, None] for a in stack)
     s, t, n = len(a1t), len(trials), len(source.profiles)
     est = np.zeros((s, t, n, w0.size))
-    sq = np.empty((s, t, BLOCK, n))
     curves = np.empty((s, t, iterations))
     acc = np.zeros((s, t, n))
     # a diverged trial runs on, may overflow and is masked out below; no
@@ -163,17 +160,16 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, iterations, BLOCK):
             u, v, d = source.block(trials, first // BLOCK)
-            size = min(BLOCK, iterations - first)
-            for j in range(size):
+            for j in range(min(BLOCK, iterations - first)):
                 est = recursion_step(est, u[:, j], d[:, j], mu, a1t, a0t, a2t)
                 err = est - w0
-                sq[:, :, j] = np.einsum("...km,...km->...k", err, err)
-            curves[:, :, first:first + size] = sq[:, :, :size].sum(axis=-1) / n
-            # row by row in iteration order: a summed block would round differently
-            for j in range(max(steady_start - first, 0), size):
-                acc += sq[:, :, j]
+                sq = np.einsum("...km,...km->...k", err, err)
+                sq.sum(axis=-1, out=curves[:, :, first + j])
+                if first + j >= steady_start:
+                    acc += sq
             # freed before the next draw, so a chunk holds one block at a time
             del u, v, d
+        curves /= n
         bad = ~(np.isfinite(curves) & (curves <= threshold))
     onset = np.where(bad.any(axis=-1), bad.argmax(axis=-1), iterations)
     curves[np.arange(iterations) >= onset[..., None]] = np.inf

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .network import NetworkTopology, random_connected_topology
 
 # time indices drawn per counter stream
@@ -116,7 +116,7 @@ class SnapshotSource:
             raise ConfigError("need at least one node profile")
         self.profiles = list(profiles)
         self.truth = truth
-        self.master_seed = int(master_seed)
+        self.master_seed = int(check_integer("seed", master_seed))
         self._key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
         for k, p in enumerate(self.profiles):
             if p.dim != truth.dim:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, StabilityError
+from .errors import ConfigError, StabilityError, check_integer
 from .msdtheory import noise_shrinkage
 from .network import is_primitive
 
@@ -208,11 +208,6 @@ def individual_msd_conditions(a: float, b: float, t: float) -> TwoNodeConditionR
     )
 
 
-def _check_points(points: int) -> None:
-    if points < 1:
-        raise ConfigError(f"grid needs a positive point count, got {points}")
-
-
 def _unit_square(points: int) -> tuple[np.ndarray, np.ndarray]:
     """(a, b) over an evenly spaced grid of the unit square, indexed [i, j]
     so that a raveled array runs a-major, the grids' row order."""
@@ -223,7 +218,7 @@ def _unit_square(points: int) -> tuple[np.ndarray, np.ndarray]:
 def region_grid(mu_sigma: float, points: int = 200):
     """(a, b, label) rows over the unit square; unstable points labeled so.
     The square is labeled in one array pass of the region rule."""
-    _check_points(points)
+    check_integer("grid point count", points, 1)
     thresholds = region_thresholds(mu_sigma)
     a, b = _unit_square(points)
     labels = _region_labels(a + b, thresholds)
@@ -233,7 +228,7 @@ def region_grid(mu_sigma: float, points: int = 200):
 def condition_grid(t: float, points: int = 200):
     """(a, b, PSD shrinkage, strict condition) rows over the unit square,
     evaluated in one array pass."""
-    _check_points(points)
+    check_integer("grid point count", points, 1)
     _check_noise_ratio(t)
     a, b = _unit_square(points)
     _, _, _, psd, _, _, strict = _noise_conditions(a, b, t)

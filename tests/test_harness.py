@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       complete_topology, eigenstructure, msd_eigenform,
                       msd_series, random_connected_topology, run_experiment,
                       steady_state_vs_theory, theory_reports)
-from adaptnet.signalmodel import BLOCK
+from adaptnet.signalmodel import BLOCK, benchmark_profile
 from adaptnet.strategies import combination_stack, recursion_step
 
 from conftest import stable_profiles, unit_truth
@@ -74,10 +75,13 @@ def test_config_rejects_unknown_strategies(strategies):
         replace(_two_node(0.3, 0.3, 0.4, 0.6), strategies=strategies)
 
 
-@pytest.mark.parametrize("field, value", [("iterations", 1.5), ("trials", 2.0),
-                                          ("seed", 1.5)])
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 1.5), ("trials", 2.0), ("seed", 1.5), ("iterations", True),
+    ("trials", True), ("seed", True), ("workers", 2.5), ("workers", "x"),
+])
 def test_config_rejects_non_integer_counts(field, value):
-    # iterations = 1.5 used to fail later as a raw TypeError from np.full
+    # iterations = 1.5 used to fail later as a raw TypeError from np.full; a
+    # bool passed as 1, workers = 2.5 passed and workers = "x" was a TypeError
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         replace(_two_node(0.3, 0.3, 0.4, 0.6), **{field: value})
 
@@ -215,7 +219,9 @@ def _late_divergence(**kw):
                                   steady_window=0.5), 5, 1e6),
     (lambda rng: _metropolis_config(rng, iterations=BLOCK + 1, trials=3, seed=4), 2,
      harness.DIVERGENCE_FACTOR),
-], ids=["later-block", "subset-reordered", "block-plus-one"])
+    # steady_start = 0: every iteration feeds the steady-state sums
+    (lambda rng: _late_divergence(steady_window=1.0), 4, 1e6),
+], ids=["later-block", "subset-reordered", "block-plus-one", "window-from-zero"])
 def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk, factor):
     cfg = make(rng)
     assert cfg.trials > chunk and cfg.iterations % BLOCK != 0
@@ -233,6 +239,29 @@ def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk
     if factor == 1e6:
         cons = curves[StrategyKind.CONSENSUS]
         assert cons.diverged_trials == 1 and cons.divergence_onset > BLOCK
+
+
+def test_chunk_working_set_is_one_block_and_its_curves():
+    # beyond its outputs a full chunk holds one snapshot block (u, v and d),
+    # one trial's draw, its curves and a few (S, T, N, M) temporaries of the
+    # recursion; an (S, T, BLOCK, N) squared-error buffer (2.6 MB here) is
+    # not among them
+    topology, profiles, truth = benchmark_profile(n_nodes=20, dim=10, seed=0)
+    s, t, n, m, iterations = 4, harness.CHUNK, 20, 10, BLOCK + 1
+    cfg = ExperimentConfig(profiles=profiles, truth=truth, topology=topology,
+                           rule="metropolis", iterations=iterations, trials=t, seed=3)
+    run_experiment(replace(cfg, iterations=2, trials=1))
+    tracemalloc.start()
+    try:
+        out = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == s
+    outputs = sum(c.msd.nbytes + c.per_node_steady.nbytes for c in out.values())
+    allowed = 8 * (t * BLOCK * n * (m + 2) + BLOCK * n * (m + 1) + s * t * iterations
+                   + 8 * s * t * n * m)
+    assert peak - outputs <= allowed
 
 
 def test_identity_combination_collapses_to_noncooperative(rng):

@@ -245,6 +245,13 @@ def test_block_rejects_an_index_outside_the_counter_range(trials, b, name):
         source.block(trials, b)
 
 
+@pytest.mark.parametrize("seed", [0.5, True, -1])
+def test_source_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # 0.5 drew seed 0's streams, True seed 1's, and -1 failed in SeedSequence
+    with pytest.raises(ConfigError, match=f"seed .* got {re.escape(repr(seed))}$"):
+        SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), seed)
+
+
 def test_block_takes_every_index_of_the_counter_range():
     source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
     top = 2 ** 64 - 1

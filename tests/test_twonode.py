@@ -48,10 +48,11 @@ def test_conditions_reject_infinite_noise_ratio():
         individual_msd_conditions(0.5, 0.5, np.inf)
 
 
-@pytest.mark.parametrize("points", [0, -3])
+@pytest.mark.parametrize("points", [0, -3, True, 2.5])
 def test_grids_reject_nonpositive_point_counts(points, monkeypatch):
     # a bad point count is reported before a bad mu*sigma^2 or noise ratio,
-    # and every refusal comes before the grid's arrays are built
+    # and every refusal comes before the grid's arrays are built; True was
+    # a 1-point grid and 2.5 a raw TypeError from linspace
     def unbuilt(points):
         raise AssertionError("grid arrays built before validation")
 
