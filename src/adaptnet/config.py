@@ -29,7 +29,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer
 from .harness import ALL_STRATEGIES, ExperimentConfig
 from .network import (NetworkTopology, _content_lines, complete_topology,
                       line_topology, load_combination_csv, load_topology,
@@ -77,10 +77,8 @@ def _number(pairs, key, kind, default):
 
 
 def _sizes(pairs, nodes, dim):
-    n, m = _number(pairs, "nodes", int, nodes), _number(pairs, "dim", int, dim)
-    if n < 1 or m < 1:
-        raise ConfigError("nodes and dim must be positive")
-    return n, m
+    return (check_integer("nodes", _number(pairs, "nodes", int, nodes), 1),
+            check_integer("dim", _number(pairs, "dim", int, dim), 1))
 
 
 def _per_node(values, n, key):
@@ -149,9 +147,7 @@ def build_experiment(pairs: dict, base_dir: str = ".") -> ExperimentConfig:
     unknown = set(pairs) - _KNOWN_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    seed = _number(pairs, "seed", int, 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    seed = check_integer("seed", _number(pairs, "seed", int, 0))
     strategies = _strategies(pairs)
     iterations = _number(pairs, "iterations", int, 1000)
     trials = _number(pairs, "trials", int, 100)

@@ -27,8 +27,12 @@ class NumericalError(AdaptNetError):
     """An iterative numerical procedure failed to converge."""
 
 
-def check_integer(name: str, value, low: int = 0):
-    """``value`` if it is an integer (not a bool) of at least ``low``, else a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
-        raise ConfigError(f"{name} must be an integer of at least {low}, got {value!r}")
+def check_integer(name: str, value, low: int = 0, high: int | None = None):
+    """``value`` if it is an integer (not a bool) of at least ``low`` and, when
+    ``high`` is given, below it; else a ConfigError.  Compared as a Python int,
+    so a NumPy integer of any width is compared exactly."""
+    if (isinstance(value, bool) or not isinstance(value, Integral) or int(value) < low
+            or high is not None and int(value) >= high):
+        bound = f"of at least {low}" if high is None else f"in [{low}, {high})"
+        raise ConfigError(f"{name} must be an integer {bound}, got {value!r}")
     return value

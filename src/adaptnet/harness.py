@@ -159,7 +159,7 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
     # operation mixes two (strategy, trial) slabs, so the others stay exact
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, iterations, BLOCK):
-            u, v, d = source.block(trials, first // BLOCK)
+            u, d = source.block(trials, first // BLOCK)
             for j in range(min(BLOCK, iterations - first)):
                 est = recursion_step(est, u[:, j], d[:, j], mu, a1t, a0t, a2t)
                 err = est - w0
@@ -168,7 +168,7 @@ def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
                 if first + j >= steady_start:
                     acc += sq
             # freed before the next draw, so a chunk holds one block at a time
-            del u, v, d
+            del u, d
         curves /= n
         bad = ~(np.isfinite(curves) & (curves <= threshold))
     onset = np.where(bad.any(axis=-1), bad.argmax(axis=-1), iterations)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedInputError
+from .errors import ConfigError, UnsupportedInputError, check_integer
 
 COLUMN_SUM_TOL = 1e-12
 # random draws tried before a connected topology is given up on
@@ -34,9 +34,8 @@ class NetworkTopology:
     adjacency: np.ndarray
 
     def __post_init__(self):
+        check_integer("node count", self.n_nodes, 1)
         adj = np.asarray(self.adjacency, dtype=bool)
-        if self.n_nodes < 1:
-            raise ConfigError("topology needs at least one node")
         if adj.shape != (self.n_nodes, self.n_nodes):
             raise ConfigError(f"adjacency shape {adj.shape} does not match n_nodes={self.n_nodes}")
         if not is_symmetric(adj):
@@ -54,22 +53,14 @@ class NetworkTopology:
         """Neighborhood sizes n_k = |N_k| (self-inclusive)."""
         return self.adjacency.sum(axis=0)
 
-    def is_connected(self) -> bool:
-        reach = np.zeros(self.n_nodes, dtype=bool)
-        reach[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = np.flatnonzero(self.adjacency[:, frontier].any(axis=1) & ~reach)
-            reach[nxt] = True
-            frontier = list(nxt)
-        return bool(reach.all())
-
 
 def complete_topology(n_nodes: int) -> NetworkTopology:
+    check_integer("node count", n_nodes, 1)
     return NetworkTopology(n_nodes, np.ones((n_nodes, n_nodes), dtype=bool))
 
 
 def line_topology(n_nodes: int) -> NetworkTopology:
+    check_integer("node count", n_nodes, 1)
     adj = np.eye(n_nodes, dtype=bool)
     idx = np.arange(n_nodes - 1)
     adj[idx, idx + 1] = True
@@ -79,7 +70,10 @@ def line_topology(n_nodes: int) -> NetworkTopology:
 
 def random_connected_topology(n_nodes: int, edge_prob: float,
                               rng: np.random.Generator) -> NetworkTopology:
-    """Erdos-Renyi draw with the given edge probability, rejected until connected."""
+    """Erdos-Renyi draw with the given edge probability, rejected until
+    connected: a symmetric support with self-loops is primitive exactly when
+    it is connected."""
+    check_integer("node count", n_nodes, 1)
     if not 0.0 <= edge_prob <= 1.0:
         raise ConfigError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     for _ in range(TOPOLOGY_ATTEMPTS):
@@ -87,9 +81,8 @@ def random_connected_topology(n_nodes: int, edge_prob: float,
         adj = np.triu(upper, k=1)
         adj = adj | adj.T
         np.fill_diagonal(adj, True)
-        topo = NetworkTopology(n_nodes, adj)
-        if topo.is_connected():
-            return topo
+        if is_primitive(adj):
+            return NetworkTopology(n_nodes, adj)
     raise ConfigError(f"no connected topology in {TOPOLOGY_ATTEMPTS} draws "
                       f"(n={n_nodes}, p={edge_prob}); raise edge_prob")
 

@@ -93,16 +93,6 @@ def is_homogeneous(profiles) -> bool:
                for p in profiles[1:])
 
 
-def covariance_sqrt(cov: np.ndarray, node: int | None = None) -> np.ndarray:
-    """Symmetric square root via eigendecomposition; rejects non-PD input."""
-    vals, vecs = np.linalg.eigh(np.asarray(cov, dtype=float))
-    if vals.min() <= 0:
-        where = f" at node {node}" if node is not None else ""
-        raise ConfigError(f"covariance{where} is not positive definite "
-                          f"(min eigenvalue {vals.min():.3g})")
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 class SnapshotSource:
     """Reproducible snapshot stream over (trial, time) indices.
 
@@ -116,49 +106,47 @@ class SnapshotSource:
             raise ConfigError("need at least one node profile")
         self.profiles = list(profiles)
         self.truth = truth
-        self.master_seed = int(check_integer("seed", master_seed))
-        self._key = np.random.SeedSequence(self.master_seed).generate_state(2, np.uint64)
+        seed = int(check_integer("seed", master_seed))
+        self._key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
         for k, p in enumerate(self.profiles):
             if p.dim != truth.dim:
                 raise ConfigError(f"node {k}: covariance dim {p.dim} != ground truth dim {truth.dim}")
-        self._sqrts = np.array([covariance_sqrt(p.covariance, node=k)
-                                for k, p in enumerate(self.profiles)])
+        vals, vecs = np.linalg.eigh(np.array([p.covariance for p in self.profiles], dtype=float))
+        low = vals.min(axis=-1)
+        if not np.all(low > 0):
+            k = int(np.argmin(low > 0))
+            raise ConfigError(f"covariance at node {k} is not positive definite "
+                              f"(min eigenvalue {low[k]:.3g})")
+        self._sqrts = (vecs * np.sqrt(vals)[:, None]) @ vecs.swapaxes(-1, -2)
         self._noise_std = np.array([np.sqrt(p.noise_variance) for p in self.profiles])
 
     def block(self, trials, b: int):
         """Data of time indices [b * BLOCK, (b + 1) * BLOCK) for each listed
-        trial: u of shape (T, BLOCK, N, M), v and d of shape (T, BLOCK, N).
+        trial: u of shape (T, BLOCK, N, M) and d of shape (T, BLOCK, N).
 
         Trials are drawn one at a time into one reused (BLOCK, N, M + 1)
-        buffer of standard normals, so beyond its outputs a call holds one
-        trial's draw.  Trial and block are integers in [0, 2**64)."""
-        _check_index("block", b)
+        buffer of standard normals, and each trial's noise goes from its
+        draw straight into its slab of d, so beyond its outputs a call holds
+        one trial's draw.  Trial and block are integers in [0, 2**64), the
+        range of a Philox counter word."""
+        check_integer("block index", b, 0, 2 ** 64)
         n, m = len(self.profiles), self.truth.dim
         u = np.empty((len(trials), BLOCK, n, m))
-        v = np.empty((len(trials), BLOCK, n))
+        d = np.empty((len(trials), BLOCK, n))
         z = np.empty((BLOCK, n, m + 1))
         sqrts = self._sqrts.swapaxes(-1, -2)
         for j, trial in enumerate(trials):
-            counter = np.array([0, 0, b, _check_index("trial", trial)], dtype=np.uint64)
+            check_integer("trial index", trial, 0, 2 ** 64)
+            counter = np.array([0, 0, b, trial], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
             rng.standard_normal(out=z)
             # one (BLOCK, M) @ (M, M) BLAS product per node, written straight
             # into this trial's slab of u, so a trial's bits do not depend on
             # its batch; every slab has unit column stride, so nothing is copied
             np.matmul(z[..., :m].swapaxes(0, 1), sqrts, out=u[j].swapaxes(0, 1))
-            np.multiply(self._noise_std, z[..., m], out=v[j])
-        d = np.einsum("...km,m->...k", u, self.truth.vector)
-        d += v
-        return u, v, d
-
-
-def _check_index(name: str, index):
-    """``index`` if it is an integer in [0, 2**64), the range of a Philox
-    counter word; a ConfigError naming it otherwise."""
-    if (isinstance(index, bool) or not isinstance(index, (int, np.integer))
-            or not 0 <= int(index) < 2 ** 64):
-        raise ConfigError(f"{name} index must be an integer in [0, 2**64), got {index!r}")
-    return index
+            np.einsum("...km,m->...k", u[j], self.truth.vector, out=d[j])
+            d[j] += self._noise_std * z[..., m]
+        return u, d
 
 
 def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,
@@ -170,7 +158,8 @@ def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,
     uniform in [2, 4]; noise powers uniform in [-30, -10] dB; ground truth
     with every entry 1/sqrt(dim); common step-size.
     """
-    rng = np.random.default_rng(seed)
+    check_integer("dim", dim, 1)
+    rng = np.random.default_rng(check_integer("seed", seed))
     topology = random_connected_topology(n_nodes, edge_prob, rng)
     profiles = []
     for _ in range(n_nodes):

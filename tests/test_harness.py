@@ -180,7 +180,7 @@ def _reference_run(cfg):
             steady = None
             for i in range(cfg.iterations):
                 if i % BLOCK == 0:
-                    u, _, d = source.block([trial], i // BLOCK)
+                    u, d = source.block([trial], i // BLOCK)
                 W = recursion_step(W, u[0, i % BLOCK], d[0, i % BLOCK], mu,
                                    a1t, a0t, a2t)
                 err = W - w0

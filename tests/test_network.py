@@ -16,7 +16,7 @@ from conftest import random_left_stochastic
 def test_complete_topology_all_true():
     topo = complete_topology(4)
     assert topo.adjacency.all()
-    assert topo.is_connected()
+    assert is_primitive(topo.adjacency)
     assert topo.neighbors(2).tolist() == [0, 1, 2, 3]
 
 
@@ -25,7 +25,21 @@ def test_line_topology_shape():
     assert topo.neighbors(0).tolist() == [0, 1]
     assert topo.neighbors(1).tolist() == [0, 1, 2]
     assert topo.degrees().tolist() == [2, 3, 3, 2]
-    assert topo.is_connected()
+    assert is_primitive(topo.adjacency)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: complete_topology(2.5), lambda: complete_topology(0),
+    lambda: line_topology(2.5), lambda: line_topology(True), lambda: line_topology(-1),
+    lambda: random_connected_topology(2.5, 0.5, np.random.default_rng(0)),
+    lambda: NetworkTopology(True, [[True]]), lambda: NetworkTopology(0, np.eye(0)),
+], ids=["complete 2.5", "complete 0", "line 2.5", "line True", "line -1",
+        "random 2.5", "topology True", "topology 0"])
+def test_builders_reject_a_node_count_that_is_not_a_positive_integer(build):
+    # checked before anything is allocated: 2.5 and -1 failed as raw
+    # TypeError and ValueError, and True built a one-node topology
+    with pytest.raises(ConfigError, match="node count must be an integer of at least 1"):
+        build()
 
 
 def test_topology_requires_symmetry():
@@ -46,13 +60,28 @@ def test_disconnected_detected():
     adj = np.eye(4, dtype=bool)
     adj[0, 1] = adj[1, 0] = True
     adj[2, 3] = adj[3, 2] = True
-    assert not NetworkTopology(4, adj).is_connected()
+    assert not is_primitive(NetworkTopology(4, adj).adjacency)
+
+
+def test_primitive_support_is_a_connected_one():
+    # a symmetric support with self-loops is primitive exactly when a
+    # breadth-first search from node 0 reaches every node
+    rng = np.random.default_rng(29)
+    for _ in range(400):
+        n = int(rng.integers(1, 12))
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.0, 0.6), k=1)
+        adj = adj | adj.T | np.eye(n, dtype=bool)
+        seen, frontier = {0}, [0]
+        while frontier:
+            frontier = [l for k in frontier for l in np.flatnonzero(adj[k]) if l not in seen]
+            seen.update(frontier)
+        assert is_primitive(adj) == (len(seen) == n)
 
 
 def test_random_topology_connected_and_reproducible():
     rng = np.random.default_rng(7)
     topo = random_connected_topology(12, 0.25, rng)
-    assert topo.is_connected()
+    assert is_primitive(topo.adjacency)
     again = random_connected_topology(12, 0.25, np.random.default_rng(7))
     npt.assert_array_equal(topo.adjacency, again.adjacency)
 

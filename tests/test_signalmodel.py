@@ -1,13 +1,14 @@
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, GroundTruth, NodeProfile, SnapshotSource,
-                      benchmark_profile)
-from adaptnet.signalmodel import BLOCK, covariance_sqrt
+                      benchmark_profile, is_primitive)
+from adaptnet.signalmodel import BLOCK
 
 from conftest import random_spd
 
@@ -48,16 +49,22 @@ def test_node_profile_validation():
             NodeProfile(covariance=cov, step_size=0.1, noise_variance=0.1)
 
 
-def test_covariance_sqrt_squares_back():
+def test_source_covariance_roots_square_back():
     rng = np.random.default_rng(0)
-    cov = random_spd(4, rng)
-    root = covariance_sqrt(cov)
-    npt.assert_allclose(root @ root, cov, atol=1e-12)
+    covs = [random_spd(4, rng) for _ in range(3)]
+    profiles = [NodeProfile(covariance=c, step_size=0.1, noise_variance=0.1) for c in covs]
+    source = SnapshotSource(profiles, GroundTruth(np.zeros(4)), master_seed=0)
+    for root, cov in zip(source._sqrts, covs):
+        npt.assert_allclose(root @ root, cov, atol=1e-12)
 
 
-def test_covariance_sqrt_rejects_indefinite():
-    with pytest.raises(ConfigError, match="node 3"):
-        covariance_sqrt(np.diag([1.0, -0.5]), node=3)
+def test_source_rejects_an_indefinite_covariance_naming_its_node():
+    # NodeProfile refuses it, so a duck-typed profile carries it in
+    profiles = _profiles(n=5)
+    profiles[3] = SimpleNamespace(covariance=np.diag([1.0, -0.5]), dim=2,
+                                  step_size=0.05, noise_variance=0.1)
+    with pytest.raises(ConfigError, match="node 3 is not positive definite"):
+        SnapshotSource(profiles, GroundTruth(np.array([1.0, -2.0])), 0)
 
 
 def test_same_seed_bit_identical():
@@ -84,22 +91,26 @@ def test_noiseless_data_is_exact_projection():
     profiles = _profiles(noise=0.0)
     truth = GroundTruth(np.array([0.5, -1.5]))
     source = SnapshotSource(profiles, truth, master_seed=7)
-    u, v, d = source.block([0, 2], 0)
-    npt.assert_array_equal(v, 0.0)
+    u, d = source.block([0, 2], 0)
     npt.assert_array_equal(d, u @ truth.vector)
 
 
 def test_zero_truth_leaves_pure_noise():
-    # d(w0) - d(0) = u @ w0 exactly, since the same streams produce u and v
+    # d(0) is the noise itself, the last of each node's M + 1 normals scaled
+    # by sigma_v, and d(w0) - d(0) = u @ w0, since the same streams produce
+    # u and the noise
     profiles = _profiles(noise=0.3)
     w = np.array([0.5, -1.5])
     with_truth = SnapshotSource(profiles, GroundTruth(w), master_seed=7)
     zero_truth = SnapshotSource(profiles, GroundTruth(np.zeros(2)), master_seed=7)
-    u1, v1, d1 = with_truth.block([2], 0)
-    u0, v0, d0 = zero_truth.block([2], 0)
+    u1, d1 = with_truth.block([2], 0)
+    u0, d0 = zero_truth.block([2], 0)
     npt.assert_array_equal(u1, u0)
-    npt.assert_array_equal(v1, v0)
-    npt.assert_array_equal(d0, v0)
+    key = np.random.SeedSequence(7).generate_state(2, np.uint64)
+    counter = np.array([0, 0, 0, 2], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    z = rng.standard_normal((BLOCK, len(profiles), 3))
+    npt.assert_array_equal(d0[0], np.sqrt(0.3) * z[..., 2])
     npt.assert_allclose(d1 - d0, u1 @ w, atol=1e-15)
 
 
@@ -172,10 +183,10 @@ def _assert_batch_rows_regenerate(source):
     # a trial drawn alone equals its row in any batch: trials regenerate in
     # isolation, so outputs cannot depend on how trials are grouped
     n, m = len(source.profiles), source.truth.dim
-    u, v, d = source.block([4, 1, 7], 2)
-    assert u.shape == (3, BLOCK, n, m) and v.shape == d.shape == (3, BLOCK, n)
+    u, d = source.block([4, 1, 7], 2)
+    assert u.shape == (3, BLOCK, n, m) and d.shape == (3, BLOCK, n)
     for j, trial in enumerate((4, 1, 7)):
-        for batched, alone in zip((u, v, d), source.block([trial], 2)):
+        for batched, alone in zip((u, d), source.block([trial], 2)):
             npt.assert_array_equal(alone[0], batched[j])
 
 
@@ -198,7 +209,7 @@ def test_batch_invariance_with_per_node_full_covariances():
 def _whole_batch_block(source, trials, b):
     """The whole-batch draw ``block`` replaced: one (T, BLOCK, N, M + 1)
     normal array for all trials, coloured by one stacked matmul over the
-    (N, T, BLOCK, M) view, then v and d from the whole batch."""
+    (N, T, BLOCK, M) view, then d from the whole batch."""
     n, m = len(source.profiles), source.truth.dim
     z = np.empty((len(trials), BLOCK, n, m + 1))
     for j, trial in enumerate(trials):
@@ -207,8 +218,8 @@ def _whole_batch_block(source, trials, b):
         rng.standard_normal(out=z[j])
     u = np.moveaxis(z[..., :m].transpose(2, 0, 1, 3)
                     @ source._sqrts.swapaxes(-1, -2)[:, None], 0, 2)
-    v = source._noise_std * z[..., m]
-    return u, v, np.einsum("...km,m->...k", u, source.truth.vector) + v
+    noise = source._noise_std * z[..., m]
+    return u, np.einsum("...km,m->...k", u, source.truth.vector) + noise
 
 
 def test_block_equals_the_whole_batch_draw_bit_for_bit():
@@ -252,6 +263,16 @@ def test_source_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
         SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), seed)
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"seed": -1}, "seed"), ({"seed": 0.5}, "seed"), ({"dim": 2.5}, "dim"),
+    ({"dim": 0}, "dim"), ({"n_nodes": 2.5}, "node count"),
+], ids=["seed -1", "seed 0.5", "dim 2.5", "dim 0", "nodes 2.5"])
+def test_benchmark_profile_rejects_a_count_or_seed_that_is_not_an_integer(kwargs, name):
+    # seed -1 failed as a raw ValueError in default_rng
+    with pytest.raises(ConfigError, match=f"^{name} must be an integer of at least"):
+        benchmark_profile(**kwargs)
+
+
 def test_block_takes_every_index_of_the_counter_range():
     source = SnapshotSource(_profiles(), GroundTruth(np.array([1.0, -2.0])), 3)
     top = 2 ** 64 - 1
@@ -261,9 +282,10 @@ def test_block_takes_every_index_of_the_counter_range():
 
 
 def test_block_working_set_is_one_trial_draw():
-    # beyond its outputs a block holds one trial's (BLOCK, N, M + 1) normals,
-    # with one (T, BLOCK, N) array of slack; the whole-batch draw held a
-    # (T, BLOCK, N, M + 1) array and a second copy of u (7.3 MB here)
+    # beyond its outputs u and d a block holds one trial's (BLOCK, N, M + 1)
+    # normals and a few (BLOCK, N) temporaries; a (T, BLOCK, N) noise array
+    # beside d was 32 of them here, and the whole-batch draw held a
+    # (T, BLOCK, N, M + 1) array and a second copy of u (7.3 MB)
     _, profiles, truth = benchmark_profile(n_nodes=20, dim=10, seed=0)
     source = SnapshotSource(profiles, truth, master_seed=5)
     n, m, t = 20, 10, 32
@@ -274,14 +296,16 @@ def test_block_working_set_is_one_trial_draw():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    allowed = 8 * (BLOCK * n * (m + 1) + t * BLOCK * n)
-    assert peak - sum(x.nbytes for x in out) <= allowed
+    u, d = out
+    assert u.shape == (t, BLOCK, n, m) and d.shape == (t, BLOCK, n)
+    allowed = u.nbytes + d.nbytes + 8 * (BLOCK * n * (m + 1) + 4 * BLOCK * n)
+    assert peak <= allowed
 
 
 def test_benchmark_profile_shape_and_ranges():
     topology, profiles, truth = benchmark_profile(n_nodes=20, dim=10, seed=0)
     assert topology.n_nodes == 20
-    assert topology.is_connected()
+    assert is_primitive(topology.adjacency)
     assert len(profiles) == 20
     assert np.linalg.norm(truth.vector) == pytest.approx(1.0, abs=1e-12)
     for p in profiles:
