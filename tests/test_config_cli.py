@@ -89,7 +89,9 @@ def test_full_covariance_matrix_shared():
     ("iterations = many", "must be an integer"),
     ("topology = nowhere.topo", "not full/line/random or a readable file"),
     ("rule = uniform\na_csv = some.csv", "not both"),
-    ("seed = -1", "seed must be an integer of at least 0"),
+    # the shared integer rule words this case; the id keeps its earlier name
+    pytest.param("seed = -1", "seed must be an integer of at least 0",
+                 id="seed = -1-seed must be a nonnegative integer"),
     ("nodes = 0", "nodes must be an integer of at least 1"),
     ("dim = 0", "dim must be an integer of at least 1"),
     ("ru_diag = -1, 2", "positive definite"),
