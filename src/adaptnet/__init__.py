@@ -1,9 +1,13 @@
 """adaptnet: distributed adaptive estimation over networks.
 
 Four strategies (non-cooperative LMS, single-time-scale consensus, ATC and
-CTA diffusion), their exact mean-square stability and steady-state MSD
-theory, closed-form two-node analysis, and a Monte Carlo harness that
-cross-validates theory against simulation.
+CTA diffusion), their mean stability (the spectral radius of the mean error
+recursion) and small-step steady-state MSD theory, closed-form two-node
+analysis, and a Monte Carlo harness that cross-validates theory against
+simulation.  The theory leaves out the Gaussian fourth-moment term, so it
+is not the exact mean-square analysis: on the 20-node benchmark network at
+mu = 0.075 the non-cooperative strategy has rho(B) = 0.849, yet every
+simulated trial diverges (item B of ROADMAP.md plans the exact operator).
 """
 
 from .errors import (AdaptNetError, ConfigError, NotDiagonalizableError,

@@ -213,14 +213,16 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
     s_l^* r_l = 1, in the eigensolver's order and phases: every eigen-route
     quantity is a sum over all modes, and the condition number and the
     orthonormality defect depend on neither the column order nor unit
-    phases."""
+    phases.  The structure is float64 when A's spectrum is real (``eigh``
+    on a symmetric A, and ``eig`` whenever every eigenvalue it finds is
+    real), so the route runs in real arithmetic there, and complex128
+    otherwise."""
     a = as_combination(matrix).weights
     r_u = check_covariance(covariance)
     if is_symmetric(a):
         # symmetric case: eigh keeps repeated eigenspaces orthonormal, which
         # a general eigensolver does not guarantee
-        sym_vals, sym_vecs = np.linalg.eigh(a.T)
-        eigs, vecs = sym_vals.astype(complex), sym_vecs.astype(complex)
+        eigs, vecs = np.linalg.eigh(a.T)
     else:
         eigs, vecs = np.linalg.eig(a.T)
     u = vecs / np.linalg.norm(vecs, axis=0, keepdims=True)
@@ -243,7 +245,7 @@ def _slot_gains(structure: EigenStructure, strategies) -> np.ndarray:
     """(3, S, N, 1) slot gains (g1, g0, g2) of the listed strategies: the
     column lambda_l(A) where a strategy's table row puts A, 1 where it puts I."""
     uses = np.array([uses_a(kind) for kind in strategies], dtype=bool).reshape(-1, 3)
-    return np.where(uses.T[:, :, None, None], structure.eigenvalues[:, None], 1.0 + 0j)
+    return np.where(uses.T[:, :, None, None], structure.eigenvalues[:, None], 1.0)
 
 
 def mode_eigenvalues(structure: EigenStructure, mu: float, strategies) -> np.ndarray:

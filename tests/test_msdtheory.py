@@ -4,8 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from adaptnet import (ConfigError, NodeProfile, NotDiagonalizableError, NumericalError,
-                      StabilityError, StrategyKind, UnsupportedInputError,
+from adaptnet import (ConfigError, NetworkTopology, NodeProfile, NotDiagonalizableError,
+                      NumericalError, StabilityError, StrategyKind, UnsupportedInputError,
                       benchmark_profile, build_combination_matrix,
                       build_error_recursion, eigenstructure,
                       individual_ordering_conditions, mode_eigenvalues,
@@ -133,6 +133,57 @@ def test_symmetric_matrix_orthonormal_structure():
     npt.assert_allclose(st.left_vectors, st.right_vectors, atol=1e-8)
 
 
+@pytest.mark.parametrize("rule", ["metropolis", "uniform", "relative_variance"])
+def test_eigen_route_is_real_on_a_real_spectrum(rule):
+    # every rule on an undirected topology gives A a real spectrum; on this
+    # irregular one the eigensolver returns it real, and the eigen route
+    # keeps float64 from there to every per_mode
+    adj = np.zeros((5, 5), dtype=bool)
+    for l, k in [(0, 1), (0, 2), (0, 3), (1, 2), (3, 4)]:
+        adj[l, k] = adj[k, l] = True
+    noise = np.array([0.1, 0.2, 0.05, 0.3, 0.15])
+    a = build_combination_matrix(NetworkTopology(5, adj), rule, noise)
+    st = eigenstructure(a, np.array([[2.0, 0.3], [0.3, 1.0]]))
+    arrays = [st.eigenvalues, st.right_vectors, st.left_vectors, mode_eigenvalues(st, 0.2, ALL)]
+    arrays += [rep.per_mode for rep in msd_eigenform(st, 0.2, noise, ALL).values()]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+
+
+def test_eigen_route_is_complex_on_a_complex_spectrum():
+    # a directed 3-cycle with self-loops: eigenvalues 1 and 0.25 +- 0.433i
+    a = np.array([[0.5, 0.0, 0.5],
+                  [0.5, 0.5, 0.0],
+                  [0.0, 0.5, 0.5]])
+    cov = np.diag([1.0, 2.0])
+    noise = np.array([0.1, 0.2, 0.3])
+    st = eigenstructure(a, cov)
+    for arr in (st.eigenvalues, st.right_vectors, st.left_vectors,
+                mode_eigenvalues(st, 0.2, ALL)):
+        assert arr.dtype == np.complex128
+    profiles = [NodeProfile(covariance=cov, step_size=0.2, noise_variance=v) for v in noise]
+    series = series_reports(build_error_recursions(ALL, a, profiles))
+    for kind, rep in msd_eigenform(st, 0.2, noise, ALL).items():
+        npt.assert_allclose(rep.per_node, series[kind].per_node, rtol=1e-8, atol=0)
+
+
+def test_eigen_route_at_the_benchmark_scale():
+    # the small-step theory workload's inputs: 20 nodes, dim 5, mu = 0.002,
+    # metropolis weights, the mean covariance at every node and its own noise
+    mu = 0.002
+    topo, profiles, _ = benchmark_profile(20, 5, seed=20, step_size=mu)
+    a = build_combination_matrix(topo, "metropolis").weights
+    cov = np.mean([p.covariance for p in profiles], axis=0)
+    hom = [replace(p, covariance=cov) for p in profiles]
+    noise = np.array([p.noise_variance for p in profiles])
+    st = eigenstructure(a, cov)
+    assert not np.iscomplexobj(st.right_vectors)
+    series = series_reports(build_error_recursions(ALL, a, hom))
+    for kind, rep in msd_eigenform(st, mu, noise, ALL).items():
+        npt.assert_allclose(rep.per_node, series[kind].per_node, rtol=1e-8, atol=0)
+    assert ordering_checks(a, cov, mu, noise).diffusion_first
+
+
 def test_defective_matrix_rejected():
     a = np.array([[0.5, 0.0, 0.0],
                   [0.5, 0.5, 0.0],
@@ -246,7 +297,7 @@ def _reference_per_mode(st, mu, noise, kind):
     lam = st.eigenvalues[:, None]
     g1, g0, g2 = (lam if uses else 1.0 for uses in uses_a(kind))
     modes = np.broadcast_to(g2 * (g0 - mu * st.cov_eigenvalues) * g1,
-                            (st.n_nodes, st.cov_eigenvalues.size)).astype(complex)
+                            (st.n_nodes, st.cov_eigenvalues.size))
     s, u = st.left_vectors, st.right_vectors
     gram = g2 * np.conj(g2).T * (s.conj().T @ (noise[:, None] * s))
     comp = np.empty(modes.shape)
@@ -258,9 +309,11 @@ def _reference_per_mode(st, mu, noise, kind):
 
 def test_per_mode_terms_are_the_loop_over_modes_bit_for_bit():
     # the one einsum over (strategy, mode) sums every term in the order of
-    # the loop over modes, so each cooperative per_mode keeps its bits
+    # the loop over modes, so each cooperative per_mode keeps its bits, in
+    # real arithmetic where A's spectrum is real and complex where it is not
     rng = np.random.default_rng(13)
     checked = 0
+    structures = {"real": 0, "complex": 0}
     for _ in range(30):
         n, m = int(rng.integers(2, 7)), int(rng.integers(2, 5))
         a = (random_symmetric_stochastic(n, rng) if rng.random() < 0.5
@@ -269,12 +322,14 @@ def test_per_mode_terms_are_the_loop_over_modes_bit_for_bit():
         mu = float(rng.uniform(0.05, 0.9) * 2.0 / np.linalg.eigvalsh(cov)[-1])
         noise = rng.uniform(0.0, 0.4, size=n)
         st = eigenstructure(a, cov)
+        structures["complex" if np.iscomplexobj(st.right_vectors) else "real"] += 1
         for kind, rep in msd_eigenform(st, mu, noise, ALL).items():
             if kind is StrategyKind.NON_COOPERATIVE or rep.diverged:
                 continue
             assert np.array_equal(rep.per_mode, _reference_per_mode(st, mu, noise, kind)), kind
             checked += 1
     assert checked >= 60
+    assert structures["real"] > 0 and structures["complex"] > 0, structures
 
 
 def test_components_sum_to_per_node_msd():
