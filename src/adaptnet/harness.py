@@ -16,8 +16,8 @@ carries +inf from the onset iteration onward and is reported, never dropped.
 simulation read that one matrix (the identity on an isolated topology when
 only the non-cooperative strategy runs; none of its formulas reads A, so a
 given rule is checked by name but its matrix is not built).  The theory of
-all selected strategies is one pass: one stack of error blocks, one eigvals
-call and one doubling loop (``series_reports``).
+all selected strategies is one pass: one stack of error blocks, one batched
+eigensolve for the radii and one doubling loop (``series_reports``).
 """
 
 from __future__ import annotations

@@ -157,11 +157,11 @@ def _doubling_sum(f, y):
 
 def series_reports(stack: RecursionStack) -> dict:
     """Per-node MSD of every strategy of the stack from its series
-    sum_j B^j Y B^jT: every radius from one eigvals call, and the series of
-    every stable strategy summed in one doubling loop.  A strategy with
-    rho(B) >= 1 gets a diverged report with ``terms`` = 0."""
+    sum_j B^j Y B^jT: every radius from one ``spectral_radii`` eigensolve,
+    and the series of every stable strategy summed in one doubling loop.  A
+    strategy with rho(B) >= 1 gets a diverged report with ``terms`` = 0."""
     n, k = stack.n_nodes, stack.blocks
-    radii = spectral_radii(stack.transition)
+    radii = spectral_radii(stack)
     stable = np.flatnonzero(radii < 1.0)
     settled = {}
     if stable.size:

@@ -41,11 +41,22 @@ B and Y as batched products of ``strategies.combination_stack``, the stacks
 the simulator steps with, I slots included (an identity factor is exact):
 the table is applied in that one place.  The result is a ``RecursionStack``
 of (S, K, n, n) stacks, the one recursion type; ``spectral_radii`` takes
-every strategy's radius from one eigvals call on it, and
+every strategy's radius from one batched eigensolve on it, and
 ``analyze_network`` is one such pass over all four strategies.
 ``build_error_recursion`` returns the S = 1 stack.
-Batched matmul and eigvals work block by block, so each strategy gets the
-bits it gets alone.
+Batched matmul and eigensolves work block by block, so each strategy gets
+the bits it gets alone.
+
+Symmetric form.  When A is exactly symmetric, M R is diagonal in the stack's
+coordinates (a shared basis, or M = 1) and every mu_k d_{k,m} <= 1, each
+block of B is similar to a symmetric matrix.  With Lambda_m =
+diag_k(mu_k d_{k,m}) and Sigma = (I - Lambda_m)^{1/2}, consensus A - Lambda_m
+and non-cooperative I - Lambda_m are symmetric already, and ATC's
+A (I - Lambda_m) and CTA's (I - Lambda_m) A are XY and YX with X = A Sigma,
+Y = Sigma, so both share the spectrum of Sigma A Sigma.  The stack then
+carries these symmetric blocks, and the radii come from one eigvalsh call
+on them; otherwise from one eigvals call on B.  The conditions read only
+the network and the profiles, never the listed strategies.
 
 Mean stability is rho(B) < 1.  ATC and CTA share a spectrum (products taken
 in either order), and both are never less stable than the non-cooperative
@@ -61,7 +72,7 @@ import numpy as np
 from .errors import ConfigError, UnsupportedInputError
 from .network import as_combination, is_symmetric
 from .signalmodel import check_covariance, is_homogeneous
-from .strategies import StrategyKind, combination_stack
+from .strategies import StrategyKind, combination_stack, uses_a
 
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
 # which the covariances count as sharing the eigenbasis Q
@@ -88,7 +99,9 @@ class RecursionStack:
     """B and Y of S strategies on one network, built on one shared basis:
     (S, K, n, n) stacks whose entry s holds the diagonal blocks of
     ``strategies[s]``, K = M blocks of n = N in the shared eigenbasis
-    ``basis`` = Q, or K = 1 block of n = NM in node order (``basis`` None)."""
+    ``basis`` = Q, or K = 1 block of n = NM in node order (``basis`` None).
+    ``symmetric`` holds a symmetric matrix similar to each block of B where
+    the module's symmetric-form conditions hold, else None."""
 
     strategies: tuple
     transition: np.ndarray
@@ -96,6 +109,7 @@ class RecursionStack:
     n_nodes: int
     dim: int
     basis: np.ndarray | None = None
+    symmetric: np.ndarray | None = None
 
     @property
     def blocks(self) -> int:
@@ -105,7 +119,8 @@ class RecursionStack:
 def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     """B = A2^T (A0^T - M R) A1^T and Y = A2^T M S M A2 of every listed
     strategy in one pass, as batched products of ``combination_stack``.  M
-    blocks when the covariances share an eigenbasis, one dense block otherwise."""
+    blocks when the covariances share an eigenbasis, one dense block otherwise;
+    the symmetric form of B where the module's conditions for it hold."""
     a = as_combination(matrix).weights
     n = len(profiles)
     if a.shape != (n, n):
@@ -133,9 +148,19 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
         mr, msm = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
     # the simulator's transposed (A1, A0, A2), broadcast over the K blocks
     a1t, a0t, a2t = (x[:, None] for x in combination_stack(strategies, weights, size))
-    b = a2t @ (a0t - mr) @ a1t
+    shrunk = a0t - mr
+    b = a2t @ shrunk @ a1t
     y = a2t @ msm @ a2t.swapaxes(-1, -2)
-    return RecursionStack(tuple(strategies), b, y, n, m, basis)
+    # the symmetric form: Sigma A Sigma where A sits in A1 or A2, A0 - M R otherwise
+    symmetric = None
+    lam = mr.diagonal(axis1=-2, axis2=-1)
+    if (basis is not None or m == 1) and is_symmetric(a) and np.all(lam <= 1.0):
+        sigma = np.sqrt(1.0 - lam)
+        # sigma_i sigma_j a_ij: the outer product commutes, so it is symmetric bit for bit
+        sas = sigma[:, :, None] * sigma[:, None, :] * a
+        outer = np.array([u[0] or u[2] for u in map(uses_a, strategies)])
+        symmetric = np.where(outer[:, None, None, None], sas, shrunk)
+    return RecursionStack(tuple(strategies), b, y, n, m, basis, symmetric)
 
 
 def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> RecursionStack:
@@ -143,10 +168,15 @@ def build_error_recursion(strategy: StrategyKind, matrix, profiles) -> Recursion
     return build_error_recursions((strategy,), matrix, profiles)
 
 
-def spectral_radii(transitions: np.ndarray) -> np.ndarray:
-    """rho(B) of every strategy of an (S, K, n, n) stack from one eigvals
-    call, each the largest radius over its K blocks."""
-    return np.abs(np.linalg.eigvals(transitions)).max(axis=(-2, -1))
+def spectral_radii(stack: RecursionStack) -> np.ndarray:
+    """rho(B) of every strategy of the stack, each the largest radius over
+    its K blocks: one eigvalsh call on its symmetric form when it has one,
+    else one eigvals call on B."""
+    if stack.symmetric is not None:
+        eigs = np.linalg.eigvalsh(stack.symmetric)
+    else:
+        eigs = np.linalg.eigvals(stack.transition)
+    return np.abs(eigs).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -182,13 +212,14 @@ def diffusion_equality_bound(matrix, covariance) -> float:
     """Step-size threshold below which consensus and diffusion share rho(B)
     (homogeneous profiles): min over l != 1 of (1-|lambda_l(A)|) / (lmin+lmax).
 
-    A = I has no constraining mode; returns +inf.
+    A = I has no constraining mode; returns +inf.  An exactly symmetric A
+    takes its real spectrum from eigvalsh, as ``msdtheory.eigenstructure`` does.
     """
     a = as_combination(matrix).weights
     r_eigs = np.linalg.eigvalsh(check_covariance(covariance))
     if np.array_equal(a, np.eye(a.shape[0])):
         return float("inf")
-    eigs = np.linalg.eigvals(a)
+    eigs = np.linalg.eigvalsh(a) if is_symmetric(a) else np.linalg.eigvals(a)
     drop = int(np.argmin(np.abs(eigs - 1.0)))
     rest = np.delete(eigs, drop)
     denom = r_eigs[0] + r_eigs[-1]
@@ -212,11 +243,12 @@ class StabilityReport:
 
 def analyze_network(matrix, profiles) -> StabilityReport:
     """Spectral verdicts for all four strategies, from one pass of
-    ``build_error_recursions`` and one eigvals call, plus every applicable
-    bound.  A raw A is validated once, by ``as_combination``, and passed on."""
+    ``build_error_recursions`` and one ``spectral_radii`` eigensolve, plus
+    every applicable bound.  A raw A is validated once, by
+    ``as_combination``, and passed on."""
     matrix = as_combination(matrix)
     stack = build_error_recursions(tuple(StrategyKind), matrix, profiles)
-    radii = spectral_radii(stack.transition).tolist()
+    radii = spectral_radii(stack).tolist()
     verdicts = {kind: StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
                 for kind, rho in zip(stack.strategies, radii)}
     cons_bounds = (consensus_symmetric_bound(matrix, profiles)

@@ -180,7 +180,7 @@ def _stable_homogeneous_instances(count, seed):
         profiles = stable_profiles(n, m, rng, homogeneous=True,
                                    diagonal=bool(rng.integers(2)))
         stack = build_error_recursions(ALL_KINDS, weights, profiles)
-        if np.any(spectral_radii(stack.transition) >= 1.0 - 1e-9):
+        if np.any(spectral_radii(stack) >= 1.0 - 1e-9):
             continue
         out.append((weights, symmetric, profiles, stack))
     return out

@@ -433,23 +433,33 @@ def test_cli_compare_builds_the_combination_matrix_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["analyze"], ["compare"], ["compare", "--ordering"]])
 def test_cli_command_takes_one_eigvals_on_the_stack(tmp_path, monkeypatch, argv):
-    # every strategy's radius comes from one eigvals call on the
-    # (S, K, n, n) stack; other calls (the equality bound's on A) are 2-D
-    shapes = []
-    eigvals = np.linalg.eigvals
+    # every strategy's radius comes from one eigensolve on an (S, K, n, n)
+    # stack: eigvalsh on the symmetric form of ru.cfg's metropolis A, eigvals
+    # on B for a non-symmetric A; other eigvals calls (the equality bound's
+    # on A) are 2-D, other eigvalsh calls (on the covariance stack) 3-D
+    shapes = {"eigvals": [], "eigvalsh": []}
+    for name, shape_list in shapes.items():
+        solver = getattr(np.linalg, name)
 
-    def counted(a):
-        shapes.append(np.shape(a))
-        return eigvals(a)
+        def counted(a, *args, _solver=solver, _shapes=shape_list, **kwargs):
+            _shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    path = tmp_path / "ru.cfg"
-    path.write_text("nodes = 4\ndim = 2\nmu = 0.05\nru_matrix = 2, 0.5, 0.5, 1\n"
-                    "noise_db = -20\ntopology = full\nrule = metropolis\n"
-                    "iterations = 40\ntrials = 2\nseed = 1\n")
-    assert main([argv[0], str(path)] + argv[1:]) == 0
-    assert [len(shape) for shape in shapes].count(4) == 1, shapes
-    assert all(len(shape) <= 2 for shape in shapes if len(shape) != 4), shapes
+        monkeypatch.setattr(np.linalg, name, counted)
+    base = ("nodes = 4\ndim = 2\nmu = 0.05\nru_matrix = 2, 0.5, 0.5, 1\n"
+            "noise_db = -20\niterations = 40\ntrials = 2\nseed = 1\n")
+    for network, solver in (("topology = full\nrule = metropolis\n", "eigvalsh"),
+                            ("topology = line\nrule = uniform\n", "eigvals")):
+        for shape_list in shapes.values():
+            shape_list.clear()
+        path = tmp_path / "ru.cfg"
+        path.write_text(base + network)
+        assert main([argv[0], str(path)] + argv[1:]) == 0
+        stacks = {name: [s for s in found if len(s) == 4] for name, found in shapes.items()}
+        assert len(stacks[solver]) == 1 and sum(map(len, stacks.values())) == 1, shapes
+        others = {name: [len(s) for s in found if len(s) != 4] for name, found in shapes.items()}
+        assert max(others["eigvals"], default=0) <= 2, shapes
+        assert max(others["eigvalsh"], default=0) <= 3, shapes
 
 
 def test_cli_compare_ordering_on_a_defective_matrix(tmp_path, capsys):

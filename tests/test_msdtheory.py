@@ -282,7 +282,7 @@ def test_component_series_matches_eigen_route():
                 for kind in ALL:
                     rec = build_error_recursion(kind, a, profiles)
                     assert rec.blocks == m
-                    if spectral_radii(rec.transition)[0] >= 1.0:
+                    if spectral_radii(rec)[0] >= 1.0:
                         continue
                     stable_consensus += kind is StrategyKind.CONSENSUS
                     x, _ = _doubling_sum(rec.transition, rec.noise_gram)

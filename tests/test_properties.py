@@ -62,7 +62,7 @@ def heterogeneous_networks(draw, max_dim=3):
 @given(heterogeneous_networks())
 def test_diffusion_radius_shared_and_never_above_noncooperative(network):
     a, profiles = network
-    radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles).transition)[0]
+    radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles))[0]
              for kind in (StrategyKind.ATC, StrategyKind.CTA,
                           StrategyKind.NON_COOPERATIVE)}
     # a defective eigenvalue is computed only to about sqrt(eps)
@@ -136,7 +136,7 @@ def test_blocks_match_the_dense_kronecker_recursion(network):
         for stack, ref in ((rec.transition[0], ref_b), (rec.noise_gram[0], ref_y)):
             err = np.abs(full_map(stack, rec.basis) - ref).max()
             assert err <= 1e-13 * np.abs(ref).max(), (strategy, err)
-        assert abs(spectral_radii(rec.transition)[0] - dense_radius(ref_b)) <= 1e-12
+        assert abs(spectral_radii(rec)[0] - dense_radius(ref_b)) <= 1e-12
         got = msd_series(rec)
         want = msd_series(RecursionStack((strategy,), ref_b[None, None], ref_y[None, None],
                                          n, m))
@@ -162,6 +162,66 @@ def test_blocks_are_the_table_formula_bit_for_bit(network):
         ref_b, ref_y = reference_blocks(strategy, a, profiles, rec.basis)
         assert np.array_equal(rec.transition[s], ref_b), strategy
         assert np.array_equal(rec.noise_gram[s], ref_y), strategy
+
+
+COVARIANCE_KINDS = ("diagonal", "common", "scalar", "non_commuting")
+
+
+def _peaked_network(n, m, kind, symmetric, peak, seed):
+    """A network whose largest mu_k d_{k,m} is ``peak``: d_{k,m} are the
+    eigenvalues of R_k, diagonal, common to every node (one rotated
+    covariance), M = 1 ("scalar") or each R_k rotated on its own.  Node 0's
+    largest d is exactly 2 and its step exactly peak / 2, so the peak is
+    exact wherever the code reads d without rounding; the other nodes stay
+    below 0.95 peak."""
+    rng = np.random.default_rng(seed)
+    a = random_symmetric_stochastic(n, rng) if symmetric else random_left_stochastic(n, rng)
+    m = 1 if kind == "scalar" else m
+    eigs = rng.uniform(0.5, 3.0, size=(n, m))
+    if kind == "common":
+        eigs[:] = eigs[0]
+    eigs[0] *= 2.0 / eigs[0].max()
+    eigs[0, eigs[0].argmax()] = 2.0
+    mu = rng.uniform(0.05, 0.95, size=n) * peak / eigs.max(axis=1)
+    mu[0] = peak / 2.0
+    shared = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    rotations = ([np.linalg.qr(rng.standard_normal((m, m)))[0] for _ in range(n)]
+                 if kind == "non_commuting" else
+                 [shared if kind == "common" else np.eye(m)] * n)
+    profiles = [NodeProfile(covariance=(q * eigs[k]) @ q.T, step_size=float(mu[k]),
+                            noise_variance=0.1) for k, q in enumerate(rotations)]
+    return a, profiles
+
+
+@settings(PROPERTY, max_examples=80)
+@given(n=st.integers(2, 6), m=st.integers(2, 3), kind=st.sampled_from(COVARIANCE_KINDS),
+       symmetric=st.booleans(), peak=st.floats(0.2, 1.8), seed=st.integers(0, 2**32 - 1))
+@example(n=4, m=2, kind="diagonal", symmetric=True, peak=1.0, seed=3)
+@example(n=4, m=2, kind="diagonal", symmetric=True, peak=float(np.nextafter(1.0, 2.0)), seed=3)
+@example(n=3, m=2, kind="scalar", symmetric=True, peak=1.0, seed=4)
+@example(n=3, m=2, kind="scalar", symmetric=True, peak=float(np.nextafter(1.0, 2.0)), seed=4)
+def test_symmetric_form_gives_the_dense_radii(n, m, kind, symmetric, peak, seed):
+    # the symmetric form is present exactly when A is symmetric, M R is
+    # diagonal in the stack's coordinates and every mu_k d_{k,m} <= 1; its
+    # radii are those of the dense B, it is symmetric and ATC and CTA share
+    # their radius bit for bit.  Without it, the radii are eigvals' on B
+    a, profiles = _peaked_network(n, m, kind, symmetric, peak, seed)
+    if kind == "common":
+        # its d carry the rounding of eigh, so the peak is off by about eps
+        assume(abs(peak - 1.0) > 1e-9)
+    stack = build_error_recursions(ALL, a, profiles)
+    present = symmetric and kind != "non_commuting" and peak <= 1.0
+    assert (stack.symmetric is not None) == present
+    radii = spectral_radii(stack)
+    for s, strategy in enumerate(ALL):
+        ref_b, _ = reference_recursion(strategy, a, profiles)
+        assert abs(radii[s] - dense_radius(ref_b)) <= 1e-12, strategy
+    if present:
+        assert np.array_equal(stack.symmetric, stack.symmetric.swapaxes(-1, -2))
+        assert radii[ALL.index(StrategyKind.ATC)] == radii[ALL.index(StrategyKind.CTA)]
+    else:
+        eig_radii = np.abs(np.linalg.eigvals(stack.transition)).max(axis=(-2, -1))
+        assert np.array_equal(radii, eig_radii)
 
 
 @st.composite
@@ -194,7 +254,7 @@ HOT_PAIR = (np.array([[0.15, 0.85], [0.85, 0.15]]),
 @given(theory_networks())
 @example(HOT_PAIR)
 def test_one_theory_pass_equals_each_strategy_alone(network):
-    # the stacked pass (one basis, one eigvals call, one doubling loop) gives
+    # the stacked pass (one basis, one eigensolve, one doubling loop) gives
     # every strategy the bits of its own one-strategy series, also where the
     # strategies stop at different terms or one of them diverges
     a, profiles = network

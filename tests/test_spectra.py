@@ -6,7 +6,7 @@ from adaptnet import (ConfigError, NodeProfile, StabilityVerdict, StrategyKind,
                       UnsupportedInputError, analyze_network, build_combination_matrix,
                       build_error_recursion, complete_topology, consensus_symmetric_bound,
                       diffusion_equality_bound, msd_series, noncoop_step_bounds)
-from adaptnet.spectra import spectral_radii
+from adaptnet.spectra import RecursionStack, spectral_radii
 
 from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
                       stable_profiles)
@@ -91,18 +91,26 @@ def test_cta_is_shrink_then_combine():
     npt.assert_allclose(full_map(cta.transition[0], cta.basis), shrink @ cal_a.T, atol=1e-12)
 
 
+def _one_block_stack(b, symmetric=None):
+    return RecursionStack((StrategyKind.NON_COOPERATIVE,), b[None, None],
+                          np.zeros((1, 1) + b.shape), len(b), 1, symmetric=symmetric)
+
+
 def test_spectral_radius_basics():
-    assert spectral_radii(np.eye(3)[None, None])[0] == pytest.approx(1.0)
-    assert spectral_radii(np.diag([0.3, -0.9])[None, None])[0] == pytest.approx(0.9)
+    assert spectral_radii(_one_block_stack(np.eye(3)))[0] == pytest.approx(1.0)
+    assert spectral_radii(_one_block_stack(np.diag([0.3, -0.9])))[0] == pytest.approx(0.9)
+    # where the stack carries a symmetric form, the radius is read from it
+    form = np.diag([0.3, -0.9, 0.1])[None, None]
+    assert spectral_radii(_one_block_stack(np.eye(3), form))[0] == pytest.approx(0.9)
 
 
 def test_hot_weights_consensus_unstable_diffusion_stable():
     profiles = _scalar_profiles([0.4, 0.6])
     a = np.array([[0.15, 0.85], [0.85, 0.15]])
     cons = build_error_recursion(StrategyKind.CONSENSUS, a, profiles)
-    assert spectral_radii(cons.transition)[0] >= 1.0
+    assert spectral_radii(cons)[0] >= 1.0
     atc = build_error_recursion(StrategyKind.ATC, a, profiles)
-    assert spectral_radii(atc.transition)[0] < 1.0
+    assert spectral_radii(atc)[0] < 1.0
     verdict = analyze_network(a, profiles).verdicts[StrategyKind.CONSENSUS]
     assert not verdict.stable
     assert verdict.margin < 0
@@ -177,7 +185,7 @@ def test_diffusion_radii_equal_and_dominated():
         radii = {}
         for kind in ALL:
             rec = build_error_recursion(kind, a, profiles)
-            radii[kind] = spectral_radii(rec.transition)[0]
+            radii[kind] = spectral_radii(rec)[0]
         assert abs(radii[StrategyKind.ATC] - radii[StrategyKind.CTA]) <= 1e-9
         assert radii[StrategyKind.ATC] <= radii[StrategyKind.NON_COOPERATIVE] + 1e-9
 
@@ -222,7 +230,7 @@ def test_homogeneous_diffusion_equals_noncoop_below_bound():
             continue
         profiles = [NodeProfile(covariance=cov, step_size=mu, noise_variance=0.1)
                     for _ in range(n)]
-        radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles).transition)[0]
+        radii = {kind: spectral_radii(build_error_recursion(kind, a, profiles))[0]
                  for kind in ALL}
         assert radii[StrategyKind.ATC] == pytest.approx(
             radii[StrategyKind.NON_COOPERATIVE], abs=1e-9)
@@ -277,26 +285,43 @@ def test_equality_bound_validates_the_covariance(cov):
         diffusion_equality_bound(np.array([[0.6, 0.4], [0.4, 0.6]]), cov)
 
 
+def test_equality_bound_on_the_complete_metropolis_matrix():
+    # metropolis on the complete topology is (1 1^T - I) / (N - 1), with
+    # eigenvalues 1 and -1 / (N - 1): a symmetric A, so its spectrum is read
+    # as real by eigvalsh
+    n = 20
+    a = build_combination_matrix(complete_topology(n), "metropolis")
+    cov = np.diag([0.5, 1.0, 2.0])
+    bound = diffusion_equality_bound(a, cov)
+    assert type(bound) is float
+    assert bound == pytest.approx((1.0 - 1.0 / (n - 1)) / (0.5 + 2.0), rel=1e-14)
+
+
 def test_analyze_network_radii_are_each_strategy_alone():
-    # one eigvals call over the stacked blocks of all four strategies gives
-    # each the verdict of its own recursion: M blocks, one dense block, and
-    # the hot pair where consensus is unstable
+    # one eigensolve over the stacked blocks of all four strategies gives
+    # each the verdict of its own recursion: M blocks, one dense block, the
+    # symmetric form of a symmetric A, and the hot pair where consensus is
+    # unstable
     rng = np.random.default_rng(11)
     cases = [(np.array([[0.15, 0.85], [0.85, 0.15]]), _scalar_profiles([0.4, 0.6]))]
     for diagonal in (True, False):
-        for _ in range(10):
+        for draw in range(10):
             n, m = int(rng.integers(2, 6)), int(rng.integers(1, 4))
-            cases.append((random_left_stochastic(n, rng),
-                          stable_profiles(n, m, rng, diagonal=diagonal)))
+            a = (random_symmetric_stochastic(n, rng) if draw % 2
+                 else random_left_stochastic(n, rng))
+            cases.append((a, stable_profiles(n, m, rng, diagonal=diagonal)))
     for a, profiles in cases:
         report = analyze_network(a, profiles)
         for kind in ALL:
-            rho = float(spectral_radii(build_error_recursion(kind, a, profiles).transition)[0])
+            rho = float(spectral_radii(build_error_recursion(kind, a, profiles))[0])
             assert report.verdicts[kind] == StabilityVerdict(rho, rho < 1.0, 1.0 - rho)
         # the per-node bounds take every lambda_max from one eigvalsh call
         lam_max = [np.linalg.eigvalsh(p.covariance)[-1] for p in profiles]
         assert np.array_equal(report.noncoop_bounds, [2.0 / lam for lam in lam_max])
     assert not analyze_network(*cases[0]).verdicts[StrategyKind.CONSENSUS].stable
+    forms = [build_error_recursion(StrategyKind.ATC, a, p).symmetric is not None
+             for a, p in cases]
+    assert any(forms) and not all(forms)
 
 
 def test_near_repeated_sum_eigenvalue_takes_the_exact_dense_form():

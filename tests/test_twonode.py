@@ -333,7 +333,7 @@ def test_general_model_matches_scalar_closed_forms():
                 for p, v in ((cfg.mu_sigma1, cfg.t), (cfg.mu_sigma2, 1.0))]
     matrix = CombinationMatrix(cfg.combination(), complete_topology(2))
     rec = build_error_recursion(StrategyKind.CONSENSUS, matrix, profiles)
-    assert spectral_radii(rec.transition)[0] == pytest.approx(
+    assert spectral_radii(rec)[0] == pytest.approx(
         max(abs(x) for x in np.linalg.eigvals(_cons_matrix(cfg))), abs=1e-12)
     assert np.min(np.linalg.eigvals(rec.transition).real) == pytest.approx(
         consensus_min_eigenvalue(cfg), abs=1e-12)
