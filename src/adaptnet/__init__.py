@@ -20,9 +20,7 @@ from .signalmodel import (GroundTruth, NodeProfile, SnapshotSource,
                           benchmark_profile, is_homogeneous)
 from .strategies import StrategyKind
 from .spectra import (RecursionStack, StabilityReport, StabilityVerdict,
-                      analyze_network, build_error_recursion,
-                      consensus_symmetric_bound, diffusion_equality_bound,
-                      noncoop_step_bounds)
+                      analyze_network, build_error_recursion)
 from .msdtheory import (EigenStructure, MsdReport, NoiseConditionReport,
                         OrderingReport, StepThresholdReport, eigenstructure,
                         individual_ordering_conditions, mode_eigenvalues,

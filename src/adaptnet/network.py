@@ -178,14 +178,10 @@ def build_combination_matrix(topology: NetworkTopology, rule: str,
     if rule == "uniform":
         w[adj] = 1.0
         w /= topology.degrees()[None, :]
-        w[~adj] = 0.0
     elif rule == "metropolis":
         link_deg = topology.degrees() - 1
-        for k in range(n):
-            for l in range(k + 1, n):
-                if adj[l, k]:
-                    w[l, k] = w[k, l] = 1.0 / max(link_deg[l], link_deg[k])
-        np.fill_diagonal(w, 0.0)
+        off = adj & ~np.eye(n, dtype=bool)
+        w[off] = 1.0 / np.maximum.outer(link_deg, link_deg)[off]
         diag = 1.0 - w.sum(axis=0)
         # off-diagonal sums can round a hair past 1 when they are exactly 1
         diag[np.abs(diag) < 1e-12] = 0.0

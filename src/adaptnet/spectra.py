@@ -60,7 +60,10 @@ the network and the profiles, never the listed strategies.
 
 Mean stability is rho(B) < 1.  ATC and CTA share a spectrum (products taken
 in either order), and both are never less stable than the non-cooperative
-baseline; consensus carries no such guarantee.
+baseline; consensus carries no such guarantee.  ``analyze_network`` adds the
+closed-form step-size bounds (per node; for consensus on an exactly
+symmetric A; consensus = diffusion on homogeneous profiles), all read from
+one eigvalsh over the covariance stack and at most one solve of A.
 """
 
 from __future__ import annotations
@@ -69,9 +72,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedInputError
+from .errors import ConfigError
 from .network import as_combination, is_symmetric
-from .signalmodel import check_covariance, is_homogeneous
+from .signalmodel import is_homogeneous
 from .strategies import StrategyKind, combination_stack, uses_a
 
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
@@ -186,46 +189,6 @@ class StabilityVerdict:
     margin: float
 
 
-def _lambda_max(profiles) -> np.ndarray:
-    """Largest eigenvalue of every node's covariance, one eigvalsh call."""
-    return np.linalg.eigvalsh(np.array([p.covariance for p in profiles]))[:, -1]
-
-
-def noncoop_step_bounds(profiles) -> np.ndarray:
-    """Per-node open upper bounds: mu_k < 2 / lambda_max(R_k) keeps the node stable."""
-    return 2.0 / _lambda_max(profiles)
-
-
-def consensus_symmetric_bound(matrix, profiles) -> np.ndarray:
-    """Per-node bounds (1 + lambda_min(A)) / lambda_max(R_k); needs an exactly symmetric A.
-
-    The interval is empty (bound 0) when lambda_min(A) = -1.
-    """
-    a = as_combination(matrix).weights
-    if not is_symmetric(a):
-        raise UnsupportedInputError("consensus step-size bound is only proven for symmetric A")
-    lam_min = np.linalg.eigvalsh(a)[0]
-    return (1.0 + lam_min) / _lambda_max(profiles)
-
-
-def diffusion_equality_bound(matrix, covariance) -> float:
-    """Step-size threshold below which consensus and diffusion share rho(B)
-    (homogeneous profiles): min over l != 1 of (1-|lambda_l(A)|) / (lmin+lmax).
-
-    A = I has no constraining mode; returns +inf.  An exactly symmetric A
-    takes its real spectrum from eigvalsh, as ``msdtheory.eigenstructure`` does.
-    """
-    a = as_combination(matrix).weights
-    r_eigs = np.linalg.eigvalsh(check_covariance(covariance))
-    if np.array_equal(a, np.eye(a.shape[0])):
-        return float("inf")
-    eigs = np.linalg.eigvalsh(a) if is_symmetric(a) else np.linalg.eigvals(a)
-    drop = int(np.argmin(np.abs(eigs - 1.0)))
-    rest = np.delete(eigs, drop)
-    denom = r_eigs[0] + r_eigs[-1]
-    return float(np.min(1.0 - np.abs(rest)) / denom)
-
-
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
     """Per-strategy spectral radii plus the closed-form step-size bounds."""
@@ -244,18 +207,38 @@ class StabilityReport:
 def analyze_network(matrix, profiles) -> StabilityReport:
     """Spectral verdicts for all four strategies, from one pass of
     ``build_error_recursions`` and one ``spectral_radii`` eigensolve, plus
-    every applicable bound.  A raw A is validated once, by
-    ``as_combination``, and passed on."""
+    the closed-form step-size bounds that apply:
+
+        every network          mu_k < 2 / lambda_max(R_k)
+        exactly symmetric A    mu_k < (1 + lambda_min(A)) / lambda_max(R_k)
+        homogeneous profiles   mu < min over l != 1 of
+                               (1 - |lambda_l(A)|) / (lambda_min(R) + lambda_max(R))
+
+    The first keeps node k stable alone; the second keeps consensus stable
+    (an empty interval when lambda_min(A) = -1); below the third consensus
+    and diffusion share rho(B), and A = I, with no constraining mode, gives
+    +inf.  The bounds take one eigvalsh over the covariance stack and at most
+    one solve of A: eigvalsh when A is exactly symmetric, eigvals when only
+    the third applies.  A raw A is validated once, by ``as_combination``,
+    and passed on."""
     matrix = as_combination(matrix)
     stack = build_error_recursions(tuple(StrategyKind), matrix, profiles)
     radii = spectral_radii(stack).tolist()
     verdicts = {kind: StabilityVerdict(spectral_radius=rho, stable=rho < 1.0, margin=1.0 - rho)
                 for kind, rho in zip(stack.strategies, radii)}
-    cons_bounds = (consensus_symmetric_bound(matrix, profiles)
-                   if is_symmetric(matrix.weights) else None)
-    equality = (diffusion_equality_bound(matrix, profiles[0].covariance)
-                if is_homogeneous(profiles) else None)
-    return StabilityReport(verdicts=verdicts,
-                           noncoop_bounds=noncoop_step_bounds(profiles),
-                           consensus_bounds=cons_bounds,
-                           equality_bound=equality)
+    a = matrix.weights
+    symmetric, homogeneous = is_symmetric(a), is_homogeneous(profiles)
+    r_eigs = np.linalg.eigvalsh(np.array([p.covariance for p in profiles]))
+    lam_max = r_eigs[:, -1]
+    a_eigs = (np.linalg.eigvalsh(a) if symmetric
+              else np.linalg.eigvals(a) if homogeneous else None)
+    cons_bounds = (1.0 + a_eigs[0]) / lam_max if symmetric else None
+    equality = None
+    if homogeneous and np.array_equal(a, np.eye(a.shape[0])):
+        equality = float("inf")
+    elif homogeneous:
+        # drop the mode at 1; the rest constrain mu against lmin + lmax of R
+        rest = np.delete(a_eigs, int(np.argmin(np.abs(a_eigs - 1.0))))
+        equality = float(np.min(1.0 - np.abs(rest)) / (r_eigs[0, 0] + r_eigs[0, -1]))
+    return StabilityReport(verdicts=verdicts, noncoop_bounds=2.0 / lam_max,
+                           consensus_bounds=cons_bounds, equality_bound=equality)

@@ -3,9 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from adaptnet import (ConfigError, NodeProfile, StabilityVerdict, StrategyKind,
-                      UnsupportedInputError, analyze_network, build_combination_matrix,
-                      build_error_recursion, complete_topology, consensus_symmetric_bound,
-                      diffusion_equality_bound, msd_series, noncoop_step_bounds)
+                      analyze_network, build_combination_matrix, build_error_recursion,
+                      complete_topology, msd_series)
 from adaptnet.spectra import RecursionStack, spectral_radii
 
 from conftest import (full_map, random_left_stochastic, random_symmetric_stochastic,
@@ -17,6 +16,11 @@ ALL = tuple(StrategyKind)
 def _scalar_profiles(mu_sigma, sigma=1.0):
     return [NodeProfile(covariance=np.array([[sigma]]), step_size=p / sigma,
                         noise_variance=0.1) for p in mu_sigma]
+
+
+def _homogeneous_profiles(cov, n):
+    return [NodeProfile(covariance=cov, step_size=0.01, noise_variance=0.1)
+            for _ in range(n)]
 
 
 def test_identity_matrix_collapses_all_strategies():
@@ -118,10 +122,10 @@ def test_hot_weights_consensus_unstable_diffusion_stable():
 
 def test_noncoop_bounds():
     p_eye = [NodeProfile(covariance=np.eye(2), step_size=0.1, noise_variance=0.1)]
-    npt.assert_allclose(noncoop_step_bounds(p_eye), [2.0])
+    npt.assert_allclose(analyze_network(np.eye(1), p_eye).noncoop_bounds, [2.0])
     p_diag = [NodeProfile(covariance=np.diag([2.0, 4.0]), step_size=0.1,
                           noise_variance=0.1)]
-    npt.assert_allclose(noncoop_step_bounds(p_diag), [0.5])
+    npt.assert_allclose(analyze_network(np.eye(1), p_diag).noncoop_bounds, [0.5])
 
 
 def test_exact_bound_is_marginally_unstable():
@@ -135,8 +139,8 @@ def test_exact_bound_is_marginally_unstable():
 def test_consensus_bound_identity_matches_noncoop():
     rng = np.random.default_rng(3)
     profiles = stable_profiles(3, 2, rng)
-    bound = consensus_symmetric_bound(np.eye(3), profiles)
-    npt.assert_allclose(bound, noncoop_step_bounds(profiles), atol=1e-12)
+    report = analyze_network(np.eye(3), profiles)
+    npt.assert_allclose(report.consensus_bounds, report.noncoop_bounds, atol=1e-12)
 
 
 def test_consensus_bound_two_node():
@@ -144,14 +148,14 @@ def test_consensus_bound_two_node():
     profiles = [NodeProfile(covariance=np.array([[sigma]]), step_size=0.01,
                             noise_variance=0.1) for _ in range(2)]
     a = np.array([[0.15, 0.85], [0.85, 0.15]])   # lam_min = 1 - a - b = -0.7
-    bound = consensus_symmetric_bound(a, profiles)
+    bound = analyze_network(a, profiles).consensus_bounds
     npt.assert_allclose(bound, [0.3 / sigma, 0.3 / sigma], atol=1e-12)
 
 
 def test_consensus_bound_degenerate_empty_interval():
     profiles = _scalar_profiles([0.1, 0.1])
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])    # lam_min = -1
-    bound = consensus_symmetric_bound(swap, profiles)
+    bound = analyze_network(swap, profiles).consensus_bounds
     npt.assert_allclose(bound, [0.0, 0.0], atol=1e-15)
 
 
@@ -161,18 +165,18 @@ def test_consensus_bound_rejects_asymmetric():
     # the third by 1e-13: the bound is proven for an exactly symmetric A only
     for a in ([[0.8, 0.4], [0.2, 0.6]], [[0.5, 0.500004], [0.5, 0.499996]],
               [[0.5, 0.5 + 1e-13], [0.5, 0.5 - 1e-13]]):
-        with pytest.raises(UnsupportedInputError):
-            consensus_symmetric_bound(np.array(a), profiles)
         assert analyze_network(np.array(a), profiles).consensus_bounds is None
 
 
 def test_equality_bound_cases():
     # symmetric two-node with lam_2 = 0.5 and R_u = diag(1, 3)
     a = np.array([[0.75, 0.25], [0.25, 0.75]])
-    assert diffusion_equality_bound(a, np.diag([1.0, 3.0])) == pytest.approx(0.125)
-    assert diffusion_equality_bound(np.eye(2), np.diag([1.0, 3.0])) == np.inf
+    profiles = _homogeneous_profiles(np.diag([1.0, 3.0]), 2)
+    assert analyze_network(a, profiles).equality_bound == pytest.approx(0.125)
+    assert analyze_network(np.eye(2), profiles).equality_bound == np.inf
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])   # |lam_2| = 1
-    assert diffusion_equality_bound(swap, np.eye(2)) == pytest.approx(0.0)
+    assert (analyze_network(swap, _homogeneous_profiles(np.eye(2), 2)).equality_bound
+            == pytest.approx(0.0))
 
 
 def test_diffusion_radii_equal_and_dominated():
@@ -224,7 +228,7 @@ def test_homogeneous_diffusion_equals_noncoop_below_bound():
         a = random_symmetric_stochastic(n, rng)
         cov = np.diag(rng.uniform(0.5, 3.0, size=m))
         eigs = np.linalg.eigvalsh(cov)
-        bound = diffusion_equality_bound(a, cov)
+        bound = analyze_network(a, _homogeneous_profiles(cov, n)).equality_bound
         mu = min(0.9 * bound, 0.9 * 2.0 / eigs[-1])
         if mu <= 0:
             continue
@@ -281,8 +285,9 @@ def test_error_recursions_refuse_mismatched_profiles(profiles, fragment):
 @pytest.mark.parametrize("cov", [np.array([[np.nan]]), np.array([[2.0, 1.0], [0.0, 1.0]]),
                                  -np.eye(2)])
 def test_equality_bound_validates_the_covariance(cov):
+    # a covariance enters the bounds through its NodeProfile, which checks it
     with pytest.raises(ConfigError, match="covariance"):
-        diffusion_equality_bound(np.array([[0.6, 0.4], [0.4, 0.6]]), cov)
+        NodeProfile(covariance=cov, step_size=0.01, noise_variance=0.1)
 
 
 def test_equality_bound_on_the_complete_metropolis_matrix():
@@ -292,7 +297,7 @@ def test_equality_bound_on_the_complete_metropolis_matrix():
     n = 20
     a = build_combination_matrix(complete_topology(n), "metropolis")
     cov = np.diag([0.5, 1.0, 2.0])
-    bound = diffusion_equality_bound(a, cov)
+    bound = analyze_network(a, _homogeneous_profiles(cov, n)).equality_bound
     assert type(bound) is float
     assert bound == pytest.approx((1.0 - 1.0 / (n - 1)) / (0.5 + 2.0), rel=1e-14)
 
@@ -315,13 +320,41 @@ def test_analyze_network_radii_are_each_strategy_alone():
         for kind in ALL:
             rho = float(spectral_radii(build_error_recursion(kind, a, profiles))[0])
             assert report.verdicts[kind] == StabilityVerdict(rho, rho < 1.0, 1.0 - rho)
-        # the per-node bounds take every lambda_max from one eigvalsh call
+        # the per-node bounds are 2 / lambda_max of each node's own covariance
         lam_max = [np.linalg.eigvalsh(p.covariance)[-1] for p in profiles]
         assert np.array_equal(report.noncoop_bounds, [2.0 / lam for lam in lam_max])
     assert not analyze_network(*cases[0]).verdicts[StrategyKind.CONSENSUS].stable
     forms = [build_error_recursion(StrategyKind.ATC, a, p).symmetric is not None
              for a, p in cases]
     assert any(forms) and not all(forms)
+
+
+def test_analyze_network_takes_each_spectrum_once(monkeypatch):
+    # the profiles check their covariances with eigvalsh when built, so they
+    # are built before the solvers are counted
+    ru = np.array([[2.0, 0.5], [0.5, 1.0]])
+    symmetric = (build_combination_matrix(complete_topology(4), "metropolis"),
+                 [NodeProfile(covariance=ru, step_size=0.05, noise_variance=0.01)
+                  for _ in range(4)])
+    asymmetric = (np.array([[0.6, 0.2, 0.1], [0.3, 0.5, 0.2], [0.1, 0.3, 0.7]]),
+                  [NodeProfile(covariance=np.diag([1.0, 2.0]), step_size=mu,
+                               noise_variance=0.01) for mu in (0.04, 0.05, 0.06)])
+    calls = []
+    for name in ("eigvalsh", "eigvals", "eigh", "eig"):
+        def counted(x, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.ndim(x)))
+            return _solve(x, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    analyze_network(*symmetric)
+    # one eigh for the shared basis; one eigvalsh each on A, the covariances
+    # and the symmetric forms behind the radii
+    assert sorted(calls) == [("eigh", 2), ("eigvalsh", 2), ("eigvalsh", 3), ("eigvalsh", 4)]
+    calls.clear()
+    report = analyze_network(*asymmetric)
+    assert report.consensus_bounds is None and report.equality_bound is None
+    assert ("eigvals", 2) not in calls and ("eigvalsh", 2) not in calls
+    assert calls.count(("eigvalsh", 3)) == 1
 
 
 def test_near_repeated_sum_eigenvalue_takes_the_exact_dense_form():
