@@ -4,10 +4,14 @@ Within one trial every selected strategy consumes the identical snapshot
 sequence (paired comparison), so cross-strategy gaps are not polluted by
 independent sampling noise.  The selected strategies and a chunk of ``CHUNK``
 trials on disjoint counter-based streams advance as one (S, T, N, M) tensor
-through the recursion of ``strategies``, with the (A1, A0, A2) of its table
-stacked per strategy.  Each iteration's squared errors go straight into the
-curves and steady-state sums: no per-iteration history is kept.  Trials are
-reduced in trial order, so outputs are bit-identical for any chunk size.
+through ``strategies.GroupedStep``: the strategies are ordered once per run
+by the slot of the table that holds A, so each iteration makes one product
+by A^T before adaptation and one after it, and an I slot multiplies
+nothing; results are mapped back to the configured order at the end.  The
+last, partial block draws only the rows the run reads.  Each iteration's
+squared errors go straight into the curves and steady-state sums: no
+per-iteration history is kept.  Trials are reduced in trial order, so
+outputs are bit-identical for any chunk size.
 
 A strategy whose network squared error exceeds ``DIVERGENCE_FACTOR`` times
 ||w0||^2 (of 1 when w0 = 0) is flagged diverged for that trial; its curve
@@ -32,13 +36,12 @@ from .network import (CombinationMatrix, NetworkTopology, build_combination_matr
                       check_rule)
 from .signalmodel import BLOCK, GroundTruth, SnapshotSource
 from .spectra import build_error_recursions
-from .strategies import (COOPERATIVE, StrategyKind, combination_stack,
-                         recursion_step)
+from .strategies import COOPERATIVE, GroupedStep, StrategyKind, slot_order
 
 ALL_STRATEGIES = tuple(StrategyKind)
 
 # trials advanced as one batch; a chunk holds its curves, one block of CHUNK * BLOCK
-# snapshots, one trial's draw and one iteration's temporaries, no error history
+# snapshots, one trial's draw and the step's buffers, no error history
 CHUNK = 32
 # a curve has settled once it stays this close above its steady state
 SETTLE_WITHIN_DB = 3.0
@@ -144,27 +147,29 @@ class LearningCurve:
         return last if last < db.size else None
 
 
-def _run_chunk(trials, source, stack, w0, mu, iterations, steady_start,
+def _run_chunk(trials, source, kinds, weights, w0, mu, iterations, steady_start,
                threshold):
-    """Advance the listed trials of every strategy in ``stack`` as one
-    (S, T, N, M) estimate tensor.  Returns the (S, T, iterations) curves,
-    the (S, T, N) steady-state node means and the (S, T) divergence onsets
-    (``iterations``: never diverged)."""
-    a1t, a0t, a2t = (a[:, None] for a in stack)
-    s, t, n = len(a1t), len(trials), len(source.profiles)
-    est = np.zeros((s, t, n, w0.size))
+    """Advance the listed trials of every strategy in ``kinds`` (in
+    ``slot_order``) as one (S, T, N, M) estimate tensor.  Returns the
+    (S, T, iterations) curves, the (S, T, N) steady-state node means and the
+    (S, T) divergence onsets (``iterations``: never diverged)."""
+    s, t, n = len(kinds), len(trials), len(source.profiles)
+    step = GroupedStep(kinds, weights, mu, t, w0.size)
+    # the estimate error shares the step's scratch buffer, free between steps
+    est, err, sq = step.estimates, step.scratch, np.empty((s, t, n))
     curves = np.empty((s, t, iterations))
     acc = np.zeros((s, t, n))
     # a diverged trial runs on, may overflow and is masked out below; no
     # operation mixes two (strategy, trial) slabs, so the others stay exact
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, iterations, BLOCK):
-            u, d = source.block(trials, first // BLOCK)
-            for j in range(min(BLOCK, iterations - first)):
-                est = recursion_step(est, u[:, j], d[:, j], mu, a1t, a0t, a2t)
-                err = est - w0
-                sq = np.einsum("...km,...km->...k", err, err)
-                sq.sum(axis=-1, out=curves[:, :, first + j])
+            rows = min(BLOCK, iterations - first)
+            u, d = source.block(trials, first // BLOCK, rows)
+            for j in range(rows):
+                step(u[:, j], d[:, j])
+                np.subtract(est, w0, out=err)
+                np.einsum("...km,...km->...k", err, err, out=sq)
+                np.add.reduce(sq, axis=-1, out=curves[:, :, first + j])
                 if first + j >= steady_start:
                     acc += sq
             # freed before the next draw, so a chunk holds one block at a time
@@ -182,7 +187,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all selected strategies over the trial ensemble; deterministic
     in (seed, config) for any trial chunk size."""
     n = len(cfg.profiles)
-    stack = combination_stack(cfg.strategies, cfg.resolve_combination().weights, n)
+    # rows in slot order throughout, mapped back to cfg.strategies at the end
+    kinds = slot_order(cfg.strategies)
+    weights = cfg.resolve_combination().weights
     mu = np.array([p.step_size for p in cfg.profiles])
     w0 = cfg.truth.vector
     source = SnapshotSource(cfg.profiles, cfg.truth, cfg.seed)
@@ -190,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     # a zero truth gives no scale, so the threshold falls back to unit power
     threshold = DIVERGENCE_FACTOR * (float(w0 @ w0) or 1.0)
 
-    s = len(cfg.strategies)
+    s = len(kinds)
     curve_sum = np.zeros((s, cfg.iterations))
     node_sum = np.zeros((s, n))
     per_trial_net = np.empty((s, cfg.trials))
@@ -198,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for first in range(0, cfg.trials, CHUNK):
         stop = min(first + CHUNK, cfg.trials)
         curves, steady, onsets[:, first:stop] = _run_chunk(
-            range(first, stop), source, stack, w0, mu, cfg.iterations,
+            range(first, stop), source, kinds, weights, w0, mu, cfg.iterations,
             steady_start, threshold)
         for j in range(stop - first):
             curve_sum = curve_sum + curves[:, j]
@@ -206,8 +213,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         per_trial_net[:, first:stop] = steady.mean(axis=-1)
 
     out = {}
-    for kind, curve, nodes, nets, onset in zip(cfg.strategies, curve_sum, node_sum,
-                                               per_trial_net, onsets):
+    for kind in cfg.strategies:
+        row = kinds.index(kind)
+        curve, nodes, nets, onset = (curve_sum[row], node_sum[row], per_trial_net[row],
+                                     onsets[row])
         diverged = int(np.count_nonzero(onset < cfg.iterations))
         msd = curve / cfg.trials
         per_node = nodes / cfg.trials

@@ -120,33 +120,39 @@ class SnapshotSource:
         self._sqrts = (vecs * np.sqrt(vals)[:, None]) @ vecs.swapaxes(-1, -2)
         self._noise_std = np.array([np.sqrt(p.noise_variance) for p in self.profiles])
 
-    def block(self, trials, b: int):
-        """Data of time indices [b * BLOCK, (b + 1) * BLOCK) for each listed
-        trial: u of shape (T, BLOCK, N, M) and d of shape (T, BLOCK, N).
+    def block(self, trials, b: int, rows: int = BLOCK):
+        """Data of the first ``rows`` time indices of [b * BLOCK, (b + 1) *
+        BLOCK) for each listed trial: u of shape (T, rows, N, M) and d of
+        shape (T, rows, N).  Philox normals fill in order, so a shorter draw
+        is the first rows of the full block, bit for bit.
 
-        Trials are drawn one at a time into one reused (BLOCK, N, M + 1)
+        Trials are drawn one at a time into one reused (rows, N, M + 1)
         buffer of standard normals, and each trial's noise goes from its
         draw straight into its slab of d, so beyond its outputs a call holds
         one trial's draw.  Trial and block are integers in [0, 2**64), the
         range of a Philox counter word."""
         check_integer("block index", b, 0, 2 ** 64)
+        check_integer("rows", rows, 1, BLOCK + 1)
         n, m = len(self.profiles), self.truth.dim
-        u = np.empty((len(trials), BLOCK, n, m))
-        d = np.empty((len(trials), BLOCK, n))
-        z = np.empty((BLOCK, n, m + 1))
+        # one row would colour through a matrix-vector product, which rounds
+        # otherwise than the matrix product of a longer draw, so draw two
+        drawn = max(rows, 2)
+        u = np.empty((len(trials), drawn, n, m))
+        d = np.empty((len(trials), drawn, n))
+        z = np.empty((drawn, n, m + 1))
         sqrts = self._sqrts.swapaxes(-1, -2)
         for j, trial in enumerate(trials):
             check_integer("trial index", trial, 0, 2 ** 64)
             counter = np.array([0, 0, b, trial], dtype=np.uint64)
             rng = np.random.Generator(np.random.Philox(key=self._key, counter=counter))
             rng.standard_normal(out=z)
-            # one (BLOCK, M) @ (M, M) BLAS product per node, written straight
+            # one (rows, M) @ (M, M) BLAS product per node, written straight
             # into this trial's slab of u, so a trial's bits do not depend on
             # its batch; every slab has unit column stride, so nothing is copied
             np.matmul(z[..., :m].swapaxes(0, 1), sqrts, out=u[j].swapaxes(0, 1))
             np.einsum("...km,m->...k", u[j], self.truth.vector, out=d[j])
             d[j] += self._noise_std * z[..., m]
-        return u, d
+        return u[:, :rows], d[:, :rows]
 
 
 def benchmark_profile(n_nodes: int = 20, dim: int = 10, seed: int = 0,

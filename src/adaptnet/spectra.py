@@ -37,12 +37,13 @@ sum of the block traces.
 
 One pass per network.  ``build_error_recursions`` computes mu, the noise,
 the covariance stack, the basis, M R and M S M once, then every strategy's
-B and Y as batched products of ``strategies.combination_stack``, the stacks
-the simulator steps with, I slots included (an identity factor is exact):
-the table is applied in that one place.  The result is a ``RecursionStack``
-of (S, K, n, n) stacks, the one recursion type; ``spectral_radii`` takes
-every strategy's radius from one batched eigensolve on it, and
-``analyze_network`` is one such pass over all four strategies.
+B and Y as batched products of ``strategies.combination_stack``, I slots
+included (an identity factor is exact): the table becomes matrices in that
+one place, and the simulator's ``GroupedStep`` reads the same table.  The
+result is a ``RecursionStack`` of (S, K, n, n) stacks, the one recursion
+type; ``spectral_radii`` takes every strategy's radius from one batched
+eigensolve on it, and ``analyze_network`` is one such pass over all four
+strategies.
 ``build_error_recursion`` returns the S = 1 stack.
 Batched matmul and eigensolves work block by block, so each strategy gets
 the bits it gets alone.

@@ -13,7 +13,7 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       msd_series, random_connected_topology, run_experiment,
                       steady_state_vs_theory, theory_reports)
 from adaptnet.signalmodel import BLOCK, benchmark_profile
-from adaptnet.strategies import combination_stack, recursion_step
+from adaptnet.strategies import combination_stack
 
 from conftest import stable_profiles, unit_truth
 
@@ -158,10 +158,17 @@ def test_chunk_size_does_not_change_bits(rng, monkeypatch):
         assert a[kind].network_steady == b[kind].network_steady
 
 
+def _recursion_step(W, u, d, mu, a1t, a0t, a2t):
+    # the recursion as written, every slot multiplied, an I slot included
+    phi = a1t @ W
+    err = d - np.einsum("...km,...km->...k", u, phi)
+    return a2t @ (a0t @ phi + (mu * err)[..., None] * u)
+
+
 def _reference_run(cfg):
     """The engine's outputs from a plain loop: one trial and one strategy at
-    a time through ``recursion_step``, a trial frozen from its divergence
-    onset."""
+    a time through the recursion as written, with the (A1, A0, A2) of
+    ``combination_stack``, a trial frozen from its divergence onset."""
     weights = cfg.resolve_combination().weights
     n = len(cfg.profiles)
     mu = np.array([p.step_size for p in cfg.profiles])
@@ -181,8 +188,8 @@ def _reference_run(cfg):
             for i in range(cfg.iterations):
                 if i % BLOCK == 0:
                     u, d = source.block([trial], i // BLOCK)
-                W = recursion_step(W, u[0, i % BLOCK], d[0, i % BLOCK], mu,
-                                   a1t, a0t, a2t)
+                W = _recursion_step(W, u[0, i % BLOCK], d[0, i % BLOCK], mu,
+                                    a1t, a0t, a2t)
                 err = W - w0
                 sq = np.einsum("km,km->k", err, err)
                 net = sq.mean()
@@ -212,6 +219,18 @@ def _late_divergence(**kw):
     return _two_node(0.78, 0.78, 0.5, 0.6, iterations=300, trials=6, seed=3, **kw)
 
 
+def _coloured_pair(rng):
+    # consensus and CTA share the product before adaptation; listed out of
+    # slot order, over a non-diagonal covariance
+    topo = random_connected_topology(4, 0.7, rng)
+    cov = np.array([[2.0, 0.5], [0.5, 1.0]])
+    profiles = [NodeProfile(step_size=mu, covariance=cov, noise_variance=1e-2)
+                for mu in (0.1, 0.15, 0.2, 0.25)]
+    return ExperimentConfig(profiles=profiles, truth=unit_truth(2), topology=topo,
+                            rule="metropolis", iterations=2 * BLOCK + 3, trials=5,
+                            seed=2, strategies=(StrategyKind.CTA, StrategyKind.CONSENSUS))
+
+
 @pytest.mark.parametrize("make, chunk, factor", [
     (lambda rng: _late_divergence(), 4, 1e6),
     (lambda rng: _late_divergence(strategies=(StrategyKind.CTA, StrategyKind.CONSENSUS,
@@ -221,7 +240,12 @@ def _late_divergence(**kw):
      harness.DIVERGENCE_FACTOR),
     # steady_start = 0: every iteration feeds the steady-state sums
     (lambda rng: _late_divergence(steady_window=1.0), 4, 1e6),
-], ids=["later-block", "subset-reordered", "block-plus-one", "window-from-zero"])
+    # each slot alone: no product, A0, A2 and A1
+    *((lambda rng, kind=kind: _late_divergence(strategies=(kind,)), 4, 1e6)
+      for kind in StrategyKind),
+    (_coloured_pair, 2, harness.DIVERGENCE_FACTOR),
+], ids=["later-block", "subset-reordered", "block-plus-one", "window-from-zero",
+        *(f"{kind.value}-alone" for kind in StrategyKind), "consensus-cta-coloured"])
 def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk, factor):
     cfg = make(rng)
     assert cfg.trials > chunk and cfg.iterations % BLOCK != 0
@@ -236,16 +260,19 @@ def test_engine_matches_reference_loop_bit_for_bit(rng, monkeypatch, make, chunk
         assert curves[kind].standard_error == se
         assert curves[kind].diverged_trials == diverged
         assert curves[kind].divergence_onset == onset
-    if factor == 1e6:
+    if factor == 1e6 and StrategyKind.CONSENSUS in curves:
         cons = curves[StrategyKind.CONSENSUS]
         assert cons.diverged_trials == 1 and cons.divergence_onset > BLOCK
 
 
 def test_chunk_working_set_is_one_block_and_its_curves():
-    # beyond its outputs a full chunk holds one snapshot block (u, v and d),
-    # one trial's draw, its curves and a few (S, T, N, M) temporaries of the
-    # recursion; an (S, T, BLOCK, N) squared-error buffer (2.6 MB here) is
-    # not among them
+    # beyond its outputs a full chunk holds one snapshot block (u and d), one
+    # trial's draw and its few (BLOCK, N) temporaries, its curves, three
+    # (S, T, N, M) stacks (the estimates, the step's scratch, shared with the
+    # estimate error, and its product before adaptation, at most S slabs) and
+    # three (S, T, N) arrays (the step's error, the squared errors and their
+    # steady-state sums); an (S, T, BLOCK, N) squared-error buffer (2.6 MB
+    # here) is not among them
     topology, profiles, truth = benchmark_profile(n_nodes=20, dim=10, seed=0)
     s, t, n, m, iterations = 4, harness.CHUNK, 20, 10, BLOCK + 1
     cfg = ExperimentConfig(profiles=profiles, truth=truth, topology=topology,
@@ -259,8 +286,8 @@ def test_chunk_working_set_is_one_block_and_its_curves():
         tracemalloc.stop()
     assert len(out) == s
     outputs = sum(c.msd.nbytes + c.per_node_steady.nbytes for c in out.values())
-    allowed = 8 * (t * BLOCK * n * (m + 2) + BLOCK * n * (m + 1) + s * t * iterations
-                   + 8 * s * t * n * m)
+    allowed = 8 * (t * BLOCK * n * (m + 1) + BLOCK * n * (m + 1) + 4 * BLOCK * n
+                   + s * t * iterations + 3 * s * t * n * m + 3 * s * t * n)
     assert peak - outputs <= allowed
 
 
@@ -348,6 +375,19 @@ def test_settle_index_matches_curve_shape():
 
     shifted = curve.normalized_db()
     assert np.max(shifted) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_settle_rule_reads_its_db_margin(monkeypatch):
+    # one late point 4.5 dB above a steady state of 1e-3: within 3 dB the
+    # curve settles after it, within 6 dB after the 10 dB start
+    msd = 1e-3 * np.array([10.0, 1.0, 1.0, 10.0 ** 0.45, 1.0, 1.0, 1.0])
+    curve = harness.LearningCurve(
+        strategy=StrategyKind.ATC, msd=msd, per_node_steady=np.array([1e-3]),
+        network_steady=1e-3, standard_error=0.0, diverged_trials=0,
+        divergence_onset=None)
+    assert curve.iterations_to_settle() == 4
+    monkeypatch.setattr(harness, "SETTLE_WITHIN_DB", 6.0)
+    assert curve.iterations_to_settle() == 1
 
 
 def _assert_reports_are_the_block_series(cfg):

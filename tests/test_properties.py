@@ -13,7 +13,7 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       build_error_recursion, build_experiment, complete_topology,
                       eigenstructure, msd_eigenform, msd_series, parse_pairs)
 from adaptnet.spectra import build_error_recursions, spectral_radii
-from adaptnet.strategies import combination_stack, recursion_step
+from adaptnet.strategies import GroupedStep
 
 from conftest import (dense_radius, full_map, random_left_stochastic, random_spd,
                       random_symmetric_stochastic, reference_blocks, reference_recursion)
@@ -84,8 +84,10 @@ def test_one_recursion_step_maps_the_error_through_b(network, w0, start):
     u = np.sqrt(r)[:, None]
     d = u[:, 0] * w0
     for kind in StrategyKind:
-        stack = combination_stack((kind,), a, n)
-        stepped = recursion_step(W, u, d, mu, *(x[0] for x in stack))
+        step = GroupedStep((kind,), a, mu, 1, 1)
+        step.estimates[0, 0] = W
+        step(u[None], d[None])
+        stepped = step.estimates[0, 0]
         b = build_error_recursion(kind, a, profiles).transition[0, 0]
         assert np.allclose(w0 - stepped, b @ (w0 - W), rtol=0.0, atol=1e-12), kind
 

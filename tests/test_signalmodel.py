@@ -242,6 +242,25 @@ def test_block_equals_the_whole_batch_draw_bit_for_bit():
             npt.assert_array_equal(got, want)
 
 
+def test_a_shorter_block_is_the_first_rows_of_the_full_block_bit_for_bit():
+    # a run's last block draws only the rows the run reads: Philox fills in
+    # order, and one row is drawn as two, since a single row would colour
+    # through a matrix-vector product that rounds otherwise
+    rng = np.random.default_rng(25)
+    for m in (1, 2, 5, 11):
+        profiles = [NodeProfile(covariance=random_spd(m, rng), step_size=0.05,
+                                noise_variance=0.1) for _ in range(4)]
+        source = SnapshotSource(profiles, GroundTruth(rng.standard_normal(m)), 9)
+        full = source.block([3, 0], 2)
+        for rows in (1, 2, 3, 44, 104, BLOCK - 1, BLOCK):
+            for got, want in zip(source.block([3, 0], 2, rows), full):
+                assert got.shape == want[:, :rows].shape
+                npt.assert_array_equal(got, want[:, :rows])
+    for rows in (0, BLOCK + 1, 2.0):
+        with pytest.raises(ConfigError, match="rows must be an integer"):
+            source.block([0], 0, rows)
+
+
 @pytest.mark.parametrize("trials, b, name", [
     ([0.5], 0, "trial"), ([np.float64(1.0)], 0, "trial"), ([-1], 0, "trial"),
     ([2 ** 64], 0, "trial"), ([True], 0, "trial"), (["3"], 0, "trial"),

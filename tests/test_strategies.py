@@ -4,8 +4,8 @@ import pytest
 
 from adaptnet import (ConfigError, StrategyKind, build_combination_matrix,
                       random_connected_topology)
-from adaptnet.strategies import (COOPERATIVE, combination_stack, recursion_step,
-                                 uses_a)
+from adaptnet.strategies import (COOPERATIVE, GroupedStep, combination_stack,
+                                 slot_order, uses_a)
 
 NCOP = StrategyKind.NON_COOPERATIVE
 CONS = StrategyKind.CONSENSUS
@@ -27,9 +27,12 @@ def _random_weights(n, rng):
 
 
 def _step(kind, W, u, d, mu, A=None):
-    # one strategy through the engine's two calls
-    stack = combination_stack((kind,), A, W.shape[-2])
-    return recursion_step(W, u, d, mu, *(a[0] for a in stack))
+    # one strategy through the engine's step; W, u and d without a trial axis
+    # get one of length 1
+    n, m = W.shape[-2:]
+    out = _stacked_step((kind,), W.reshape(1, -1, n, m), u.reshape(-1, n, m),
+                        d.reshape(-1, n), mu, A)
+    return out.reshape(W.shape)
 
 
 def test_from_name_round_trip():
@@ -131,9 +134,14 @@ def test_consensus_error_uses_own_previous_iterate():
 
 
 def _stacked_step(kinds, W, u, d, mu, A):
-    # the engine's form: every listed strategy at once, a trial axis on W
-    stack = combination_stack(kinds, A, W.shape[-2])
-    return recursion_step(W, u, d, mu, *(a[:, None] for a in stack))
+    # the engine's form: every listed strategy at once, a trial axis on W,
+    # whose rows follow ``kinds`` here and the step's slot order inside it;
+    # a (T, N, M) W starts every strategy from it
+    W = np.broadcast_to(W, (len(kinds),) + W.shape[-3:])
+    step = GroupedStep(kinds, A, mu, W.shape[1], W.shape[-1])
+    step.estimates[...] = W[[kinds.index(k) for k in step.kinds]]
+    step(u, d)
+    return step.estimates[[step.kinds.index(k) for k in kinds]]
 
 
 def test_locality_sentinel_poisoning():
@@ -208,6 +216,17 @@ def test_table_rejects_non_members(kind):
         uses_a(kind)
     with pytest.raises(ConfigError, match="unknown strategy"):
         combination_stack((ATC, kind), np.eye(3), 3)
+    with pytest.raises(ConfigError, match="unknown strategy"):
+        slot_order((ATC, kind))
+
+
+def test_slot_order_groups_strategies_by_the_slot_holding_a():
+    # none, A2, A0, A1, so the A0 and A1 strategies share one slice
+    assert slot_order((CTA, NCOP, ATC, CONS)) == (NCOP, ATC, CONS, CTA)
+    assert slot_order((CTA, CONS)) == (CONS, CTA)
+    assert slot_order((ATC, NCOP)) == (NCOP, ATC)
+    assert slot_order((CTA,)) == (CTA,)
+
 
 
 def test_batched_update_matches_per_trial_calls_bit_for_bit():
