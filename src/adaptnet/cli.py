@@ -11,6 +11,7 @@ stability refusal, 4 other library errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -253,6 +254,8 @@ def cmd_two_node(args) -> int:
     return 0
 
 
+# one parser per process: parse_args returns a fresh namespace each call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptnet",

@@ -1,7 +1,7 @@
 """Steady-state mean-square deviation (MSD) theory.
 
-Both routes read a strategy from the (A1, A0, A2) table in ``strategies``:
-the error recursion of ``spectra`` is
+Both routes read the (A1, A0, A2) table of ``strategies`` through its
+``slot_masks``; the error recursion of ``spectra`` is
 
     B = A2^T (A0^T - M R) A1^T      Y = A2^T M S M A2
 
@@ -59,8 +59,8 @@ tuple of strategies, as ``series_reports`` does: the (S, N, M) grid and the
 (S, N, N) mode noise from one broadcast of the table rows, every per-mode
 term from one einsum over (S, M), and each strategy's refusal, into a
 diverged report, decided by its own mask, so a strategy gets the bits it
-gets alone.  Non-coop keeps its node-wise closed form, which reads no
-eigenvectors.
+gets alone.  A row with A in no slot (non-coop) keeps its node-wise closed
+form, which reads no eigenvectors.
 
 Every report the harness prints comes from the series route; the eigen
 route is the closed-form check on it and the source of the paper's network
@@ -79,7 +79,7 @@ from .errors import (ConfigError, NotDiagonalizableError, NumericalError,
 from .network import as_combination, is_primitive, is_symmetric, perron_pair
 from .signalmodel import check_covariance
 from .spectra import RecursionStack, spectral_radii
-from .strategies import StrategyKind, uses_a
+from .strategies import StrategyKind, slot_masks
 
 DENOM_GUARD = 1e-12
 SERIES_RTOL = 1e-12
@@ -244,8 +244,7 @@ def eigenstructure(matrix, covariance) -> EigenStructure:
 def _slot_gains(structure: EigenStructure, strategies) -> np.ndarray:
     """(3, S, N, 1) slot gains (g1, g0, g2) of the listed strategies: the
     column lambda_l(A) where a strategy's table row puts A, 1 where it puts I."""
-    uses = np.array([uses_a(kind) for kind in strategies], dtype=bool).reshape(-1, 3)
-    return np.where(uses.T[:, :, None, None], structure.eigenvalues[:, None], 1.0)
+    return np.where(slot_masks(strategies)[:, :, None, None], structure.eigenvalues[:, None], 1.0)
 
 
 def mode_eigenvalues(structure: EigenStructure, mu: float, strategies) -> np.ndarray:
@@ -276,7 +275,7 @@ def msd_eigenform(structure: EigenStructure, mu: float, noise_variances,
     if not 0 < mu < np.inf:
         raise ConfigError(f"step size must be positive and finite, got {mu}")
     strategies = tuple(strategies)
-    ncop = np.array([kind is StrategyKind.NON_COOPERATIVE for kind in strategies], dtype=bool)
+    ncop = ~slot_masks(strategies).any(axis=0)
     lam_r = structure.cov_eigenvalues
     scale = mu ** 2 * lam_r
     modes = mode_eigenvalues(structure, mu, strategies)

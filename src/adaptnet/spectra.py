@@ -37,16 +37,16 @@ sum of the block traces.
 
 One pass per network.  ``build_error_recursions`` computes mu, the noise,
 the covariance stack, the basis, M R and M S M once, then every strategy's
-B and Y as batched products of ``strategies.combination_stack``, I slots
-included (an identity factor is exact): the table becomes matrices in that
-one place, and the simulator's ``GroupedStep`` reads the same table.  The
-result is a ``RecursionStack`` of (S, K, n, n) stacks, the one recursion
-type; ``spectral_radii`` takes every strategy's radius from one batched
+B and Y from the table rows of ``strategies.slot_masks``: A0^T - M R for
+every row, calA^T on the left of the A2 rows and the right of the A1 rows,
+and calA^T M S M calA for the A2 rows of Y.  An I slot multiplies nothing
+(I x = x exactly), as in the simulator's ``GroupedStep``.  The result is a
+``RecursionStack`` of (S, K, n, n) stacks, the one recursion type;
+``spectral_radii`` takes every strategy's radius from one batched
 eigensolve on it, and ``analyze_network`` is one such pass over all four
-strategies.
-``build_error_recursion`` returns the S = 1 stack.
-Batched matmul and eigensolves work block by block, so each strategy gets
-the bits it gets alone.
+strategies.  ``build_error_recursion`` returns the S = 1 stack.  Batched
+matmul and eigensolves work block by block, so each strategy gets the bits
+it gets alone.
 
 Symmetric form.  When A is exactly symmetric, M R is diagonal in the stack's
 coordinates (a shared basis, or M = 1) and every mu_k d_{k,m} <= 1, each
@@ -76,7 +76,7 @@ import numpy as np
 from .errors import ConfigError
 from .network import as_combination, is_symmetric
 from .signalmodel import is_homogeneous
-from .strategies import StrategyKind, combination_stack, uses_a
+from .strategies import StrategyKind, slot_masks
 
 # largest off-diagonal entry of Q^T R_k Q, relative to its largest entry, for
 # which the covariances count as sharing the eigenbasis Q
@@ -122,7 +122,7 @@ class RecursionStack:
 
 def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     """B = A2^T (A0^T - M R) A1^T and Y = A2^T M S M A2 of every listed
-    strategy in one pass, as batched products of ``combination_stack``.  M
+    strategy in one pass, A^T multiplied only in the slots that hold A.  M
     blocks when the covariances share an eigenbasis, one dense block otherwise;
     the symmetric form of B where the module's conditions for it hold."""
     a = as_combination(matrix).weights
@@ -139,7 +139,7 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
     if basis is None:
         # one dense block: calA = A (x) I_M, M R and M S M as row and column
         # scalings of the block-diagonal R
-        weights, size = np.kron(a, np.eye(m)), n * m
+        at, size = np.kron(a, np.eye(m)).T, n * m
         r_blk = np.zeros((n, m, n, m))
         r_blk[np.arange(n), :, np.arange(n), :] = covs
         r_blk = r_blk.reshape(size, size)
@@ -148,13 +148,15 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
         msm = (mu_rep * (np.repeat(noise, m)[:, None] * r_blk) * mu_rep.T)[None]
     else:
         # block m of M R and of M S M: diag_k(g_k d_{k,m}), g = mu and mu^2 s2
-        weights, size = a, n
+        at, size = np.ascontiguousarray(a).T, n
         mr, msm = ((g[:, None] * d).T[:, :, None] * np.eye(n) for g in (mu, mu ** 2 * noise))
-    # the simulator's transposed (A1, A0, A2), broadcast over the K blocks
-    a1t, a0t, a2t = (x[:, None] for x in combination_stack(strategies, weights, size))
-    shrunk = a0t - mr
-    b = a2t @ shrunk @ a1t
-    y = a2t @ msm @ a2t.swapaxes(-1, -2)
+    # each row multiplies by A^T only in the slots where its table row puts A
+    a1, a0, a2 = slot_masks(strategies)
+    shrunk = np.where(a0[:, None, None, None], at - mr, np.eye(size) - mr)
+    b = shrunk.copy()
+    b[a2] = at @ b[a2]
+    b[a1] = b[a1] @ at
+    y = np.where(a2[:, None, None, None], at @ msm @ at.T, msm)
     # the symmetric form: Sigma A Sigma where A sits in A1 or A2, A0 - M R otherwise
     symmetric = None
     lam = mr.diagonal(axis1=-2, axis2=-1)
@@ -162,8 +164,7 @@ def build_error_recursions(strategies, matrix, profiles) -> RecursionStack:
         sigma = np.sqrt(1.0 - lam)
         # sigma_i sigma_j a_ij: the outer product commutes, so it is symmetric bit for bit
         sas = sigma[:, :, None] * sigma[:, None, :] * a
-        outer = np.array([u[0] or u[2] for u in map(uses_a, strategies)])
-        symmetric = np.where(outer[:, None, None, None], sas, shrunk)
+        symmetric = np.where((a1 | a2)[:, None, None, None], sas, shrunk)
     return RecursionStack(tuple(strategies), b, y, n, m, basis, symmetric)
 
 

@@ -18,12 +18,13 @@ left-stochastic matrix A and the others to I:
 Consensus combines in A0, beside the adaptation, so its error signal uses
 the node's own previous iterate, not the combined one; that single
 difference drives all the stability gaps studied here.  The table is the
-one definition of a strategy: ``combination_stack`` turns it into the
-stacks ``spectra`` multiplies into B and Y, an I slot included, and
-``GroupedStep`` reads it to step the simulator, multiplying by A only where
-the table puts A.  Every formula reads the previous iteration's estimates
-only.  The simulator's (S, T, N, M) estimate tensor stacks S strategies and
-T independent networks (trials) sharing step sizes and weights.
+one definition of a strategy, and every reader multiplies by A only where
+the table puts A: ``GroupedStep`` steps the simulator with it, and
+``slot_masks`` hands its rows to ``spectra`` for B and Y and to
+``msdtheory`` for the mode grids.  Every formula reads the previous
+iteration's estimates only.  The simulator's (S, T, N, M) estimate tensor
+stacks S strategies and T independent networks (trials) sharing step sizes
+and weights.
 """
 
 from __future__ import annotations
@@ -71,15 +72,10 @@ def uses_a(kind) -> tuple:
         raise ConfigError(f"unknown strategy {kind!r}") from None
 
 
-def combination_stack(kinds, weights, n: int):
-    """Transposed (A1, A0, A2) of the listed strategies, each of shape
-    (S, N, N): the (N, N) array ``weights`` = A where the table puts A, the
-    identity where it puts I."""
-    uses = [uses_a(k) for k in kinds]
-    eye = np.eye(n)
-    # transposed views, not copies: matmul then reads A exactly as it reads A.T
-    return tuple(np.stack([weights if u[slot] else eye for u in uses])
-                 .swapaxes(-1, -2) for slot in range(3))
+def slot_masks(kinds) -> np.ndarray:
+    """(3, S) booleans of the listed strategies' table rows: entry [j, s] is
+    True where strategy s puts A in slot j of (A1, A0, A2)."""
+    return np.array([uses_a(k) for k in kinds], dtype=bool).reshape(-1, 3).T
 
 
 # the order the grouped step lays strategies out in, by the slot that holds
@@ -115,7 +111,7 @@ class GroupedStep:
         s, n = len(ranks), len(mu)
         # where the A2, A0 and A1 groups start
         a2, a0, a1 = (sum(r < rank for r in ranks) for rank in (1, 2, 3))
-        # the transposed view of a C-contiguous A, as combination_stack passes it
+        # the transposed view of a C-contiguous A, as spectra multiplies it
         self._at = None if a2 == s else np.ascontiguousarray(weights, dtype=float).T
         self._mu = mu
         self._combine_first, self._combine_last = a0 < s, a2 < a0

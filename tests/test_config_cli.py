@@ -10,7 +10,7 @@ from adaptnet import (ConfigError, NumericalError, StrategyKind,
                       build_combination_matrix, build_experiment,
                       complete_topology, line_topology, load_combination_csv,
                       load_experiment, load_topology, parse_pairs)
-from adaptnet.cli import main
+from adaptnet.cli import build_parser, main
 
 
 MINIMAL = """
@@ -399,6 +399,20 @@ def test_cli_compare_ordering_flag(tmp_path, capsys):
                     "ru_diag = 1\nrule = metropolis\niterations = 80\ntrials = 3\n")
     assert main(["compare", str(path), "--ordering"]) == 0
     assert "atc <= cta <= non_cooperative (network): True" in capsys.readouterr().out
+
+
+def test_cli_main_calls_share_one_parser_but_no_state(tmp_path, capsys):
+    # one parser per process: a later call does not inherit --ordering
+    path = tmp_path / "homog.cfg"
+    path.write_text("nodes = 3\ndim = 1\nmu = 0.05\nnoise_db = -20, -15, -25\n"
+                    "ru_diag = 1\nrule = metropolis\niterations = 40\ntrials = 2\n")
+    assert build_parser() is build_parser()
+    assert main(["compare", str(path), "--ordering"]) == 0
+    assert "atc <= cta" in capsys.readouterr().out
+    assert main(["compare", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("strategy") and "atc <= cta" not in out
+    assert "ordering" not in out
 
 
 def test_cli_compare_ordering_on_heterogeneous_profiles(stable_cfg, tmp_path, capsys):

@@ -13,7 +13,7 @@ from adaptnet import (CombinationMatrix, ConfigError, ExperimentConfig,
                       msd_series, random_connected_topology, run_experiment,
                       steady_state_vs_theory, theory_reports)
 from adaptnet.signalmodel import BLOCK, benchmark_profile
-from adaptnet.strategies import combination_stack
+from adaptnet.strategies import uses_a
 
 from conftest import stable_profiles, unit_truth
 
@@ -167,8 +167,8 @@ def _recursion_step(W, u, d, mu, a1t, a0t, a2t):
 
 def _reference_run(cfg):
     """The engine's outputs from a plain loop: one trial and one strategy at
-    a time through the recursion as written, with the (A1, A0, A2) of
-    ``combination_stack``, a trial frozen from its divergence onset."""
+    a time through the recursion as written, each of (A1, A0, A2) A^T or I
+    as ``uses_a`` gives it, a trial frozen from its divergence onset."""
     weights = cfg.resolve_combination().weights
     n = len(cfg.profiles)
     mu = np.array([p.step_size for p in cfg.profiles])
@@ -178,7 +178,7 @@ def _reference_run(cfg):
     threshold = harness.DIVERGENCE_FACTOR * (float(w0 @ w0) or 1.0)
     out = {}
     for kind in cfg.strategies:
-        a1t, a0t, a2t = (a[0] for a in combination_stack((kind,), weights, n))
+        a1t, a0t, a2t = (weights.T if slot else np.eye(n) for slot in uses_a(kind))
         curve_sum, node_sum, nets, onsets = np.zeros(cfg.iterations), np.zeros(n), [], []
         for trial in range(cfg.trials):
             W = np.zeros((n, w0.size))

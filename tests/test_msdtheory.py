@@ -192,6 +192,20 @@ def test_defective_matrix_rejected():
         eigenstructure(a, np.eye(1))
 
 
+@pytest.mark.parametrize("delta, refused", [(1e-6, False), (1e-10, True)])
+def test_condition_limit_separates_near_defective_from_defective(delta, refused):
+    # A^T = [[1 - a, a, 0], [0, 1 - b, b], [0, 0, 1]] with a = b + delta
+    # coalesces two eigenvectors as delta -> 0: condition 9.4e5 at 1e-6,
+    # 9.4e9 at 1e-10, each about 100 times from COND_LIMIT = 1e8
+    a, b = 0.3 + delta, 0.3
+    at = np.array([[1 - a, a, 0.0], [0.0, 1 - b, b], [0.0, 0.0, 1.0]])
+    if refused:
+        with pytest.raises(NotDiagonalizableError, match="9.4"):
+            eigenstructure(at.T, np.eye(1))
+    else:
+        assert eigenstructure(at.T, np.eye(1)).condition == pytest.approx(9.4e5, rel=0.01)
+
+
 def test_series_vs_eigenform_random_instances():
     rng = np.random.default_rng(2)
     checked = 0
@@ -386,6 +400,20 @@ def test_eigenform_refusal_is_a_report_across_the_stability_limit():
     assert len(seen) == 2 * len(ALL)
 
 
+@pytest.mark.parametrize("mu, refused", [(1e-8, False), (1e-14, True)])
+def test_denominator_guard_refuses_a_vanishing_step(mu, refused):
+    # the modes at lambda_l(A) = 1 give 1 - (1 - mu)^2 ~ 2 mu: 2e-8 clears
+    # DENOM_GUARD = 1e-12 and 2e-14 does not, while the radius 1 - mu stays
+    # below 1.  strict_ordering_step_threshold's halvings reach such steps
+    st = eigenstructure(np.array([[0.7, 0.4], [0.3, 0.6]]), np.eye(1))
+    reports = msd_eigenform(st, mu, [0.1, 0.1],
+                            (StrategyKind.CTA, StrategyKind.NON_COOPERATIVE))
+    for rep in reports.values():
+        assert rep.spectral_radius < 1.0
+        assert rep.diverged == refused
+        assert (rep.per_mode is None) == refused
+
+
 def test_ordering_checks_raises_a_refused_diffusion_strategy():
     # ATC modes (1 - 2.5) lambda_l(A) reach radius 1.5; the verdicts
     # compare finite MSDs, so the refusal is raised, not reported
@@ -443,6 +471,27 @@ def test_consensus_worst_when_step_exceeds_inverse_lambda_min():
     rep = ordering_checks(a, np.array([[sigma]]), mu, [0.1, 0.2])
     assert rep.mu_lambda_min == pytest.approx(1.2)
     assert rep.consensus_worst is True
+
+
+def test_ordering_checks_reports_a_violated_ordering():
+    # a non-symmetric homogeneous instance from a seeded search, on which
+    # both nodes lean on the noisier node 2: every diffusion verdict fails,
+    # by 7e-6 to 7e-5 at network MSDs near 4e-4, and the exact series route
+    # finds the same gaps; a slack of 1e-3 would hide all three
+    a = np.array([[0.04, 0.01], [0.96, 0.99]])
+    mu, noise = 0.06, [0.008, 0.014]
+    rep = ordering_checks(a, np.eye(1), mu, noise)
+    assert not (rep.atc_le_cta or rep.cta_le_ncop or rep.atc_le_cons)
+    assert not rep.diffusion_first
+    profiles = [NodeProfile(step_size=mu, covariance=np.eye(1), noise_variance=v)
+                for v in noise]
+    series = {k: r.network for k, r in series_reports(build_error_recursions(ALL, a, profiles)).items()}
+    atc, cta, cons, ncop = (StrategyKind.ATC, StrategyKind.CTA, StrategyKind.CONSENSUS,
+                            StrategyKind.NON_COOPERATIVE)
+    for worse, better in ((atc, cta), (cta, ncop), (atc, cons)):
+        gap = series[worse] - series[better]
+        assert 1e-6 < gap < 1e-4
+        assert rep.network[worse] - rep.network[better] == pytest.approx(gap, rel=1e-6)
 
 
 def test_identity_matrix_all_strategies_equal_msd():

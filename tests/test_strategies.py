@@ -4,7 +4,7 @@ import pytest
 
 from adaptnet import (ConfigError, StrategyKind, build_combination_matrix,
                       random_connected_topology)
-from adaptnet.strategies import (COOPERATIVE, GroupedStep, combination_stack,
+from adaptnet.strategies import (COOPERATIVE, GroupedStep, slot_masks,
                                  slot_order, uses_a)
 
 NCOP = StrategyKind.NON_COOPERATIVE
@@ -204,18 +204,20 @@ def test_overflow_stays_in_its_strategy_trial_slab():
 
 def test_update_requires_weights_for_cooperative():
     # the non-cooperative row reads none of A: all three slots are I
-    A = _random_weights(3, np.random.default_rng(2))
-    for a in combination_stack((NCOP,), A, 3):
-        npt.assert_array_equal(a, np.eye(3)[None])
+    npt.assert_array_equal(slot_masks((NCOP,)), np.zeros((3, 1), dtype=bool))
+    npt.assert_array_equal(slot_masks((NCOP, CONS, ATC, CTA)),
+                           [[False, False, False, True],
+                            [False, True, False, False],
+                            [False, False, True, False]])
 
 
 @pytest.mark.parametrize("kind", ["atc", None, 2])
 def test_table_rejects_non_members(kind):
-    # combination_stack used to let a raw KeyError escape
+    # a table lookup used to let a raw KeyError escape
     with pytest.raises(ConfigError, match="unknown strategy"):
         uses_a(kind)
     with pytest.raises(ConfigError, match="unknown strategy"):
-        combination_stack((ATC, kind), np.eye(3), 3)
+        slot_masks((ATC, kind))
     with pytest.raises(ConfigError, match="unknown strategy"):
         slot_order((ATC, kind))
 

@@ -271,6 +271,16 @@ def test_psd_iff_proportional_weights():
     assert rep2.determinant == pytest.approx(-0.25)
 
 
+@pytest.mark.parametrize("eps, psd", [(1e-6, True), (1e-4, False)])
+def test_psd_tolerance_separates_rounding_from_a_negative_eigenvalue(eps, psd):
+    # t = 1, a = b + eps leaves the proportional line by eps: the least
+    # eigenvalue is -1.19e-12 at 1e-6, inside PSD_TOL = 1e-10, and -1.19e-8
+    # at 1e-4, outside it
+    rep = individual_msd_conditions(0.3 + eps, 0.3, 1.0)
+    assert rep.min_eigenvalue == pytest.approx(-1.19 * eps ** 2, rel=0.01)
+    assert rep.noise_shrink_psd == psd
+
+
 def test_psd_exactly_on_the_proportional_line():
     # the closed form: the shrink matrix is PSD exactly when a = t b with
     # b <= min(1, 1/t), and its determinant -(a - t b)^2 keeps it indefinite
